@@ -21,8 +21,8 @@ from .graph import EdgeRule, EdgeRules, cross_modal_edges, temporal_edges
 from .layers import FUSION_GAT, FUSION_MODES, MODALITIES, POOLING_MODES
 from .metrics import evaluate
 from .tensor import ComputeGraph, NumericError, ShapeError
-from .training import (ConfigError, TrainConfig, load_checkpoint,
-                       split_dataset, train, write_history_csv)
+from .training import (MULTI_SEED_NEEDS_VAL, ConfigError, SeedSummary, TrainConfig,
+                       load_checkpoint, split_dataset, train, write_history_csv)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -170,21 +170,15 @@ def _cmd_train(args) -> int:
             raise ConfigError("--seeds given but no seeds parsed")
         if args.resume:
             raise ConfigError("--resume cannot be combined with --seeds")
-        maps, aucs = [], []
+        if not items_val:
+            raise ConfigError(MULTI_SEED_NEEDS_VAL)
+        evals = []
         for s in seeds:
             _, ckpt_path, ev = _run_one_seed(items_train, items_val,
                                              replace(cfg, seed=s), out_dir, f"seed{s}")
-            maps.append(ev.map)
-            aucs.append(ev.roc_auc)
+            evals.append(ev)
             print(f"seed {s}: map {ev.map:.4f} roc_auc {ev.roc_auc:.4f} -> {ckpt_path}")
-        aggregate = {
-            "seeds": seeds,
-            "per_seed_map": maps, "per_seed_auc": aucs,
-            "map_mean": float(np.mean(maps)),
-            "map_std": float(np.std(maps, ddof=1)) if len(maps) > 1 else 0.0,
-            "auc_mean": float(np.mean(aucs)),
-            "auc_std": float(np.std(aucs, ddof=1)) if len(aucs) > 1 else 0.0,
-        }
+        aggregate = SeedSummary.from_evals(seeds, evals).to_dict()
         with open(out_dir / "aggregate.json", "w") as f:
             json.dump(aggregate, f, indent=2)
         _echo("aggregate", aggregate)

@@ -92,7 +92,6 @@ class GatFusionLayer:
         self.w_msg = xavier_init(video_dim, out_dim, rng, dtype=dtype, name=f"{name}.w_msg")
         self.att_audio = xavier_init(audio_dim, 1, rng, dtype=dtype, name=f"{name}.att_audio")
         self.att_video = xavier_init(out_dim, 1, rng, dtype=dtype, name=f"{name}.att_video")
-        self.dtype = dtype
 
     def forward(self, g: ComputeGraph, video_feats: Tensor, mask_va: np.ndarray,
                 audio_feats: Tensor):
@@ -105,10 +104,7 @@ class GatFusionLayer:
         wh_v = g.matmul(video_feats, self.w_msg)
         score_v = g.matmul(wh_v, self.att_video)        # n_video x 1
         score_a = g.matmul(audio_feats, self.att_audio)  # n_audio x 1
-        ones_row = Tensor(np.ones((1, n_video), dtype=self.dtype))
-        ones_col = Tensor(np.ones((n_audio, 1), dtype=self.dtype))
-        scores = g.add(g.matmul(score_a, ones_row),
-                       g.matmul(ones_col, g.transpose(score_v)))
+        scores = g.add(score_a, g.transpose(score_v))    # broadcast to n_audio x n_video
         scores = g.leaky_relu(scores, GAT_LEAKY_SLOPE)
         alpha = g.row_softmax_masked(scores, mask_va > 0)
         return g.matmul(alpha, wh_v), alpha
@@ -189,8 +185,10 @@ class ForwardResult:
     probs: Tensor
     logits: Tensor
     embedding: Tensor
-    attention: list = field(default_factory=list)       # per-layer alpha, numpy copies
-    audio_states: list = field(default_factory=list)    # per-layer numpy copies
+    # Per-layer numpy arrays. They are the tape's op outputs themselves, not
+    # copies, so they must not be mutated.
+    attention: list = field(default_factory=list)       # per-layer alpha
+    audio_states: list = field(default_factory=list)
     video_states: list = field(default_factory=list)
 
 
@@ -286,11 +284,11 @@ class HgnnModel:
         for layer in self.layers:
             h_a, h_v, alpha = layer.forward(g, graph, h_a, h_v)
             if alpha is not None:
-                result.attention.append(alpha.data.copy())
+                result.attention.append(alpha.data)
             if h_a is not None:
-                result.audio_states.append(h_a.data.copy())
+                result.audio_states.append(h_a.data)
             if h_v is not None:
-                result.video_states.append(h_v.data.copy())
+                result.video_states.append(h_v.data)
 
         if cfg.modality == MODALITY_BOTH:
             pooled = g.concat_cols(self._pool(g, h_a, self.pool_audio),
@@ -302,5 +300,6 @@ class HgnnModel:
 
         result.embedding = pooled
         result.logits = g.add(g.matmul(pooled, self.cls_weight), self.cls_bias)
+        g.check_finite(result.logits)
         result.probs = g.sigmoid(result.logits)
         return result

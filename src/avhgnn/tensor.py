@@ -13,10 +13,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-# Every op asserts its output is finite. Cheap at the scales this library
-# targets; flip off only for profiling.
-FINITE_CHECKS = True
-
 
 class ShapeError(ValueError):
     """Operand shapes are incompatible with the requested op."""
@@ -150,8 +146,6 @@ class ComputeGraph:
     # -- recording machinery -------------------------------------------------
 
     def _emit(self, data: np.ndarray, backward: Callable[[np.ndarray], None]) -> Tensor:
-        if FINITE_CHECKS and not np.isfinite(data).all():
-            raise NumericError("op produced a non-finite value")
         out = Tensor(data)
         out.from_op = True
         self._records.append(_OpRecord(out, backward))
@@ -186,28 +180,16 @@ class ComputeGraph:
         return self._emit(a.data.T.copy(), backward)
 
     def add(self, a: Tensor, b: Tensor) -> Tensor:
-        """Elementwise sum; also accepts a row vector b broadcast over a's rows."""
-        if a.shape == b.shape:
-            def backward(g):
-                self._accum(a, g)
-                self._accum(b, g)
-        elif b.rows == 1 and b.cols == a.cols:
-            def backward(g):
-                self._accum(a, g)
-                self._accum(b, g.sum(axis=0, keepdims=True))
-        else:
+        """Elementwise sum; a 1-row or 1-column operand broadcasts along that axis."""
+        if any(m != n and 1 not in (m, n) for m, n in zip(a.shape, b.shape)):
             raise ShapeError(f"add shapes incompatible: {a.shape} + {b.shape}")
-        return self._emit(a.data + b.data, backward)
-
-    def sub(self, a: Tensor, b: Tensor) -> Tensor:
-        if a.shape != b.shape:
-            raise ShapeError(f"sub shapes differ: {a.shape} - {b.shape}")
 
         def backward(g):
-            self._accum(a, g)
-            self._accum(b, -g)
+            for t in (a, b):
+                axes = tuple(i for i in (0, 1) if t.shape[i] != g.shape[i])
+                self._accum(t, g.sum(axis=axes, keepdims=True) if axes else g)
 
-        return self._emit(a.data - b.data, backward)
+        return self._emit(a.data + b.data, backward)
 
     def mul(self, a: Tensor, b: Tensor) -> Tensor:
         """Hadamard product."""
@@ -391,3 +373,18 @@ class ComputeGraph:
                 continue
             rec.out.grad = None
             rec.backward(g)
+
+    def check_finite(self, t: Tensor):
+        """Raise NumericError if `t` holds a non-finite value.
+
+        The message names the index and kind of the first tape op whose
+        output is non-finite, which is where the blow-up started.
+        """
+        if np.isfinite(t.data).all():
+            return
+        for i, rec in enumerate(self._records):
+            if not np.isfinite(rec.out.data).all():
+                # Backward rules are closures named ComputeGraph.<op>.<locals>.backward.
+                kind = rec.backward.__qualname__.split(".")[1]
+                raise NumericError(f"op {i} ({kind}) produced a non-finite value")
+        raise NumericError("non-finite value outside the tape")

@@ -30,6 +30,9 @@ class ConfigError(ValueError):
     """A config value is out of range or inconsistent with the dataset."""
 
 
+MULTI_SEED_NEEDS_VAL = "multi-seed run needs a non-empty validation split"
+
+
 @dataclass
 class TrainConfig:
     """Hyperparameters for optimization, architecture, and graph building."""
@@ -445,6 +448,13 @@ class SeedSummary:
     auc_mean: float
     auc_std: float
 
+    @classmethod
+    def from_evals(cls, seeds, evals) -> "SeedSummary":
+        """Mean and sample std (0 for one seed) of per-seed held-out results."""
+        maps = [ev.map for ev in evals]
+        aucs = [ev.roc_auc for ev in evals]
+        return cls(list(seeds), maps, aucs, *_mean_std(maps), *_mean_std(aucs))
+
     def to_dict(self) -> dict:
         return self.__dict__.copy()
 
@@ -460,15 +470,11 @@ def run_seeds(items, cfg: TrainConfig, seeds, progress=None) -> SeedSummary:
     if not seeds:
         raise ConfigError("need at least one seed")
     train_items, val_items = split_dataset(items, cfg.val_fraction, cfg.seed)
-    maps, aucs = [], []
+    if not val_items:
+        raise ConfigError(MULTI_SEED_NEEDS_VAL)
+    evals = []
     for s in seeds:
         result = train(train_items, replace(cfg, seed=int(s)), val_items=val_items,
                        progress=progress)
-        ev = evaluate(result.model, val_items)
-        maps.append(ev.map)
-        aucs.append(ev.roc_auc)
-    map_mean, map_std = _mean_std(maps)
-    auc_mean, auc_std = _mean_std(aucs)
-    return SeedSummary(seeds=list(seeds), per_seed_map=maps, per_seed_auc=aucs,
-                       map_mean=map_mean, map_std=map_std,
-                       auc_mean=auc_mean, auc_std=auc_std)
+        evals.append(evaluate(result.model, val_items))
+    return SeedSummary.from_evals(seeds, evals)

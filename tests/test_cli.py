@@ -7,6 +7,8 @@ import pytest
 
 from avhgnn.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from avhgnn.cli import attention_summary
+from avhgnn.data import load_dataset
+from avhgnn.training import TrainConfig, run_seeds
 
 
 def run(capsys, *argv):
@@ -105,6 +107,31 @@ class TestTrain:
         assert aggregate["seeds"] == [1, 2]
         assert 0.0 <= aggregate["map_mean"] <= 1.0
         assert aggregate["map_std"] >= 0.0
+
+    def test_multi_seed_aggregate_equals_run_seeds(self, capsys, tmp_path):
+        manifest = gen_dataset(capsys, tmp_path, n_items=16, n_audio=4, n_video=6,
+                               d_audio=5, d_video=7, seed=1)
+        cfg_path = write_config(tmp_path, max_iters=10)
+        out_dir = tmp_path / "seeds"
+        code, _, _ = run(capsys, "train", "--config", str(cfg_path),
+                         "--data", str(manifest), "--out", str(out_dir),
+                         "--seeds", "1,2")
+        assert code == EXIT_OK
+        aggregate = json.loads((out_dir / "aggregate.json").read_text())
+        cfg = TrainConfig.from_dict(json.loads(cfg_path.read_text()))
+        summary = run_seeds(load_dataset(manifest, cfg.rules), cfg, [1, 2])
+        # Compared as JSON text: the tiny split leaves ROC-AUC NaN, and NaN != NaN.
+        assert (json.dumps(aggregate, sort_keys=True)
+                == json.dumps(summary.to_dict(), sort_keys=True))
+
+    def test_multi_seed_empty_validation_is_config_error(self, capsys, tmp_path):
+        manifest = gen_dataset(capsys, tmp_path, n_items=1, n_classes=1)
+        cfg = write_config(tmp_path, max_iters=2)
+        code, _, err = run(capsys, "train", "--config", str(cfg),
+                           "--data", str(manifest), "--out", str(tmp_path / "o"),
+                           "--seeds", "1,2")
+        assert code == EXIT_DATA
+        assert "non-empty validation split" in err
 
     def test_resume_continues_bitwise(self, capsys, tmp_path):
         manifest = gen_dataset(capsys, tmp_path, n_items=16, n_audio=4, n_video=6,

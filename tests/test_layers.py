@@ -6,7 +6,7 @@ import pytest
 from avhgnn.graph import EdgeRule, EdgeRules, build_hetero_graph
 from avhgnn.layers import (GAT_LEAKY_SLOPE, GatFusionLayer, GcnFusionLayer,
                            GcnLayer, HgnnModel, ModelConfig)
-from avhgnn.tensor import ComputeGraph, Rng, ShapeError, Tensor
+from avhgnn.tensor import ComputeGraph, NumericError, Rng, ShapeError, Tensor
 from avhgnn.training import focal_loss
 from conftest import assert_grad_close, numeric_gradient
 
@@ -167,6 +167,33 @@ class TestGatFusion:
         live = mask.sum(axis=1) > 0
         np.testing.assert_allclose(alpha.data[live].sum(axis=1), 1.0, atol=1e-6)
 
+    def test_broadcast_scores_bitwise_equal_ones_matmul(self):
+        """The broadcast score sum equals the ones-matrix matmul formulation bit
+        for bit, and so do the attention and message built on it."""
+        rng = np.random.default_rng(11)
+        layer = GatFusionLayer(3, 4, 5, Rng(6))  # float32, the training dtype
+        video = Tensor(rng.normal(0, 1, (6, 4)).astype(np.float32))
+        audio = Tensor(rng.normal(0, 1, (4, 3)).astype(np.float32))
+        mask = (rng.random((4, 6)) > 0.3).astype(float)
+        g = ComputeGraph()
+        out, alpha = layer.forward(g, video, mask, audio)
+        assert len(g) == 8
+
+        g = ComputeGraph()
+        wh_v = g.matmul(video, layer.w_msg)
+        score_v = g.matmul(wh_v, layer.att_video)
+        score_a = g.matmul(audio, layer.att_audio)
+        ones_row = Tensor(np.ones((1, 6), dtype=np.float32))
+        ones_col = Tensor(np.ones((4, 1), dtype=np.float32))
+        old_scores = g.add(g.matmul(score_a, ones_row),
+                           g.matmul(ones_col, g.transpose(score_v)))
+        new_scores = g.add(score_a, g.transpose(score_v))
+        assert new_scores.data.tobytes() == old_scores.data.tobytes()
+        old_alpha = g.row_softmax_masked(g.leaky_relu(old_scores, GAT_LEAKY_SLOPE),
+                                         mask > 0)
+        assert alpha.data.tobytes() == old_alpha.data.tobytes()
+        assert out.data.tobytes() == g.matmul(old_alpha, wh_v).data.tobytes()
+
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(9)
         layer = self._layer(4)
@@ -316,6 +343,17 @@ class TestModelForward:
                                  rng.normal(0, 1, (3, 7)), TINY_RULES)
         with pytest.raises(ShapeError, match="audio dim"):
             model.forward(ComputeGraph(), bad)
+
+    def test_non_finite_logits_name_first_bad_op(self):
+        model = tiny_model(dtype=np.float32)
+        model.layers[0].fusion.w_msg.data[0, 0] = 1e30
+        graph = tiny_graph(dtype=np.float32)
+        graph.video_feats.data[:] = 1e10  # 1e30 * 1e10 overflows float32
+        # Ops 0-2 are layer 0's audio GCN (matmul, matmul, relu); op 3 is the
+        # fusion's message projection, where the first inf appears.
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericError, match=r"op 3 \(matmul\)"):
+            model.forward(ComputeGraph(), graph)
 
     def test_attention_collected_per_layer(self):
         model = tiny_model(layers=3)

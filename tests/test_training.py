@@ -308,6 +308,10 @@ class TestRunSeeds:
         with pytest.raises(ConfigError):
             run_seeds(make_items(4), small_config(), seeds=[])
 
+    def test_requires_a_validation_split(self):
+        with pytest.raises(ConfigError, match="non-empty validation split"):
+            run_seeds(make_items(1), small_config(), seeds=[1])
+
     def test_three_seeds_on_learnable_task_agree(self, tmp_path):
         from avhgnn.data import SynthSpec, generate_synthetic, load_dataset
         manifest = generate_synthetic(
