@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from avhgnn.graph import EdgeRule, EdgeRules, build_hetero_graph
@@ -101,10 +101,19 @@ class TestRocAuc:
         assert 0.45 <= roc_auc(scores, labels) <= 0.55
 
 
+def pairwise_order(values):
+    """Sign of every pairwise difference: the ranking, ties included."""
+    values = np.asarray(values)
+    return np.sign(values[:, None] - values[None, :])
+
+
 class TestMonotoneInvariance:
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(0.01, 0.99), min_size=3, max_size=20),
            st.integers(0, 2 ** 20 - 1))
+    # In floating point 2x+1 and exp map these two distinct scores to one
+    # value; a tie changes the ranking, so only arctan is compared here.
+    @example(scores=[0.010000000000000002, 0.5, 0.01], label_bits=0)
     def test_ap_and_auc_invariant(self, scores, label_bits):
         n = len(scores)
         labels = [(label_bits >> i) & 1 for i in range(n)]
@@ -115,6 +124,11 @@ class TestMonotoneInvariance:
         for transform in (lambda x: 2.0 * x + 1.0, np.exp,
                           lambda x: np.arctan(x) * 3.0):
             mapped = transform(np.asarray(scores))
+            # The metrics depend on the ranking only, so invariance is owed
+            # to maps that keep it; rounding can merge near-equal scores.
+            if not np.array_equal(pairwise_order(scores),
+                                  pairwise_order(mapped)):
+                continue
             assert abs(average_precision(scores, labels)
                        - average_precision(mapped, labels)) < 1e-12
             assert abs(roc_auc(scores, labels) - roc_auc(mapped, labels)) < 1e-12
