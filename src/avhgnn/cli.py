@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -110,11 +110,7 @@ def _add_train(sub):
 
 def _train_config(args, base: TrainConfig | None = None) -> TrainConfig:
     if base is None:
-        cfg_dict = _load_json(args.config) if args.config else {}
-        try:
-            cfg = TrainConfig.from_dict(cfg_dict)
-        except TypeError as exc:
-            raise ConfigError(f"invalid train config: {exc}") from exc
+        cfg = TrainConfig.from_dict(_load_json(args.config) if args.config else {})
     else:
         cfg = base
     overrides = {}
@@ -235,8 +231,11 @@ def _rules_from_args(args) -> EdgeRules:
         base = getattr(rules, edge)
         span = getattr(args, f"span_{edge}")
         dilation = getattr(args, f"dilation_{edge}")
-        out[edge] = EdgeRule(span if span is not None else base.span,
-                             dilation if dilation is not None else base.dilation)
+        try:
+            out[edge] = EdgeRule(span if span is not None else base.span,
+                                 dilation if dilation is not None else base.dilation)
+        except ValueError as exc:
+            raise ConfigError(f"invalid {edge} rule: {exc}") from exc
     return EdgeRules(**out)
 
 
@@ -261,7 +260,7 @@ def _cmd_inspect(args) -> int:
     payload = {
         "config": {
             "n_audio": args.n_audio, "n_video": args.n_video,
-            "rules": TrainConfig(rules=rules).to_dict()["rules"],
+            "rules": asdict(rules),
         },
         "aa_edges": _undirected_pairs(adj_aa),
         "vv_edges": _undirected_pairs(adj_vv),

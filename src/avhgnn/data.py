@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -134,6 +134,9 @@ class DatasetManifest:
                 f"{manifest.num_classes} classes")
         for it in manifest.items:
             for label in it.labels:
+                if type(label) is not int:
+                    raise DataFormatError(
+                        f"item {it.item_id!r}: label {label!r} is not an integer")
                 if not 0 <= label < manifest.num_classes:
                     raise DatasetError(
                         f"item {it.item_id!r}: label {label} out of range "
@@ -207,11 +210,6 @@ def _bump_positions(spec: SynthSpec) -> list[int]:
     return [(i * stride) % spec.n_audio for i in range(count)]
 
 
-def _inject(features: np.ndarray, nodes, pattern: np.ndarray):
-    for node in nodes:
-        features[node % features.shape[0], :] += pattern
-
-
 def _make_item(spec: SynthSpec, cls: int, j: int, rng: Rng) -> FeatureContainer:
     """Item j of class `cls`. The (audio pattern, start position) sequence is
     the same for every class; only the paired video pattern encodes the class."""
@@ -219,18 +217,17 @@ def _make_item(spec: SynthSpec, cls: int, j: int, rng: Rng) -> FeatureContainer:
     video = rng.normal(0.0, spec.noise_sigma, (spec.n_video, spec.d_video))
     positions = _bump_positions(spec)
     t = positions[(j // spec.n_classes) % len(positions)]
-    audio_nodes = [t + w for w in range(AUDIO_BUMP_WIDTH)]
-    anchors = {anchor_index(node % spec.n_audio, spec.n_audio, spec.n_video)
-               for node in audio_nodes}
-    video_nodes = [a + off for a in anchors
-                   for off in range(-VIDEO_BUMP_HALF, VIDEO_BUMP_HALF + 1)]
+    audio_nodes = (t + np.arange(AUDIO_BUMP_WIDTH)) % spec.n_audio
+    anchors = np.unique(anchor_index(audio_nodes, spec.n_audio, spec.n_video))
+    offsets = np.arange(-VIDEO_BUMP_HALF, VIDEO_BUMP_HALF + 1)
+    video_nodes = (anchors[:, None] + offsets).ravel() % spec.n_video
     if spec.mode == "audio_only_solvable":
-        _inject(audio, audio_nodes, _cosine_pattern(cls, spec.d_audio))
+        np.add.at(audio, audio_nodes, _cosine_pattern(cls, spec.d_audio))
     else:
         p = j % spec.n_classes
         q = (cls - p) % spec.n_classes
-        _inject(audio, audio_nodes, _cosine_pattern(p, spec.d_audio))
-        _inject(video, video_nodes, _cosine_pattern(q, spec.d_video))
+        np.add.at(audio, audio_nodes, _cosine_pattern(p, spec.d_audio))
+        np.add.at(video, video_nodes, _cosine_pattern(q, spec.d_video))
     return FeatureContainer(audio=audio.astype(np.float32),
                             video=video.astype(np.float32))
 
@@ -267,8 +264,6 @@ class LabeledGraph:
     graph: HeteroGraph
     labels: np.ndarray  # 1 x num_classes, float32
 
-    container: FeatureContainer = field(default=None, repr=False)
-
 
 def load_dataset(manifest_path, rules: EdgeRules) -> list[LabeledGraph]:
     """Build one labeled HeteroGraph per manifest item.
@@ -300,8 +295,7 @@ def load_dataset(manifest_path, rules: EdgeRules) -> list[LabeledGraph]:
         labels = np.zeros((1, manifest.num_classes), dtype=np.float32)
         labels[0, it.labels] = 1.0
         graph = build_hetero_graph(container.audio, container.video, rules)
-        loaded.append(LabeledGraph(item_id=it.item_id, graph=graph, labels=labels,
-                                   container=container))
+        loaded.append(LabeledGraph(item_id=it.item_id, graph=graph, labels=labels))
     if errors:
         raise DatasetError(
             f"{manifest_path}: {len(errors)} item(s) failed to load:\n  "

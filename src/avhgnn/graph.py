@@ -6,11 +6,14 @@ direction. Across modalities, each audio node is anchored to the video
 node at the proportional position in time and linked to a dilated window
 around that anchor. Intra-modality adjacencies are symmetrically
 normalized with self-loops; the cross-modal adjacency stays a binary mask
-(attention normalizes it later).
+(attention normalizes it later). Edges never depend on the clip, so all
+graphs with the same (n_audio, n_video, rules, dtype) share one read-only
+set of adjacency arrays.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +29,8 @@ class EdgeRule:
     dilation: int = 1
 
     def __post_init__(self):
+        if not isinstance(self.span, int) or not isinstance(self.dilation, int):
+            raise ValueError(f"span and dilation must be integers, got {self!r}")
         if self.span < 0:
             raise ValueError(f"span must be >= 0, got {self.span}")
         if self.dilation < 1:
@@ -50,7 +55,8 @@ class HeteroGraph:
     """One audio-visual clip as a two-modality graph.
 
     adj_aa / adj_vv are the normalized intra-modality adjacencies; adj_va
-    is the raw 0/1 video-to-audio mask with shape (n_audio, n_video).
+    is the raw 0/1 video-to-audio mask with shape (n_audio, n_video). All
+    three are read-only and shared per (n_audio, n_video, rules, dtype).
     """
 
     audio_feats: Tensor
@@ -68,6 +74,12 @@ class HeteroGraph:
         return self.video_feats.rows
 
 
+def _on_rule(offsets: np.ndarray, rule: EdgeRule) -> np.ndarray:
+    """1.0 where an offset is dilation*k for some |k| <= span, else 0.0."""
+    k, r = np.divmod(offsets, rule.dilation)
+    return ((r == 0) & (np.abs(k) <= rule.span)).astype(np.float64)
+
+
 def temporal_edges(n_nodes: int, rule: EdgeRule) -> np.ndarray:
     """Symmetric binary adjacency linking i to i +/- dilation*k, k = 1..span.
 
@@ -75,21 +87,16 @@ def temporal_edges(n_nodes: int, rule: EdgeRule) -> np.ndarray:
     """
     if n_nodes < 1:
         raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
-    adj = np.zeros((n_nodes, n_nodes), dtype=np.float64)
-    for i in range(n_nodes):
-        for k in range(1, rule.span + 1):
-            j = i + rule.dilation * k
-            if j < n_nodes:
-                adj[i, j] = 1.0
-                adj[j, i] = 1.0
-    return adj
+    idx = np.arange(n_nodes)
+    return _on_rule(idx[None, :] - idx[:, None], rule) - np.eye(n_nodes)  # k = 0: no edge
 
 
-def anchor_index(i: int, n_audio: int, n_video: int) -> int:
-    """Proportional audio-to-video index map, rounded half-up."""
+def anchor_index(i, n_audio: int, n_video: int):
+    """Proportional audio-to-video index map, rounded half-up in exact integer
+    arithmetic; `i` is an int or an integer ndarray."""
     if n_audio == 1:
-        return 0
-    return int(np.floor(i * (n_video - 1) / (n_audio - 1) + 0.5))
+        return i * 0
+    return (2 * i * (n_video - 1) + n_audio - 1) // (2 * (n_audio - 1))
 
 
 def cross_modal_edges(n_audio: int, n_video: int, rule: EdgeRule) -> np.ndarray:
@@ -100,14 +107,8 @@ def cross_modal_edges(n_audio: int, n_video: int, rule: EdgeRule) -> np.ndarray:
     """
     if n_audio < 1 or n_video < 1:
         raise ValueError(f"node counts must be >= 1, got ({n_audio}, {n_video})")
-    adj = np.zeros((n_audio, n_video), dtype=np.float64)
-    for i in range(n_audio):
-        c = anchor_index(i, n_audio, n_video)
-        for k in range(-rule.span, rule.span + 1):
-            j = c + rule.dilation * k
-            if 0 <= j < n_video:
-                adj[i, j] = 1.0
-    return adj
+    anchors = anchor_index(np.arange(n_audio), n_audio, n_video)
+    return _on_rule(np.arange(n_video)[None, :] - anchors[:, None], rule)
 
 
 def normalize_adjacency(adj: np.ndarray, dtype=np.float32) -> Tensor:
@@ -127,17 +128,21 @@ def normalize_adjacency(adj: np.ndarray, dtype=np.float32) -> Tensor:
     return Tensor(normalized.astype(dtype))
 
 
+@functools.lru_cache(maxsize=128)
+def _shared_adjacencies(n_audio: int, n_video: int, rules: EdgeRules, dtype):
+    """(adj_aa, adj_vv, adj_va) for one shape and rule set, built once, read-only."""
+    adj_aa = normalize_adjacency(temporal_edges(n_audio, rules.audio), dtype=dtype)
+    adj_vv = normalize_adjacency(temporal_edges(n_video, rules.video), dtype=dtype)
+    adj_va = cross_modal_edges(n_audio, n_video, rules.cross)
+    for arr in (adj_aa.data, adj_vv.data, adj_va):
+        arr.flags.writeable = False
+    return adj_aa, adj_vv, adj_va
+
+
 def build_hetero_graph(audio_feats, video_feats, rules: EdgeRules) -> HeteroGraph:
     """Assemble a HeteroGraph from per-segment feature matrices."""
     a = audio_feats if isinstance(audio_feats, Tensor) else Tensor(audio_feats)
     v = video_feats if isinstance(video_feats, Tensor) else Tensor(video_feats)
     if a.rows < 1 or a.cols < 1 or v.rows < 1 or v.cols < 1:
         raise ShapeError("feature matrices must be non-empty")
-    dtype = a.dtype
-    return HeteroGraph(
-        audio_feats=a,
-        video_feats=v,
-        adj_aa=normalize_adjacency(temporal_edges(a.rows, rules.audio), dtype=dtype),
-        adj_vv=normalize_adjacency(temporal_edges(v.rows, rules.video), dtype=dtype),
-        adj_va=cross_modal_edges(a.rows, v.rows, rules.cross),
-    )
+    return HeteroGraph(a, v, *_shared_adjacencies(a.rows, v.rows, rules, a.dtype))

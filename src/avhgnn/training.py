@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .graph import EdgeRule, EdgeRules
-from .layers import HgnnModel, ModelConfig
+from .layers import FUSION_MODES, MODALITIES, POOLING_MODES, HgnnModel, ModelConfig
 from .metrics import evaluate
 from .tensor import ComputeGraph, NumericError, Rng, Tensor
 
@@ -59,35 +59,38 @@ class TrainConfig:
             raise ConfigError("lr and decay_factor must be positive")
         if self.gamma < 0:
             raise ConfigError(f"gamma must be >= 0, got {self.gamma}")
-        if self.warmup_iters < 0 or self.decay_at_iter < 0:
-            raise ConfigError("schedule iteration counts must be >= 0")
-        if self.max_iters < 1 or self.batch_size < 1:
-            raise ConfigError("max_iters and batch_size must be >= 1")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        for name, low in (("max_iters", 1), ("batch_size", 1), ("eval_every", 1),
+                          ("hidden", 1), ("num_layers", 1), ("seed", 0),
+                          ("warmup_iters", 0), ("decay_at_iter", 0)):
+            value = getattr(self, name)
+            if type(value) is not int or value < low:
+                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+        for name, modes in (("pooling", POOLING_MODES), ("fusion", FUSION_MODES),
+                            ("modality", MODALITIES)):
+            if getattr(self, name) not in modes:
+                raise ConfigError(f"{name} must be one of {modes}, got {getattr(self, name)!r}")
         if not 0.0 < self.val_fraction < 1.0:
             raise ConfigError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
 
     def to_dict(self) -> dict:
-        d = self.__dict__.copy()
-        d["rules"] = {
-            "audio": {"span": self.rules.audio.span, "dilation": self.rules.audio.dilation},
-            "video": {"span": self.rules.video.span, "dilation": self.rules.video.dilation},
-            "cross": {"span": self.rules.cross.span, "dilation": self.rules.cross.dilation},
-        }
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        d = dict(d)
-        if "rules" in d and isinstance(d["rules"], dict):
-            r = d["rules"]
-            d["rules"] = EdgeRules(
-                audio=EdgeRule(**r["audio"]),
-                video=EdgeRule(**r["video"]),
-                cross=EdgeRule(**r["cross"]),
-            )
-        return cls(**d)
+        """Parse a config dict; any malformed or out-of-range field is a ConfigError."""
+        if not isinstance(d, dict):
+            raise ConfigError(f"train config must be a JSON object, got {type(d).__name__}")
+        try:
+            d = dict(d)
+            if "rules" in d:
+                r = d["rules"]
+                d["rules"] = EdgeRules(**{edge: EdgeRule(**r[edge])
+                                          for edge in ("audio", "video", "cross")})
+            return cls(**d)
+        except KeyError as exc:
+            raise ConfigError(f"invalid train config: rules lack key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid train config: {exc}") from exc
 
 
 def model_config_for(cfg: TrainConfig, d_audio: int, d_video: int,
@@ -304,10 +307,22 @@ def load_checkpoint(path) -> Checkpoint:
         blob = f.read()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise ConfigError(f"not a checkpoint file: bad magic {blob[:4]!r}")
+    if len(blob) < 12:
+        raise ConfigError(f"checkpoint truncated: {len(blob)} bytes, header needs 12")
     version, header_len = struct.unpack("<II", blob[4:12])
     if version != CHECKPOINT_VERSION:
         raise ConfigError(f"unsupported checkpoint version {version}")
-    header = json.loads(blob[12:12 + header_len].decode("utf-8"))
+    try:
+        header = json.loads(blob[12:12 + header_len].decode("utf-8"))
+        specs = [(s["name"], int(s["rows"]), int(s["cols"])) for s in header["params"]]
+        if any(min(rows, cols) < 1 for _, rows, cols in specs):
+            raise ValueError(f"parameter shapes must be >= 1, got {specs}")
+        train_config = TrainConfig.from_dict(header["train_config"])
+        model_config = ModelConfig.from_dict(header["model_config"])
+        iteration, adam_step = header["iteration"], header["adam_step"]
+        rng_state = header["rng_state"]
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError covers bad JSON/UTF-8
+        raise ConfigError(f"malformed checkpoint header: {exc!r}") from exc
     offset = 12 + header_len
 
     def take(rows, cols):
@@ -321,16 +336,12 @@ def load_checkpoint(path) -> Checkpoint:
         offset += nbytes
         return arr
 
-    specs = header["params"]
-    params = {s["name"]: take(s["rows"], s["cols"]) for s in specs}
-    adam_m = {s["name"]: take(s["rows"], s["cols"]) for s in specs}
-    adam_v = {s["name"]: take(s["rows"], s["cols"]) for s in specs}
+    params = {name: take(rows, cols) for name, rows, cols in specs}
+    adam_m = {name: take(rows, cols) for name, rows, cols in specs}
+    adam_v = {name: take(rows, cols) for name, rows, cols in specs}
     return Checkpoint(
-        train_config=TrainConfig.from_dict(header["train_config"]),
-        model_config=ModelConfig.from_dict(header["model_config"]),
-        iteration=header["iteration"],
-        adam_step=header["adam_step"],
-        rng_state=header["rng_state"],
+        train_config=train_config, model_config=model_config, iteration=iteration,
+        adam_step=adam_step, rng_state=rng_state,
         params=params, adam_m=adam_m, adam_v=adam_v)
 
 

@@ -1,6 +1,7 @@
 """End-to-end runs of every subcommand via main(argv)."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -309,6 +310,63 @@ class TestDumpAttention:
                            "--data", str(manifest), "--item", "missing")
         assert code == EXIT_DATA
         assert "missing" in err
+
+
+class TestMalformedInput:
+    """Bad configs and checkpoints exit 2 with a message, before any data loads."""
+
+    @pytest.mark.parametrize("command, overrides, flags, message", [
+        ("train", {"rules": {"audio": {"span": 1}, "cross": {"span": 1}}}, (), "'video'"),
+        ("train", {"rules": [1, 2]}, (), "invalid train config"),
+        ("train", {"rules": {e: {"span": -1} for e in ("audio", "video", "cross")}}, (),
+         "span must be >= 0"),
+        ("train", {"rules": {e: {"span": 1.5} for e in ("audio", "video", "cross")}}, (),
+         "integers"),
+        ("train", {"num_layers": 0}, (), "num_layers"),
+        ("train", {"hidden": 0}, (), "hidden"),
+        ("train", {"pooling": "median"}, (), "pooling"),
+        ("train", {"fusion": "sum"}, (), "fusion"),
+        ("train", {"modality": "smell"}, (), "modality"),
+        ("train", {"eval_every": 0}, (), "eval_every"),
+        ("train", {"batch_size": 2.5}, (), "batch_size"),
+        ("train", {"seed": 1.5}, (), "seed"),
+        ("train", None, (), "JSON object"),
+        ("train", {}, ("--hidden", "0"), "hidden"),
+        ("inspect-graph", {"rules": {"audio": {"span": 1}}}, (), "'video'"),
+        ("inspect-graph", {}, ("--span-audio", "-1"), "span must be >= 0"),
+    ])
+    def test_bad_config(self, capsys, tmp_path, command, overrides, flags, message):
+        if overrides is None:
+            cfg = tmp_path / "list.json"
+            cfg.write_text("[]")
+        else:
+            cfg = write_config(tmp_path, **overrides)
+        if command == "train":
+            argv = ["train", "--config", str(cfg), "--data", str(tmp_path / "absent.json"),
+                    "--out", str(tmp_path / "o")]
+        else:
+            argv = ["inspect-graph", "--config", str(cfg), "--n-audio", "3",
+                    "--n-video", "4"]
+        code, _, err = run(capsys, *argv, *flags)
+        assert code == EXIT_DATA
+        assert message in err
+
+    @pytest.mark.parametrize("header, message", [
+        (None, "truncated"),
+        (b"{not json", "JSONDecodeError"),
+        (b'{"params": []}', "'train_config'"),
+        (b'{"params": [{"name": "w", "rows": -1, "cols": 4}]}', "shapes must be >= 1"),
+    ])
+    def test_bad_checkpoint(self, capsys, tmp_path, header, message):
+        path = tmp_path / "bad.hgck"
+        if header is None:  # 7 bytes: magic plus part of the version field
+            path.write_bytes(b"HGCK\x01\x00\x00")
+        else:
+            path.write_bytes(b"HGCK" + struct.pack("<II", 1, len(header)) + header)
+        code, _, err = run(capsys, "eval", "--checkpoint", str(path),
+                           "--data", str(tmp_path / "absent.json"))
+        assert code == EXIT_DATA
+        assert message in err
 
 
 class TestUsage:

@@ -77,6 +77,13 @@ class TestManifest:
                 "num_classes": 2, "class_names": ["x", "y"],
                 "items": [{"id": "a", "container_path": "a.hgav", "labels": [5]}]})
 
+    @pytest.mark.parametrize("label", ["1", 1.5, True, None])
+    def test_non_integer_label_is_format_error(self, label):
+        with pytest.raises(DataFormatError, match="not an integer"):
+            DatasetManifest.from_dict({
+                "num_classes": 2, "class_names": ["x", "y"],
+                "items": [{"id": "a", "container_path": "a.hgav", "labels": [label]}]})
+
     def test_class_name_count_mismatch(self):
         with pytest.raises(DataFormatError, match="class names"):
             DatasetManifest.from_dict({
@@ -134,7 +141,7 @@ class TestGenerator:
                          seed=3)
         manifest_path = generate_synthetic(spec, tmp_path)
         items = load_dataset(manifest_path, RULES)
-        means = np.array([it.container.audio.mean(axis=0) for it in items])
+        means = np.array([it.graph.audio_feats.data.mean(axis=0) for it in items])
         classes = np.array([int(np.argmax(it.labels)) for it in items])
         centroids = np.array([means[classes == c].mean(axis=0)
                               for c in range(spec.n_classes)])
@@ -148,11 +155,11 @@ class TestGenerator:
         items = load_dataset(manifest_path, RULES)
         classes = np.array([int(np.argmax(it.labels)) for it in items])
         audio_means = np.array([
-            np.mean([it.container.audio for it, c in zip(items, classes) if c == cls],
+            np.mean([it.graph.audio_feats.data for it, c in zip(items, classes) if c == cls],
                     axis=0)
             for cls in range(spec.n_classes)])
         video_means = np.array([
-            np.mean([it.container.video for it, c in zip(items, classes) if c == cls],
+            np.mean([it.graph.video_feats.data for it, c in zip(items, classes) if c == cls],
                     axis=0)
             for cls in range(spec.n_classes)])
         assert np.ptp(audio_means, axis=0).max() < 1e-6
@@ -168,8 +175,8 @@ class TestGenerator:
                        for q in range(4)]
         for it in items:
             cls = int(np.argmax(it.labels))
-            energy_a = [abs(it.container.audio @ t).max() for t in templates_a]
-            energy_v = [abs(it.container.video @ t).max() for t in templates_v]
+            energy_a = [abs(it.graph.audio_feats.data @ t).max() for t in templates_a]
+            energy_v = [abs(it.graph.video_feats.data @ t).max() for t in templates_v]
             p = int(np.argmax(energy_a))
             q = int(np.argmax(energy_v))
             assert (p + q) % 4 == cls
@@ -186,6 +193,35 @@ class TestLoadDataset:
             assert it.graph.n_video == spec.n_video
             assert it.labels.shape == (1, 2)
             assert it.labels.sum() == 1.0
+
+    def test_items_of_one_shape_share_one_read_only_structure(self, tmp_path):
+        # three clip lengths in one manifest, as in the paper-eval benchmark
+        items = []
+        for n_audio, n_video in ((2, 5), (4, 10), (6, 15)):
+            sub = f"len{n_audio}"
+            spec = SynthSpec(n_items=4, n_audio=n_audio, n_video=n_video, d_audio=3,
+                             d_video=3, n_classes=2, mode="audio_only_solvable")
+            part = read_manifest(generate_synthetic(spec, tmp_path / sub))
+            items += [ManifestItem(f"{sub}-{it.item_id}", f"{sub}/{it.container_path}",
+                                   it.labels) for it in part.items]
+        write_manifest(tmp_path / "manifest.json", DatasetManifest(
+            num_classes=2, class_names=["x", "y"], items=items))
+        loaded = load_dataset(tmp_path / "manifest.json", RULES)
+        structures = {}
+        for it in loaded:
+            g = it.graph
+            first = structures.setdefault((g.n_audio, g.n_video), g)
+            assert g.adj_aa is first.adj_aa
+            assert g.adj_vv is first.adj_vv
+            assert g.adj_va is first.adj_va
+        assert len(structures) == 3
+        assert len({id(g.adj_aa) for g in structures.values()}) == 3
+        g = loaded[0].graph
+        for arr in (g.adj_aa.data, g.adj_vv.data, g.adj_va):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 0.5
+            with pytest.raises(ValueError, match="read-only"):
+                arr *= 2.0
 
     def test_empty_dataset_error(self, tmp_path):
         write_manifest(tmp_path / "manifest.json",

@@ -1,5 +1,8 @@
 """Graph construction vs brute-force enumeration and per-entry oracles."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -87,6 +90,22 @@ class TestCrossModalEdges:
                 if 0 <= j < n_video:
                     expected[i, j] = 1.0
         np.testing.assert_array_equal(adj, expected)
+
+    def test_anchor_matches_exact_rational_rounding(self):
+        """anchor(i) = floor(i*(n_video-1)/(n_audio-1) + 1/2) in exact rationals,
+        for an int and for an ndarray of indices (every n_audio, every 11th n_video)."""
+        for n_audio in range(1, 201):
+            for n_video in range(1, 201, 11):
+                if n_audio == 1:
+                    expected = [0]
+                else:
+                    step = Fraction(n_video - 1, n_audio - 1)
+                    expected = [math.floor(i * step + Fraction(1, 2))
+                                for i in range(n_audio)]
+                anchors = anchor_index(np.arange(n_audio), n_audio, n_video)
+                assert anchors.tolist() == expected, (n_audio, n_video)
+                assert [anchor_index(i, n_audio, n_video)
+                        for i in range(n_audio)] == expected, (n_audio, n_video)
 
     @settings(max_examples=60, deadline=None)
     @given(n_audio=st.integers(2, 60), n_video=st.integers(1, 80))
