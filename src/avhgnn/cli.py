@@ -139,8 +139,7 @@ def _run_one_seed(items_train, items_val, cfg, out_dir: Path, tag: str,
     ckpt_path = out_dir / f"checkpoint{suffix}.hgck"
     result.save(ckpt_path)
     write_history_csv(out_dir / f"history{suffix}.csv", result.history)
-    ev = evaluate(result.model, items_val) if items_val else None
-    return result, ckpt_path, ev
+    return result, ckpt_path, result.evaluation(items_val)
 
 
 def _cmd_train(args) -> int:

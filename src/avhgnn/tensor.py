@@ -1,10 +1,11 @@
 """Dense 2-D float tensors with reverse-mode autodiff on a recording tape.
 
-Everything downstream (graph layers, pooling, the loss) is built from the
-ops on ComputeGraph. Forward values are computed eagerly with numpy; each
-op appends a backward rule to the tape, and backward() replays the tape in
-reverse. float32 is the training dtype; float64 is used as a shadow mode
-by the gradient-check tests.
+Everything downstream (graph layers, pooling, the head) is built from the
+ops on ComputeGraph, and the focal loss is one op of its own. Forward
+values are computed eagerly with numpy; each op appends a backward rule to
+the tape, and backward() replays the tape in reverse. float32 is the
+training dtype; float64 is used as a shadow mode by the gradient-check
+tests.
 """
 
 from __future__ import annotations
@@ -202,53 +203,6 @@ class ComputeGraph:
 
         return self._emit(a.data * b.data, backward)
 
-    # -- scalar ops -----------------------------------------------------------
-
-    def scalar_mul(self, a: Tensor, s: float) -> Tensor:
-        def backward(g):
-            self._accum(a, g * s)
-
-        return self._emit(a.data * s, backward)
-
-    def scalar_add(self, a: Tensor, s: float) -> Tensor:
-        def backward(g):
-            self._accum(a, g)
-
-        return self._emit(a.data + s, backward)
-
-    def pow_scalar(self, a: Tensor, exponent: float) -> Tensor:
-        """Elementwise power. Non-integer exponents require a positive base."""
-        e = float(exponent)
-        if e != int(e) and (a.data <= 0).any():
-            raise NumericError(f"pow with exponent {e} needs positive base values")
-        out_data = np.power(a.data, e)
-
-        def backward(g):
-            if e == 0.0:
-                self._accum(a, np.zeros_like(a.data))
-            else:
-                self._accum(a, g * e * np.power(a.data, e - 1.0))
-
-        return self._emit(out_data, backward)
-
-    def log(self, a: Tensor) -> Tensor:
-        if (a.data <= 0).any():
-            raise NumericError("log of non-positive value")
-
-        def backward(g):
-            self._accum(a, g / a.data)
-
-        return self._emit(np.log(a.data), backward)
-
-    def clamp(self, a: Tensor, lo: float, hi: float) -> Tensor:
-        """Clip into [lo, hi]; gradient passes only where the input was inside."""
-        inside = (a.data >= lo) & (a.data <= hi)
-
-        def backward(g):
-            self._accum(a, g * inside)
-
-        return self._emit(np.clip(a.data, lo, hi), backward)
-
     # -- activations ----------------------------------------------------------
 
     def relu(self, a: Tensor) -> Tensor:
@@ -354,6 +308,42 @@ class ComputeGraph:
             self._accum(a, da)
 
         return self._emit(a.data.max(axis=0, keepdims=True), backward)
+
+    # -- loss -----------------------------------------------------------------
+
+    def focal_loss(self, probs: Tensor, targets: np.ndarray, gamma: float,
+                   eps: float) -> Tensor:
+        """Binary focal loss summed over all entries, as one 1x1 op.
+
+        With p = probs clipped into [eps, 1-eps], each entry contributes
+        -(1-p)^gamma log p where its target is 1 and -p^gamma log(1-p)
+        where it is 0; targets must have probs' shape and dtype. The
+        gradient passes only where probs was inside [eps, 1-eps].
+        """
+        e = float(gamma)
+        hi = 1.0 - eps
+        inside = (probs.data >= eps) & (probs.data <= hi)
+        p = np.clip(probs.data, eps, hi)
+        omp = 1.0 - p
+        pow_omp, log_p = np.power(omp, e), np.log(p)
+        pow_p, log_omp = np.power(p, e), np.log(omp)
+        neg = 1.0 - targets
+        terms = targets * (pow_omp * log_p) + neg * (pow_p * log_omp)
+        loss = -terms.sum(dtype=terms.dtype, keepdims=True)
+
+        def backward(g):
+            # Each partial is added in the order a tape of elementwise ops
+            # would add it, so the result is bitwise that tape's gradient.
+            g_terms = np.full_like(terms, -g[0, 0])
+            g_neg, g_pos = g_terms * neg, g_terms * targets
+            g_p = g_neg * log_omp * e * np.power(p, e - 1.0)
+            g_omp = g_neg * pow_p / omp
+            g_p += g_pos * pow_omp / p
+            g_omp += g_pos * log_p * e * np.power(omp, e - 1.0)
+            g_p -= g_omp
+            self._accum(probs, g_p * inside)
+
+        return self._emit(loss, backward)
 
     # -- backward pass ----------------------------------------------------------
 

@@ -10,14 +10,19 @@ same seed means bitwise-identical curves.
 from __future__ import annotations
 
 import json
+import os
 import struct
+import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
+from numbers import Real
+from pathlib import Path
 
 import numpy as np
 
 from .graph import EdgeRule, EdgeRules
 from .layers import FUSION_MODES, MODALITIES, POOLING_MODES, HgnnModel, ModelConfig
-from .metrics import evaluate
+from .metrics import EvalResult, evaluate
 from .tensor import ComputeGraph, NumericError, Rng, Tensor
 
 CHECKPOINT_MAGIC = b"HGCK"
@@ -55,6 +60,12 @@ class TrainConfig:
     val_fraction: float = 0.2
 
     def __post_init__(self):
+        for name in ("lr", "decay_factor", "gamma"):
+            value = getattr(self, name)
+            # abs() <= float max is false for nan, inf and ints too large for a float
+            finite = isinstance(value, Real) and abs(value) <= sys.float_info.max
+            if type(value) is bool or not finite:
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if self.lr <= 0 or self.decay_factor <= 0:
             raise ConfigError("lr and decay_factor must be positive")
         if self.gamma < 0:
@@ -117,13 +128,7 @@ def focal_loss(g: ComputeGraph, probs: Tensor, targets: np.ndarray,
     y = np.asarray(targets, dtype=probs.dtype).reshape(1, -1)
     if y.shape != probs.shape:
         raise ValueError(f"targets shape {y.shape} != probs shape {probs.shape}")
-    pos = Tensor(y)
-    neg = Tensor(1.0 - y)
-    p = g.clamp(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    one_minus_p = g.scalar_add(g.scalar_mul(p, -1.0), 1.0)
-    pos_term = g.mul(pos, g.mul(g.pow_scalar(one_minus_p, gamma), g.log(p)))
-    neg_term = g.mul(neg, g.mul(g.pow_scalar(p, gamma), g.log(one_minus_p)))
-    return g.scalar_mul(g.sum_all(g.add(pos_term, neg_term)), -1.0)
+    return g.focal_loss(probs, y, gamma, PROB_CLAMP)
 
 
 # -- schedule ------------------------------------------------------------------
@@ -289,7 +294,7 @@ def save_checkpoint(path, model: HgnnModel, optimizer: Adam, iteration: int,
         ],
     }
     header_bytes = json.dumps(header).encode("utf-8")
-    with open(path, "wb") as f:
+    with _atomic_open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<I", CHECKPOINT_VERSION))
         f.write(struct.pack("<I", len(header_bytes)))
@@ -300,6 +305,24 @@ def save_checkpoint(path, model: HgnnModel, optimizer: Adam, iteration: int,
             for name, _ in named:
                 f.write(np.ascontiguousarray(optimizer.moments[name][which],
                                              dtype="<f4").tobytes())
+
+
+@contextmanager
+def _atomic_open(path, mode: str):
+    """Open a sibling temp file for writing; on success rename it over `path`.
+
+    A write that fails or is killed part way leaves any old file at `path`
+    intact; a failed write also removes the temp file.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, mode) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -356,10 +379,21 @@ class TrainResult:
     config: TrainConfig
     history: list          # rows: {iteration, loss, lr, map, roc_auc}
     final_iteration: int
+    final_eval: EvalResult | None = None   # train()'s validation of the final model
 
     def save(self, checkpoint_path):
         save_checkpoint(checkpoint_path, self.model, self.optimizer,
                         self.final_iteration, self.rng, self.config)
+
+    def evaluation(self, val_items) -> EvalResult | None:
+        """Scores of the final model on the val_items train() was given.
+
+        Reuses train()'s last validation pass; scores afresh only when
+        train() ran none (a resume already at max_iters). None without items.
+        """
+        if self.final_eval is None and val_items:
+            return evaluate(self.model, val_items)
+        return self.final_eval
 
 
 def _check_dataset(items, cfg: TrainConfig):
@@ -408,6 +442,7 @@ def train(items, cfg: TrainConfig, val_items=None, resume: Checkpoint | None = N
     stream = _BatchStream(cfg.seed, len(items), cfg.batch_size)
     history = []
     last_map, last_auc = float("nan"), float("nan")
+    ev = None
     for t in range(start + 1, cfg.max_iters + 1):
         lr = lr_at(t, cfg)
         model.zero_grad()
@@ -435,11 +470,11 @@ def train(items, cfg: TrainConfig, val_items=None, resume: Checkpoint | None = N
             progress(row)
 
     return TrainResult(model=model, optimizer=optimizer, rng=rng, config=cfg,
-                       history=history, final_iteration=cfg.max_iters)
+                       history=history, final_iteration=cfg.max_iters, final_eval=ev)
 
 
 def write_history_csv(path, history):
-    with open(path, "w") as f:
+    with _atomic_open(path, "w") as f:
         f.write("iter,loss,lr,map,roc_auc\n")
         for row in history:
             f.write(f"{row['iteration']},{row['loss']:.8g},{row['lr']:.8g},"
@@ -487,5 +522,5 @@ def run_seeds(items, cfg: TrainConfig, seeds, progress=None) -> SeedSummary:
     for s in seeds:
         result = train(train_items, replace(cfg, seed=int(s)), val_items=val_items,
                        progress=progress)
-        evals.append(evaluate(result.model, val_items))
+        evals.append(result.evaluation(val_items))
     return SeedSummary.from_evals(seeds, evals)

@@ -6,9 +6,11 @@ import struct
 import numpy as np
 import pytest
 
+from avhgnn import cli, training
 from avhgnn.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from avhgnn.cli import attention_summary
 from avhgnn.data import load_dataset
+from avhgnn.metrics import evaluate
 from avhgnn.training import TrainConfig, run_seeds
 
 
@@ -166,6 +168,43 @@ class TestTrain:
                                "--data", str(manifest), "--out", str(tmp_path / "hot"))
         assert code == EXIT_NUMERIC
         assert "numeric" in err
+
+    def test_final_scores_reuse_the_last_validation(self, capsys, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_evaluate(model, items):
+            calls.append(len(items))
+            return evaluate(model, items)
+
+        monkeypatch.setattr(training, "evaluate", counting_evaluate)
+        monkeypatch.setattr(cli, "evaluate", counting_evaluate)
+        manifest = gen_dataset(capsys, tmp_path, n_items=16, n_audio=4, n_video=6,
+                               d_audio=5, d_video=7, seed=4)
+        cfg_path = write_config(tmp_path, max_iters=10, eval_every=5)
+        argv = ("train", "--config", str(cfg_path), "--data", str(manifest))
+
+        code, _, _ = run(capsys, *argv, "--out", str(tmp_path / "seeds"), "--seeds", "1,2")
+        assert code == EXIT_OK
+        assert len(calls) == 4  # iterations 5 and 10 of each seed
+        cfg = TrainConfig.from_dict(json.loads(cfg_path.read_text()))
+        run_seeds(load_dataset(manifest, cfg.rules), cfg, [1, 2])
+        assert len(calls) == 8
+
+        calls.clear()
+        code, out, _ = run(capsys, *argv, "--out", str(tmp_path / "one"))
+        assert code == EXIT_OK
+        assert len(calls) == 2
+        final = [line for line in out.splitlines() if line.startswith("final:")]
+        assert len(final) == 1
+
+        # Resumed at max_iters, train() validates nothing: the final line is scored afresh.
+        calls.clear()
+        code, out, _ = run(capsys, "train", "--data", str(manifest),
+                           "--resume", str(tmp_path / "one" / "checkpoint.hgck"),
+                           "--out", str(tmp_path / "resumed"))
+        assert code == EXIT_OK
+        assert len(calls) == 1
+        assert [line for line in out.splitlines() if line.startswith("final:")] == final
 
     def test_missing_data_is_data_error(self, capsys, tmp_path):
         cfg = write_config(tmp_path)
@@ -334,6 +373,13 @@ class TestMalformedInput:
         ("train", {}, ("--hidden", "0"), "hidden"),
         ("inspect-graph", {"rules": {"audio": {"span": 1}}}, (), "'video'"),
         ("inspect-graph", {}, ("--span-audio", "-1"), "span must be >= 0"),
+        ("train", {"lr": float("nan")}, (), "lr must be a finite number"),
+        ("train", {"lr": float("inf")}, (), "lr must be a finite number"),
+        ("train", {"gamma": float("nan")}, (), "gamma must be a finite number"),
+        ("train", {"decay_factor": float("nan")}, (), "decay_factor must be a finite number"),
+        ("train", {"lr": True}, (), "lr must be a finite number"),
+        ("train", {}, ("--lr", "nan"), "lr must be a finite number"),
+        ("train", {"lr": 10 ** 400}, (), "lr must be a finite number"),
     ])
     def test_bad_config(self, capsys, tmp_path, command, overrides, flags, message):
         if overrides is None:

@@ -61,11 +61,6 @@ class TestForward:
         g.backward(g.sum_all(g.sigmoid(x)))
         np.testing.assert_allclose(x.grad, [[0.25]])
 
-    def test_log_domain_error(self):
-        g = ComputeGraph()
-        with pytest.raises(NumericError):
-            g.log(Tensor([[1.0, 0.0]]))
-
     def test_add_broadcast_row(self):
         g = ComputeGraph()
         out = g.add(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[10.0, 20.0]]))
@@ -166,38 +161,15 @@ class TestGradientOracle:
 
     def test_sub_mul(self, rng64):
         a, b = _leaf(rng64, 2, 5), _leaf(rng64, 2, 5)
+        minus_one = Tensor(-np.ones((2, 5)))
         self._check(
-            lambda g: g.sum_all(g.mul(g.add(a, g.scalar_mul(b, -1.0)), b)), [a, b])
-
-    def test_scalar_ops(self, rng64):
-        a = _leaf(rng64, 3, 3)
-        self._check(
-            lambda g: g.sum_all(g.scalar_add(g.scalar_mul(a, -1.5), 0.5)), [a])
-
-    def test_pow(self, rng64):
-        a = _leaf(rng64, 3, 3, lo=0.1, hi=2.0)
-        self._check(lambda g: g.sum_all(g.pow_scalar(a, 2.0)), [a])
-        self._check(lambda g: g.sum_all(g.pow_scalar(a, 0.5)), [a])
-
-    def test_pow_zero_exponent_gradient_is_zero(self, rng64):
-        g = ComputeGraph()
-        a = _leaf(rng64, 2, 2, lo=0.1, hi=2.0)
-        g.backward(g.sum_all(g.pow_scalar(a, 0.0)))
-        np.testing.assert_array_equal(a.grad, np.zeros((2, 2)))
-
-    def test_log(self, rng64):
-        a = _leaf(rng64, 3, 3, lo=0.05, hi=2.0)
-        self._check(lambda g: g.sum_all(g.log(a)), [a])
+            lambda g: g.sum_all(g.mul(g.add(a, g.mul(b, minus_one)), b)), [a, b])
 
     def test_activations(self, rng64):
         a = _leaf(rng64, 4, 4)
         self._check(lambda g: g.sum_all(g.relu(a)), [a])
         self._check(lambda g: g.sum_all(g.leaky_relu(a, 0.2)), [a])
         self._check(lambda g: g.sum_all(g.sigmoid(a)), [a])
-
-    def test_clamp(self, rng64):
-        a = _leaf(rng64, 4, 4)
-        self._check(lambda g: g.sum_all(g.mul(g.clamp(a, -1.0, 1.0), a)), [a])
 
     def test_concat_transpose(self, rng64):
         a, b = _leaf(rng64, 3, 2), _leaf(rng64, 3, 4)
@@ -224,6 +196,135 @@ class TestGradientOracle:
     def test_shared_input_fan_out(self, rng64):
         a = _leaf(rng64, 3, 3)
         self._check(lambda g: g.sum_all(g.add(g.mul(a, a), g.relu(a))), [a])
+
+
+def _focal_chain_reference(probs, y, gamma, eps):
+    """Focal loss and d loss / d probs as a tape of 14 elementwise ops gives them.
+
+    The forward runs one numpy expression per op: clamp, scalar_mul,
+    scalar_add, pow, log, mul, mul, pow, log, mul, mul, add, sum_all,
+    scalar_mul. The backward applies each op's reverse-mode rule in reverse
+    tape order, with the tape's accumulation: an input's first gradient is
+    copied, later ones are added in place.
+    """
+    e = float(gamma)
+    neg = 1.0 - y
+    inside = (probs >= eps) & (probs <= 1.0 - eps)
+    p = np.clip(probs, eps, 1.0 - eps)                    # 0 clamp
+    s1 = p * -1.0                                         # 1 scalar_mul
+    omp = s1 + 1.0                                        # 2 scalar_add
+    pw1 = np.power(omp, e)                                # 3 pow
+    l1 = np.log(p)                                        # 4 log
+    m1 = pw1 * l1                                         # 5 mul
+    t1 = y * m1                                           # 6 mul
+    pw2 = np.power(p, e)                                  # 7 pow
+    l2 = np.log(omp)                                      # 8 log
+    m2 = pw2 * l2                                         # 9 mul
+    t2 = neg * m2                                         # 10 mul
+    s = t1 + t2                                           # 11 add
+    total = np.asarray(s.sum(dtype=s.dtype)).reshape(1, 1)  # 12 sum_all
+    loss = total * -1.0                                   # 13 scalar_mul
+
+    grads = {}
+
+    def accum(name, g):
+        if name in grads:
+            grads[name] += g
+        else:
+            grads[name] = g.astype(probs.dtype, copy=True)
+
+    def dpow(g, x):
+        return np.zeros_like(x) if e == 0.0 else g * e * np.power(x, e - 1.0)
+
+    accum("loss", np.ones((1, 1), dtype=probs.dtype))
+    accum("total", grads["loss"] * -1.0)                  # 13
+    accum("s", np.full_like(s, grads["total"][0, 0]))     # 12
+    accum("t1", grads["s"])                               # 11
+    accum("t2", grads["s"])
+    accum("m2", grads["t2"] * neg)                        # 10
+    accum("pw2", grads["m2"] * l2)                        # 9
+    accum("l2", grads["m2"] * pw2)
+    accum("omp", grads["l2"] / omp)                       # 8
+    accum("p", dpow(grads["pw2"], p))                     # 7
+    accum("m1", grads["t1"] * y)                          # 6
+    accum("pw1", grads["m1"] * l1)                        # 5
+    accum("l1", grads["m1"] * pw1)
+    accum("p", grads["l1"] / p)                           # 4
+    accum("omp", dpow(grads["pw1"], omp))                 # 3
+    accum("s1", grads["omp"])                             # 2
+    accum("p", grads["s1"] * -1.0)                        # 1
+    return loss, grads["p"] * inside                      # 0
+
+
+class TestFocalLossOp:
+    EPS = 1e-7
+    GAMMAS = (0.0, 0.5, 1.0, 2.0, 2.5, 3.0)
+
+    def _cases(self, dtype):
+        """Probability rows with the clamp's edges, beyond them, and random values;
+        binary and soft targets."""
+        edges = np.array([0.0, 5e-8, self.EPS, 2e-7, 0.5, 1.0 - 2e-7, 1.0 - self.EPS,
+                          1.0 - 5e-8, 1.0], dtype=dtype)
+        rng = np.random.default_rng(11)
+        for y_edge in (0.0, 1.0):
+            yield edges.reshape(1, -1), np.full((1, edges.size), y_edge, dtype=dtype)
+        for binary in (True, False):  # soft targets make both branches add up
+            for _ in range(40):
+                c = int(rng.integers(1, 12))
+                probs = rng.choice(np.concatenate([edges, rng.random(8)]), size=(1, c))
+                y = rng.random((1, c))
+                yield probs.astype(dtype), (y > 0.5 if binary else y).astype(dtype)
+
+    def _run(self, probs, y, gamma):
+        g = ComputeGraph()
+        x = Tensor(probs.copy(), requires_grad=True)
+        loss = g.focal_loss(x, y, gamma, self.EPS)
+        assert len(g) == 1
+        g.backward(loss)
+        return loss.data, x.grad
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_bitwise_equal_to_elementwise_chain(self, dtype, gamma):
+        for probs, y in self._cases(dtype):
+            loss, grad = self._run(probs, y, gamma)
+            ref_loss, ref_grad = _focal_chain_reference(probs, y, gamma, self.EPS)
+            assert loss.dtype == grad.dtype == dtype
+            assert loss.tobytes() == ref_loss.tobytes()
+            assert grad.tobytes() == ref_grad.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_zero_gradient_outside_clamp(self, dtype):
+        probs = np.array([[0.0, 5e-8, self.EPS, 0.5, 1.0 - self.EPS, 1.0]], dtype=dtype)
+        for gamma in self.GAMMAS:
+            for target in (0.0, 1.0):
+                _, grad = self._run(probs, np.full_like(probs, target), gamma)
+                assert np.all(grad[0, [0, 1, 5]] == 0.0)
+                assert np.all(grad[0, [2, 3, 4]] != 0.0)
+
+    def test_gradient_matches_finite_differences(self, rng64):
+        probs = Tensor(rng64.uniform(0.05, 0.95, (1, 6)), requires_grad=True)
+        y = np.array([[1.0, 0.0, 1.0, 1.0, 0.0, 0.0]])
+        for gamma in (0.0, 0.5, 2.0):
+            probs.zero_grad()
+
+            def scalar():
+                return ComputeGraph().focal_loss(probs, y, gamma, self.EPS).item()
+
+            g = ComputeGraph()
+            g.backward(g.focal_loss(probs, y, gamma, self.EPS))
+            assert_grad_close(probs.grad, numeric_gradient(scalar, [probs.data])[0])
+
+    def test_non_finite_loss_names_the_op(self):
+        g = ComputeGraph()
+        loss = g.focal_loss(Tensor([[np.nan, 0.5]]), np.ones((1, 2), np.float32),
+                            2.0, self.EPS)
+        with pytest.raises(NumericError, match=r"op 0 \(focal_loss\)"):
+            g.check_finite(loss)
+
+    def test_loss_only_ops_are_gone(self):
+        for name in ("clamp", "scalar_mul", "scalar_add", "pow_scalar", "log"):
+            assert not hasattr(ComputeGraph, name)
 
 
 class TestXavier:

@@ -1,14 +1,18 @@
 """Loss, schedule, optimizer, loop determinism, checkpoint round-trips."""
 
+import builtins
+
 import numpy as np
 import pytest
+
+from avhgnn import training
 
 from avhgnn.data import LabeledGraph
 from avhgnn.graph import EdgeRule, EdgeRules, build_hetero_graph
 from avhgnn.tensor import ComputeGraph, NumericError, Tensor
 from avhgnn.training import (Adam, ConfigError, TrainConfig, _BatchStream,
                              focal_loss, load_checkpoint, lr_at, run_seeds,
-                             save_checkpoint, split_dataset, train)
+                             save_checkpoint, split_dataset, train, write_history_csv)
 
 RULES = EdgeRules(audio=EdgeRule(1, 1), video=EdgeRule(1, 1), cross=EdgeRule(1, 1))
 
@@ -289,6 +293,49 @@ class TestCheckpoint:
         path.write_bytes(blob[:-10])
         with pytest.raises(ConfigError, match="truncated"):
             load_checkpoint(path)
+
+
+class _FailOnSecondWrite:
+    """A file whose second write raises, after the first reached the disk."""
+
+    def __init__(self, f):
+        self._f, self._writes = f, 0
+
+    def write(self, data):
+        self._writes += 1
+        if self._writes > 1:
+            raise OSError("no space left on device")
+        return self._f.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+
+
+class TestAtomicWrites:
+    def test_failed_write_keeps_old_file_and_leaves_no_temp(self, tmp_path, monkeypatch):
+        result = train(make_items(4), small_config(max_iters=3))
+        ckpt, hist = tmp_path / "checkpoint.hgck", tmp_path / "history.csv"
+        result.save(ckpt)
+        write_history_csv(hist, result.history)
+        old = {path: path.read_bytes() for path in (ckpt, hist)}
+
+        monkeypatch.setattr(training, "open",
+                            lambda path, mode: _FailOnSecondWrite(builtins.open(path, mode)),
+                            raising=False)
+        with pytest.raises(OSError, match="no space"):
+            result.save(ckpt)
+        with pytest.raises(OSError, match="no space"):
+            write_history_csv(hist, result.history[:1])
+        assert {path: path.read_bytes() for path in (ckpt, hist)} == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.hgck", "history.csv"]
+
+        monkeypatch.undo()
+        write_history_csv(hist, result.history[:1])
+        assert len(hist.read_text().splitlines()) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.hgck", "history.csv"]
 
 
 class TestRunSeeds:
