@@ -72,10 +72,7 @@ def _cmd_gen_synth(args) -> int:
                        ("noise_sigma", args.noise_sigma), ("seed", args.seed)):
         if value is not None:
             spec_dict[key] = value
-    try:
-        spec = SynthSpec.from_dict(spec_dict)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid synthetic spec: {exc}") from exc
+    spec = SynthSpec.from_dict(spec_dict)
     manifest_path = generate_synthetic(spec, args.out)
     _echo("spec", spec.to_dict())
     print(f"wrote {spec.n_items} items ({spec.n_audio}x{spec.d_audio} audio, "
@@ -113,15 +110,9 @@ def _train_config(args, base: TrainConfig | None = None) -> TrainConfig:
         cfg = TrainConfig.from_dict(_load_json(args.config) if args.config else {})
     else:
         cfg = base
-    overrides = {}
-    for name, _ in _TRAIN_OVERRIDES:
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    for name in ("pooling", "fusion", "modality"):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
+    names = [name for name, _ in _TRAIN_OVERRIDES] + ["pooling", "fusion", "modality"]
+    overrides = {name: getattr(args, name) for name in names
+                 if getattr(args, name) is not None}
     return replace(cfg, **overrides) if overrides else cfg
 
 
@@ -147,6 +138,8 @@ def _cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     if args.resume:
+        if args.config:
+            raise ConfigError("--resume cannot be combined with --config")
         ckpt = load_checkpoint(args.resume)
         cfg = _train_config(args, base=ckpt.train_config)
     else:
@@ -230,11 +223,8 @@ def _rules_from_args(args) -> EdgeRules:
         base = getattr(rules, edge)
         span = getattr(args, f"span_{edge}")
         dilation = getattr(args, f"dilation_{edge}")
-        try:
-            out[edge] = EdgeRule(span if span is not None else base.span,
-                                 dilation if dilation is not None else base.dilation)
-        except ValueError as exc:
-            raise ConfigError(f"invalid {edge} rule: {exc}") from exc
+        out[edge] = EdgeRule(span if span is not None else base.span,
+                             dilation if dilation is not None else base.dilation)
     return EdgeRules(**out)
 
 

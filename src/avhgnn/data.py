@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import ConfigError, Record
 from .graph import EdgeRules, HeteroGraph, anchor_index, build_hetero_graph
 from .tensor import Rng
 
@@ -158,9 +159,13 @@ def read_manifest(path) -> DatasetManifest:
 
 
 @dataclass
-class SynthSpec:
+class SynthSpec(Record):
     """Knobs for the synthetic generators; defaults preserve the 40:100
     audio/video node ratio at desk scale."""
+
+    FLOORS = dict.fromkeys(("n_items", "n_audio", "n_video", "d_audio", "d_video",
+                            "n_classes"), 1)
+    CHOICES = {"mode": SYNTH_MODES}
 
     n_items: int = 80
     n_audio: int = 10
@@ -173,29 +178,18 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_items", "n_audio", "n_video", "d_audio", "d_video", "n_classes"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        super().__post_init__()
         if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        if self.mode not in SYNTH_MODES:
-            raise ValueError(f"mode must be one of {SYNTH_MODES}, got {self.mode!r}")
+            raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if self.n_items % self.n_classes != 0:
-            raise ValueError(
+            raise ConfigError(
                 f"n_items ({self.n_items}) must be a multiple of n_classes "
                 f"({self.n_classes}) to keep classes balanced")
         per_class = self.n_items // self.n_classes
         if self.mode == "fusion_required" and per_class % self.n_classes != 0:
-            raise ValueError(
+            raise ConfigError(
                 "fusion_required needs items-per-class divisible by n_classes so "
                 f"pattern pairs balance out; got {per_class} per class")
-
-    def to_dict(self) -> dict:
-        return self.__dict__.copy()
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SynthSpec":
-        return cls(**d)
 
 
 def _cosine_pattern(index: int, dim: int) -> np.ndarray:

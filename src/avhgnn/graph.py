@@ -18,23 +18,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import Record
 from .tensor import ShapeError, Tensor
 
 
 @dataclass(frozen=True)
-class EdgeRule:
+class EdgeRule(Record):
     """Temporal connectivity rule: `span` neighbours per direction, `dilation` stride."""
+
+    FLOORS = {"dilation": 1}
 
     span: int
     dilation: int = 1
-
-    def __post_init__(self):
-        if not isinstance(self.span, int) or not isinstance(self.dilation, int):
-            raise ValueError(f"span and dilation must be integers, got {self!r}")
-        if self.span < 0:
-            raise ValueError(f"span must be >= 0, got {self.span}")
-        if self.dilation < 1:
-            raise ValueError(f"dilation must be >= 1, got {self.dilation}")
 
 
 @dataclass(frozen=True)

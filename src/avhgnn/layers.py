@@ -9,10 +9,11 @@ head scores each class independently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import Record
 from .graph import HeteroGraph
 from .tensor import ComputeGraph, Rng, ShapeError, Tensor, xavier_init
 
@@ -32,8 +33,12 @@ GAT_LEAKY_SLOPE = 0.2
 
 
 @dataclass
-class ModelConfig:
+class ModelConfig(Record):
     """Shape and architecture knobs for HgnnModel."""
+
+    FLOORS = dict.fromkeys(("d_audio", "d_video", "n_audio", "n_video", "num_classes",
+                            "hidden", "num_layers"), 1)
+    CHOICES = {"fusion": FUSION_MODES, "pooling": POOLING_MODES, "modality": MODALITIES}
 
     d_audio: int
     d_video: int
@@ -45,23 +50,6 @@ class ModelConfig:
     fusion: str = FUSION_GAT
     pooling: str = "learned"
     modality: str = MODALITY_BOTH
-
-    def __post_init__(self):
-        if self.num_layers < 1:
-            raise ValueError(f"num_layers must be >= 1, got {self.num_layers}")
-        if self.fusion not in FUSION_MODES:
-            raise ValueError(f"fusion must be one of {FUSION_MODES}, got {self.fusion!r}")
-        if self.pooling not in POOLING_MODES:
-            raise ValueError(f"pooling must be one of {POOLING_MODES}, got {self.pooling!r}")
-        if self.modality not in MODALITIES:
-            raise ValueError(f"modality must be one of {MODALITIES}, got {self.modality!r}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
 
 
 class GcnLayer:

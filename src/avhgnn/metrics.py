@@ -9,7 +9,7 @@ macro means and flagged rather than poisoning them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -72,16 +72,7 @@ class EvalResult:
     warnings: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "per_class_ap": self.per_class_ap,
-            "map": self.map,
-            "per_class_auc": self.per_class_auc,
-            "roc_auc": self.roc_auc,
-            "positives": self.positives,
-            "negatives": self.negatives,
-            "tied_scores": self.tied_scores,
-            "warnings": self.warnings,
-        }
+        return asdict(self)
 
     def to_json(self, indent=2) -> str:
         return json.dumps(self.to_dict(), indent=indent)

@@ -101,9 +101,6 @@ class Rng:
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
 
-    def integers(self, low: int, high: int) -> int:
-        return int(self._gen.integers(low, high))
-
     def get_state(self) -> dict:
         return self._gen.bit_generator.state
 

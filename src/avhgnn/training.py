@@ -12,16 +12,15 @@ from __future__ import annotations
 import json
 import os
 import struct
-import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
-from numbers import Real
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .graph import EdgeRule, EdgeRules
-from .layers import FUSION_MODES, MODALITIES, POOLING_MODES, HgnnModel, ModelConfig
+from .config import ConfigError, Record
+from .graph import EdgeRules
+from .layers import HgnnModel, ModelConfig
 from .metrics import EvalResult, evaluate
 from .tensor import ComputeGraph, NumericError, Rng, Tensor
 
@@ -31,16 +30,16 @@ CHECKPOINT_VERSION = 1
 PROB_CLAMP = 1e-7
 
 
-class ConfigError(ValueError):
-    """A config value is out of range or inconsistent with the dataset."""
-
-
 MULTI_SEED_NEEDS_VAL = "multi-seed run needs a non-empty validation split"
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(Record):
     """Hyperparameters for optimization, architecture, and graph building."""
+
+    FLOORS = dict.fromkeys(("max_iters", "batch_size", "eval_every", "hidden",
+                            "num_layers"), 1)
+    CHOICES = ModelConfig.CHOICES
 
     lr: float = 0.005
     decay_factor: float = 0.1
@@ -60,48 +59,13 @@ class TrainConfig:
     val_fraction: float = 0.2
 
     def __post_init__(self):
-        for name in ("lr", "decay_factor", "gamma"):
-            value = getattr(self, name)
-            # abs() <= float max is false for nan, inf and ints too large for a float
-            finite = isinstance(value, Real) and abs(value) <= sys.float_info.max
-            if type(value) is bool or not finite:
-                raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        super().__post_init__()
         if self.lr <= 0 or self.decay_factor <= 0:
             raise ConfigError("lr and decay_factor must be positive")
         if self.gamma < 0:
             raise ConfigError(f"gamma must be >= 0, got {self.gamma}")
-        for name, low in (("max_iters", 1), ("batch_size", 1), ("eval_every", 1),
-                          ("hidden", 1), ("num_layers", 1), ("seed", 0),
-                          ("warmup_iters", 0), ("decay_at_iter", 0)):
-            value = getattr(self, name)
-            if type(value) is not int or value < low:
-                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
-        for name, modes in (("pooling", POOLING_MODES), ("fusion", FUSION_MODES),
-                            ("modality", MODALITIES)):
-            if getattr(self, name) not in modes:
-                raise ConfigError(f"{name} must be one of {modes}, got {getattr(self, name)!r}")
         if not 0.0 < self.val_fraction < 1.0:
             raise ConfigError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        """Parse a config dict; any malformed or out-of-range field is a ConfigError."""
-        if not isinstance(d, dict):
-            raise ConfigError(f"train config must be a JSON object, got {type(d).__name__}")
-        try:
-            d = dict(d)
-            if "rules" in d:
-                r = d["rules"]
-                d["rules"] = EdgeRules(**{edge: EdgeRule(**r[edge])
-                                          for edge in ("audio", "video", "cross")})
-            return cls(**d)
-        except KeyError as exc:
-            raise ConfigError(f"invalid train config: rules lack key {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid train config: {exc}") from exc
 
 
 def model_config_for(cfg: TrainConfig, d_audio: int, d_video: int,
@@ -245,7 +209,7 @@ class _BatchStream:
 
 
 @dataclass
-class Checkpoint:
+class Checkpoint(Record):
     train_config: TrainConfig
     model_config: ModelConfig
     iteration: int
@@ -344,6 +308,7 @@ def load_checkpoint(path) -> Checkpoint:
         model_config = ModelConfig.from_dict(header["model_config"])
         iteration, adam_step = header["iteration"], header["adam_step"]
         rng_state = header["rng_state"]
+        Rng(0).set_state(rng_state)
     except (KeyError, TypeError, ValueError) as exc:  # ValueError covers bad JSON/UTF-8
         raise ConfigError(f"malformed checkpoint header: {exc!r}") from exc
     offset = 12 + header_len
@@ -428,6 +393,11 @@ def train(items, cfg: TrainConfig, val_items=None, resume: Checkpoint | None = N
     d_a, d_v, n_a, n_v, n_classes = _check_dataset(items, cfg)
 
     if resume is not None:
+        for name in ("hidden", "num_layers", "fusion", "pooling", "modality"):
+            if getattr(cfg, name) != getattr(resume.model_config, name):
+                raise ConfigError(
+                    f"{name} {getattr(cfg, name)!r} differs from the checkpoint's "
+                    f"{getattr(resume.model_config, name)!r}; a resume keeps the model")
         model = resume.build_model()
         optimizer = resume.build_optimizer(model)
         rng = Rng(cfg.seed)

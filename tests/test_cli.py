@@ -11,6 +11,7 @@ from avhgnn.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from avhgnn.cli import attention_summary
 from avhgnn.data import load_dataset
 from avhgnn.metrics import evaluate
+from avhgnn.tensor import Rng
 from avhgnn.training import TrainConfig, run_seeds
 
 
@@ -157,6 +158,30 @@ class TestTrain:
         full_rows = (tmp_path / "full" / "history.csv").read_text().splitlines()
         resumed_rows = (tmp_path / "resumed" / "history.csv").read_text().splitlines()
         assert resumed_rows[1:] == full_rows[7:]
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--hidden", "64"), "hidden 64 differs"),
+        (("--num-layers", "2"), "num_layers 2 differs"),
+        (("--fusion", "gcn"), "fusion 'gcn' differs"),
+        (("--pooling", "max"), "pooling 'max' differs"),
+        (("--modality", "audio_only"), "modality 'audio_only' differs"),
+        (("--config", "CONFIG"), "--resume cannot be combined with --config"),
+    ])
+    def test_resume_rejects_a_changed_model_or_config(self, capsys, tmp_path, flags,
+                                                      message):
+        manifest = gen_dataset(capsys, tmp_path, n_items=16, n_audio=4, n_video=6,
+                               d_audio=5, d_video=7, seed=2)
+        cfg = write_config(tmp_path, max_iters=2)
+        code, _, _ = run(capsys, "train", "--config", str(cfg), "--data", str(manifest),
+                         "--out", str(tmp_path / "part"))
+        assert code == EXIT_OK
+        flags = [str(cfg) if flag == "CONFIG" else flag for flag in flags]
+        code, _, err = run(capsys, "train", "--resume", str(tmp_path / "part" / "checkpoint.hgck"),
+                           "--data", str(manifest), "--out", str(tmp_path / "resumed"),
+                           "--max-iters", "4", *flags)
+        assert code == EXIT_DATA
+        assert message in err
+        assert not (tmp_path / "resumed" / "checkpoint.hgck").exists()
 
     def test_numeric_blowup_exits_three(self, capsys, tmp_path):
         manifest = gen_dataset(capsys, tmp_path, n_items=16, n_audio=4, n_video=6,
@@ -351,6 +376,20 @@ class TestDumpAttention:
         assert "missing" in err
 
 
+def _header(**changes) -> bytes:
+    """A well-formed checkpoint header without parameters, one field changed.
+
+    Keys of ModelConfig change the header's model_config, other keys the header.
+    """
+    model_config = dict(d_audio=5, d_video=7, n_audio=4, n_video=6, num_classes=4,
+                        hidden=8, num_layers=1, pooling="mean")
+    header = {"train_config": TINY_TRAIN, "model_config": model_config, "iteration": 2,
+              "adam_step": 2, "rng_state": Rng(0).get_state(), "params": []}
+    for key, value in changes.items():
+        (model_config if key in model_config else header)[key] = value
+    return json.dumps(header).encode()
+
+
 class TestMalformedInput:
     """Bad configs and checkpoints exit 2 with a message, before any data loads."""
 
@@ -360,7 +399,7 @@ class TestMalformedInput:
         ("train", {"rules": {e: {"span": -1} for e in ("audio", "video", "cross")}}, (),
          "span must be >= 0"),
         ("train", {"rules": {e: {"span": 1.5} for e in ("audio", "video", "cross")}}, (),
-         "integers"),
+         "span must be an integer"),
         ("train", {"num_layers": 0}, (), "num_layers"),
         ("train", {"hidden": 0}, (), "hidden"),
         ("train", {"pooling": "median"}, (), "pooling"),
@@ -402,6 +441,18 @@ class TestMalformedInput:
         (b"{not json", "JSONDecodeError"),
         (b'{"params": []}', "'train_config'"),
         (b'{"params": [{"name": "w", "rows": -1, "cols": 4}]}', "shapes must be >= 1"),
+        pytest.param(_header(iteration="x"), "iteration must be an integer", id="iteration-x"),
+        pytest.param(_header(adam_step=1.5), "adam_step must be an integer",
+                     id="adam_step-1.5"),
+        pytest.param(_header(iteration=2.5), "iteration must be an integer",
+                     id="iteration-2.5"),
+        pytest.param(_header(iteration=-5), "iteration must be >= 0", id="iteration-neg"),
+        pytest.param(_header(rng_state={}), "state must be for a PCG64", id="rng_state-{}"),
+        pytest.param(_header(rng_state=3), "state must be a dict", id="rng_state-3"),
+        pytest.param(_header(hidden=1.5), "hidden must be an integer", id="hidden-1.5"),
+        pytest.param(_header(d_audio="x"), "d_audio must be an integer", id="d_audio-x"),
+        pytest.param(_header(n_audio=-3), "n_audio must be >= 1", id="n_audio-neg"),
+        pytest.param(_header(hidden=True), "hidden must be an integer", id="hidden-true"),
     ])
     def test_bad_checkpoint(self, capsys, tmp_path, header, message):
         path = tmp_path / "bad.hgck"
@@ -413,6 +464,24 @@ class TestMalformedInput:
                            "--data", str(tmp_path / "absent.json"))
         assert code == EXIT_DATA
         assert message in err
+
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"n_audio": 1.5}, "n_audio must be an integer"),
+        ({"d_audio": True}, "d_audio must be an integer"),
+        ({"seed": -1}, "seed must be >= 0"),
+        ({"seed": 1.5}, "seed must be an integer"),
+        ({"noise_sigma": "a"}, "noise_sigma must be a finite number"),
+        ([], "JSON object"),
+    ])
+    def test_bad_spec(self, capsys, tmp_path, spec, message):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code, _, err = run(capsys, "gen-synth", "--spec", str(path),
+                           "--out", str(tmp_path / "o"))
+        assert code == EXIT_DATA
+        assert message in err
+        assert not (tmp_path / "o").exists()
 
 
 class TestUsage:

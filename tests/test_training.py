@@ -258,6 +258,21 @@ class TestCheckpoint:
                                               resumed.model.named_params()):
             assert p_full.data.tobytes() == p_res.data.tobytes(), name
 
+    @pytest.mark.parametrize("change", [
+        {"hidden": 16}, {"num_layers": 2}, {"fusion": "gcn"}, {"pooling": "max"},
+        {"modality": "audio_only"},
+    ])
+    def test_resume_rejects_a_different_model(self, tmp_path, change):
+        items = make_items(4)
+        part = train(items, small_config(max_iters=2))
+        path = tmp_path / "ck.hgck"
+        part.save(path)
+        rows = []
+        with pytest.raises(ConfigError, match=f"{next(iter(change))} .* differs"):
+            train(items, small_config(max_iters=4, **change), resume=load_checkpoint(path),
+                  progress=rows.append)
+        assert rows == []
+
     def test_checkpoint_preserves_everything(self, tmp_path):
         items = make_items(4)
         result = train(items, small_config(max_iters=5))
