@@ -133,7 +133,20 @@ def _run_one_seed(items_train, items_val, cfg, out_dir: Path, tag: str,
     return result, ckpt_path, result.evaluation(items_val)
 
 
+def _parse_seeds(text: str) -> list[int]:
+    try:
+        seeds = [int(s) for s in text.split(",") if s.strip()]
+    except ValueError:
+        raise ConfigError(f"--seeds must be comma-separated integers, got {text!r}") from None
+    if not seeds:
+        raise ConfigError("--seeds given but no seeds parsed")
+    return seeds
+
+
 def _cmd_train(args) -> int:
+    seeds = _parse_seeds(args.seeds) if args.seeds else None
+    if seeds and args.resume:
+        raise ConfigError("--resume cannot be combined with --seeds")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -152,12 +165,7 @@ def _cmd_train(args) -> int:
     items = load_dataset(args.data, cfg.rules)
     items_train, items_val = split_dataset(items, cfg.val_fraction, cfg.seed)
 
-    if args.seeds:
-        seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-        if not seeds:
-            raise ConfigError("--seeds given but no seeds parsed")
-        if args.resume:
-            raise ConfigError("--resume cannot be combined with --seeds")
+    if seeds:
         if not items_val:
             raise ConfigError(MULTI_SEED_NEEDS_VAL)
         evals = []

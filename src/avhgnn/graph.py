@@ -8,7 +8,7 @@ around that anchor. Intra-modality adjacencies are symmetrically
 normalized with self-loops; the cross-modal adjacency stays a binary mask
 (attention normalizes it later). Edges never depend on the clip, so all
 graphs with the same (n_audio, n_video, rules, dtype) share one read-only
-set of adjacency arrays.
+set of adjacency arrays, and such graphs stack into one minibatch graph.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ class EdgeRules:
 
 @dataclass
 class HeteroGraph:
-    """One audio-visual clip as a two-modality graph.
+    """One audio-visual clip as a two-modality graph (or B stacked clips).
 
     adj_aa / adj_vv are the normalized intra-modality adjacencies; adj_va
     is the raw 0/1 video-to-audio mask with shape (n_audio, n_video). All
@@ -141,3 +141,15 @@ def build_hetero_graph(audio_feats, video_feats, rules: EdgeRules) -> HeteroGrap
     if a.rows < 1 or a.cols < 1 or v.rows < 1 or v.cols < 1:
         raise ShapeError("feature matrices must be non-empty")
     return HeteroGraph(a, v, *_shared_adjacencies(a.rows, v.rows, rules, a.dtype))
+
+
+def stack_graphs(graphs) -> HeteroGraph:
+    """Graphs that share one structure, their features stacked on a batch axis."""
+    first = graphs[0]
+    if not all(x is y or np.array_equal(x, y) for g in graphs[1:] for x, y in
+               zip((first.adj_aa.data, first.adj_vv.data, first.adj_va),
+                   (g.adj_aa.data, g.adj_vv.data, g.adj_va))):
+        raise ShapeError("stack_graphs needs graphs that share one structure")
+    return HeteroGraph(Tensor(np.stack([g.audio_feats.data for g in graphs])),
+                       Tensor(np.stack([g.video_feats.data for g in graphs])),
+                       first.adj_aa, first.adj_vv, first.adj_va)

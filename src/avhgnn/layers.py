@@ -111,14 +111,13 @@ class GcnFusionLayer:
     def __init__(self, video_dim: int, out_dim: int, rng: Rng, dtype=np.float32,
                  name="fusion"):
         self.weight = xavier_init(video_dim, out_dim, rng, dtype=dtype, name=f"{name}.weight")
-        self.dtype = dtype
 
     def forward(self, g: ComputeGraph, video_feats: Tensor, mask_va: np.ndarray,
                 audio_feats: Tensor = None):
         deg = mask_va.sum(axis=1, keepdims=True)
-        norm = np.divide(mask_va, deg, out=np.zeros_like(mask_va, dtype=np.float64),
+        norm = np.divide(mask_va, deg, out=np.zeros(mask_va.shape, video_feats.dtype),
                          where=deg > 0)
-        agg = g.matmul(Tensor(norm.astype(self.dtype)), g.matmul(video_feats, self.weight))
+        agg = g.matmul(Tensor(norm), g.matmul(video_feats, self.weight))
         return g.relu(agg), None
 
     def params(self):
@@ -172,7 +171,6 @@ class HeteroLayer:
 class ForwardResult:
     probs: Tensor
     logits: Tensor
-    embedding: Tensor
     # Per-layer numpy arrays. They are the tape's op outputs themselves, not
     # copies, so they must not be mutated.
     attention: list = field(default_factory=list)       # per-layer alpha
@@ -185,7 +183,6 @@ class HgnnModel:
 
     def __init__(self, config: ModelConfig, rng: Rng, dtype=np.float32):
         self.config = config
-        self.dtype = dtype
         cfg = config
         self.layers = []
         audio_in, video_in = cfg.d_audio, cfg.d_video
@@ -253,19 +250,20 @@ class HgnnModel:
                     f"learned pooling expects {cfg.n_video} video nodes, got {graph.n_video}")
 
     def _pool(self, g: ComputeGraph, h: Tensor, weights) -> Tensor:
+        """Per graph, the column max or a weighted row sum (mean: 1/n, sum: 1)."""
         mode = self.config.pooling
-        if mode == "learned":
-            return g.matmul(g.transpose(weights), h)
-        if mode == "mean":
-            return g.col_mean(h)
         if mode == "max":
             return g.col_max(h)
-        return g.col_sum(h)
+        if mode == "learned":
+            return g.matmul(g.transpose(weights), h)
+        weight = 1.0 / h.rows if mode == "mean" else 1.0
+        return g.matmul(Tensor(np.full((1, h.rows), weight, dtype=h.dtype)), h)
 
     def forward(self, g: ComputeGraph, graph: HeteroGraph) -> ForwardResult:
+        """Scores one graph, or B stacked graphs (outputs then lead with axis B)."""
         self._check_graph(graph)
         cfg = self.config
-        result = ForwardResult(probs=None, logits=None, embedding=None)
+        result = ForwardResult(probs=None, logits=None)
 
         h_a = graph.audio_feats if cfg.modality != MODALITY_VIDEO else None
         h_v = graph.video_feats if cfg.modality != MODALITY_AUDIO else None
@@ -286,7 +284,6 @@ class HgnnModel:
         else:
             pooled = self._pool(g, h_v, self.pool_video)
 
-        result.embedding = pooled
         result.logits = g.add(g.matmul(pooled, self.cls_weight), self.cls_bias)
         g.check_finite(result.logits)
         result.probs = g.sigmoid(result.logits)

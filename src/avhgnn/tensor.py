@@ -1,5 +1,7 @@
-"""Dense 2-D float tensors with reverse-mode autodiff on a recording tape.
+"""Dense float tensors with reverse-mode autodiff on a recording tape.
 
+A tensor is a matrix or a batch of B matrices; rows and cols are the last
+two axes, so every op serves one graph and B same-shape graphs alike.
 Everything downstream (graph layers, pooling, the head) is built from the
 ops on ComputeGraph, and the focal loss is one op of its own. Forward
 values are computed eagerly with numpy; each op appends a backward rule to
@@ -23,14 +25,8 @@ class NumericError(ArithmeticError):
     """A non-finite value appeared, or an op was applied outside its domain."""
 
 
-def _require_2d(arr: np.ndarray, what: str) -> np.ndarray:
-    if arr.ndim != 2:
-        raise ShapeError(f"{what} must be 2-D, got shape {arr.shape}")
-    return arr
-
-
 class Tensor:
-    """A rows x cols float matrix, optionally tracked for gradients.
+    """A rows x cols (or B x rows x cols) float tensor, optionally tracked for gradients.
 
     `grad` is allocated lazily by backward() and has the same shape as
     `data`. Tensors created by graph ops carry `from_op=True` so gradients
@@ -41,9 +37,8 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False, name: str = ""):
         arr = np.asarray(data)
-        if arr.ndim == 1:
-            arr = arr.reshape(1, -1)
-        arr = _require_2d(arr, "tensor data")
+        if arr.ndim not in (2, 3):
+            raise ShapeError(f"tensor data must be 2-D or 3-D, got shape {arr.shape}")
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)
         self.data = arr
@@ -54,14 +49,14 @@ class Tensor:
 
     @property
     def rows(self) -> int:
-        return self.data.shape[0]
+        return self.data.shape[-2]
 
     @property
     def cols(self) -> int:
-        return self.data.shape[1]
+        return self.data.shape[-1]
 
     @property
-    def shape(self) -> tuple[int, int]:
+    def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
     @property
@@ -78,7 +73,7 @@ class Tensor:
 
     def __repr__(self):
         tag = f" {self.name!r}" if self.name else ""
-        return f"Tensor({self.rows}x{self.cols}, dtype={self.data.dtype.name}{tag})"
+        return f"Tensor({'x'.join(map(str, self.shape))}, dtype={self.data.dtype.name}{tag})"
 
 
 class Rng:
@@ -118,16 +113,23 @@ def xavier_init(rows: int, cols: int, rng: Rng, dtype=np.float32,
     return Tensor(data, requires_grad=requires_grad, name=name)
 
 
-class _OpRecord:
-    __slots__ = ("out", "backward")
-
-    def __init__(self, out: Tensor, backward: Callable[[np.ndarray], None]):
-        self.out = out
-        self.backward = backward
+def _accum(t: Tensor, g: np.ndarray):
+    """Add `g` into t.grad, summed over the axes `t` was broadcast along. Not a
+    method, so backward closures do not hold their tape in a reference cycle."""
+    if not (t.requires_grad or t.from_op):
+        return
+    if g.shape != t.shape:
+        padded = (1,) * (g.ndim - t.data.ndim) + t.shape
+        axes = tuple(i for i, (m, n) in enumerate(zip(padded, g.shape)) if m != n)
+        g = g.sum(axis=axes, keepdims=True).reshape(t.shape)
+    if t.grad is None:
+        t.grad = g.astype(t.data.dtype, copy=True)
+    else:
+        t.grad += g
 
 
 class ComputeGraph:
-    """Append-only tape of recorded ops.
+    """Append-only tape of recorded ops, as (output, backward rule) pairs.
 
     Recording order is a topological order by construction: an op's inputs
     are either leaves or earlier outputs. backward() walks the tape in
@@ -136,7 +138,7 @@ class ComputeGraph:
     """
 
     def __init__(self):
-        self._records: list[_OpRecord] = []
+        self._records: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
 
     def __len__(self) -> int:
         return len(self._records)
@@ -146,17 +148,8 @@ class ComputeGraph:
     def _emit(self, data: np.ndarray, backward: Callable[[np.ndarray], None]) -> Tensor:
         out = Tensor(data)
         out.from_op = True
-        self._records.append(_OpRecord(out, backward))
+        self._records.append((out, backward))
         return out
-
-    @staticmethod
-    def _accum(t: Tensor, g: np.ndarray):
-        if not (t.requires_grad or t.from_op):
-            return
-        if t.grad is None:
-            t.grad = g.astype(t.data.dtype, copy=True)
-        else:
-            t.grad += g
 
     # -- linear algebra -------------------------------------------------------
 
@@ -166,26 +159,25 @@ class ComputeGraph:
         out_data = a.data @ b.data
 
         def backward(g):
-            self._accum(a, g @ b.data.T)
-            self._accum(b, a.data.T @ g)
+            _accum(a, g @ b.data.swapaxes(-1, -2))
+            _accum(b, a.data.swapaxes(-1, -2) @ g)
 
         return self._emit(out_data, backward)
 
     def transpose(self, a: Tensor) -> Tensor:
         def backward(g):
-            self._accum(a, g.T)
+            _accum(a, g.swapaxes(-1, -2))
 
-        return self._emit(a.data.T.copy(), backward)
+        return self._emit(a.data.swapaxes(-1, -2).copy(), backward)
 
     def add(self, a: Tensor, b: Tensor) -> Tensor:
-        """Elementwise sum; a 1-row or 1-column operand broadcasts along that axis."""
-        if any(m != n and 1 not in (m, n) for m, n in zip(a.shape, b.shape)):
+        """Elementwise sum; an axis of length 1, or a missing batch axis, broadcasts."""
+        if any(m != n and 1 not in (m, n) for m, n in zip(a.shape[::-1], b.shape[::-1])):
             raise ShapeError(f"add shapes incompatible: {a.shape} + {b.shape}")
 
         def backward(g):
-            for t in (a, b):
-                axes = tuple(i for i in (0, 1) if t.shape[i] != g.shape[i])
-                self._accum(t, g.sum(axis=axes, keepdims=True) if axes else g)
+            _accum(a, g)
+            _accum(b, g)
 
         return self._emit(a.data + b.data, backward)
 
@@ -195,8 +187,8 @@ class ComputeGraph:
             raise ShapeError(f"mul shapes differ: {a.shape} * {b.shape}")
 
         def backward(g):
-            self._accum(a, g * b.data)
-            self._accum(b, g * a.data)
+            _accum(a, g * b.data)
+            _accum(b, g * a.data)
 
         return self._emit(a.data * b.data, backward)
 
@@ -206,7 +198,7 @@ class ComputeGraph:
         mask = a.data > 0
 
         def backward(g):
-            self._accum(a, g * mask)
+            _accum(a, g * mask)
 
         return self._emit(a.data * mask, backward)
 
@@ -215,7 +207,7 @@ class ComputeGraph:
         scale = np.where(pos, 1.0, slope).astype(a.data.dtype)
 
         def backward(g):
-            self._accum(a, g * scale)
+            _accum(a, g * scale)
 
         return self._emit(a.data * scale, backward)
 
@@ -228,45 +220,45 @@ class ComputeGraph:
         out_data[~pos] = ex / (1.0 + ex)
 
         def backward(g):
-            self._accum(a, g * out_data * (1.0 - out_data))
+            _accum(a, g * out_data * (1.0 - out_data))
 
         return self._emit(out_data, backward)
 
     # -- structure ------------------------------------------------------------
 
     def concat_cols(self, a: Tensor, b: Tensor) -> Tensor:
-        if a.rows != b.rows:
+        if a.shape[:-1] != b.shape[:-1]:
             raise ShapeError(f"concat_cols row counts differ: {a.shape} | {b.shape}")
         split = a.cols
 
         def backward(g):
-            self._accum(a, g[:, :split])
-            self._accum(b, g[:, split:])
+            _accum(a, g[..., :split])
+            _accum(b, g[..., split:])
 
-        return self._emit(np.concatenate([a.data, b.data], axis=1), backward)
+        return self._emit(np.concatenate([a.data, b.data], axis=-1), backward)
 
     def row_softmax_masked(self, a: Tensor, mask: np.ndarray) -> Tensor:
         """Softmax over the unmasked entries of each row.
 
-        Masked positions get weight 0. Rows whose mask is all False come out
-        all-zero rather than NaN. Row maxima are subtracted before exp for
-        stability.
+        One rows x cols mask serves every matrix of a batch. Masked positions
+        get weight 0. Rows whose mask is all False come out all-zero rather
+        than NaN. Row maxima are subtracted before exp for stability.
         """
         mask = np.asarray(mask, dtype=bool)
-        if mask.shape != a.shape:
-            raise ShapeError(f"mask shape {mask.shape} != tensor shape {a.shape}")
+        if mask.shape != a.shape[-2:]:
+            raise ShapeError(f"mask shape {mask.shape} != tensor shape {a.shape[-2:]}")
         x = np.where(mask, a.data, -np.inf)
-        row_max = np.max(x, axis=1, keepdims=True)
+        row_max = np.max(x, axis=-1, keepdims=True)
         live = np.isfinite(row_max)  # rows with at least one unmasked entry
         shifted = np.where(mask, x - np.where(live, row_max, 0.0), -np.inf)
         ex = np.where(mask, np.exp(np.where(mask, shifted, 0.0)), 0.0)
-        denom = ex.sum(axis=1, keepdims=True)
+        denom = ex.sum(axis=-1, keepdims=True)
         out_data = np.divide(ex, denom, out=np.zeros_like(ex), where=denom > 0)
         out_data = out_data.astype(a.data.dtype)
 
         def backward(g):
-            dot = (g * out_data).sum(axis=1, keepdims=True)
-            self._accum(a, out_data * (g - dot))
+            dot = (g * out_data).sum(axis=-1, keepdims=True)
+            _accum(a, out_data * (g - dot))
 
         return self._emit(out_data, backward)
 
@@ -274,37 +266,21 @@ class ComputeGraph:
 
     def sum_all(self, a: Tensor) -> Tensor:
         def backward(g):
-            self._accum(a, np.full_like(a.data, g[0, 0]))
+            _accum(a, np.full_like(a.data, g[0, 0]))
 
         total = np.asarray(a.data.sum(dtype=a.data.dtype)).reshape(1, 1)
         return self._emit(total, backward)
 
-    def col_sum(self, a: Tensor) -> Tensor:
-        """Sum each column over the rows, giving a 1 x cols tensor."""
-        def backward(g):
-            self._accum(a, np.broadcast_to(g, a.shape).copy())
-
-        return self._emit(a.data.sum(axis=0, keepdims=True), backward)
-
-    def col_mean(self, a: Tensor) -> Tensor:
-        n = a.rows
-
-        def backward(g):
-            self._accum(a, np.broadcast_to(g / n, a.shape).copy())
-
-        return self._emit(a.data.mean(axis=0, keepdims=True, dtype=a.data.dtype),
-                          backward)
-
     def col_max(self, a: Tensor) -> Tensor:
-        """Columnwise max; the gradient routes to the first argmax per column."""
-        idx = a.data.argmax(axis=0)
+        """Columnwise max over the rows; the gradient routes to the first argmax."""
+        idx = a.data.argmax(axis=-2, keepdims=True)
 
         def backward(g):
             da = np.zeros_like(a.data)
-            da[idx, np.arange(a.cols)] = g[0, :]
-            self._accum(a, da)
+            np.put_along_axis(da, idx, g, axis=-2)
+            _accum(a, da)
 
-        return self._emit(a.data.max(axis=0, keepdims=True), backward)
+        return self._emit(np.take_along_axis(a.data, idx, axis=-2), backward)
 
     # -- loss -----------------------------------------------------------------
 
@@ -326,7 +302,7 @@ class ComputeGraph:
         pow_p, log_omp = np.power(p, e), np.log(omp)
         neg = 1.0 - targets
         terms = targets * (pow_omp * log_p) + neg * (pow_p * log_omp)
-        loss = -terms.sum(dtype=terms.dtype, keepdims=True)
+        loss = -terms.sum(dtype=terms.dtype, keepdims=True).reshape(1, 1)
 
         def backward(g):
             # Each partial is added in the order a tape of elementwise ops
@@ -338,7 +314,7 @@ class ComputeGraph:
             g_p += g_pos * pow_omp / p
             g_omp += g_pos * log_p * e * np.power(omp, e - 1.0)
             g_p -= g_omp
-            self._accum(probs, g_p * inside)
+            _accum(probs, g_p * inside)
 
         return self._emit(loss, backward)
 
@@ -353,13 +329,13 @@ class ComputeGraph:
         """
         if loss.shape != (1, 1):
             raise ShapeError(f"backward needs a scalar loss, got {loss.shape}")
-        self._accum(loss, np.ones((1, 1), dtype=loss.data.dtype))
-        for rec in reversed(self._records):
-            g = rec.out.grad
+        _accum(loss, np.ones((1, 1), dtype=loss.data.dtype))
+        for out, backward in reversed(self._records):
+            g = out.grad
             if g is None:
                 continue
-            rec.out.grad = None
-            rec.backward(g)
+            out.grad = None
+            backward(g)
 
     def check_finite(self, t: Tensor):
         """Raise NumericError if `t` holds a non-finite value.
@@ -369,9 +345,9 @@ class ComputeGraph:
         """
         if np.isfinite(t.data).all():
             return
-        for i, rec in enumerate(self._records):
-            if not np.isfinite(rec.out.data).all():
+        for i, (out, backward) in enumerate(self._records):
+            if not np.isfinite(out.data).all():
                 # Backward rules are closures named ComputeGraph.<op>.<locals>.backward.
-                kind = rec.backward.__qualname__.split(".")[1]
+                kind = backward.__qualname__.split(".")[1]
                 raise NumericError(f"op {i} ({kind}) produced a non-finite value")
         raise NumericError("non-finite value outside the tape")

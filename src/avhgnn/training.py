@@ -1,6 +1,7 @@
 """Training: focal loss, Adam with warmup + one-step decay, checkpoints.
 
-The loop processes graphs one at a time and averages gradients over each
+Graphs of a minibatch with the same node counts are stacked and run as
+one forward and backward on one tape; gradients are averaged over the
 minibatch. Batch composition at iteration t is a pure function of
 (seed, t) - concatenated per-epoch permutations - so resuming from a
 checkpoint replays the identical stream. Single-threaded on purpose:
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, Record
-from .graph import EdgeRules
+from .graph import EdgeRules, stack_graphs
 from .layers import HgnnModel, ModelConfig
 from .metrics import EvalResult, evaluate
 from .tensor import ComputeGraph, NumericError, Rng, Tensor
@@ -81,15 +82,17 @@ def model_config_for(cfg: TrainConfig, d_audio: int, d_video: int,
 
 def focal_loss(g: ComputeGraph, probs: Tensor, targets: np.ndarray,
                gamma: float) -> Tensor:
-    """Per-class binary focal loss, summed over classes.
+    """Per-class binary focal loss, summed over classes and graphs.
 
-    Positive classes contribute -(1-p)^gamma log p, negatives -p^gamma
-    log(1-p); gamma = 0 reduces exactly to binary cross-entropy.
-    Probabilities are clamped away from {0, 1} before the logs.
+    `targets` has one row of C labels per graph. Positive classes contribute
+    -(1-p)^gamma log p, negatives -p^gamma log(1-p); gamma = 0 reduces
+    exactly to binary cross-entropy. Probabilities are clamped away from
+    {0, 1} before the logs.
     """
     if gamma < 0:
         raise ConfigError(f"gamma must be >= 0, got {gamma}")
-    y = np.asarray(targets, dtype=probs.dtype).reshape(1, -1)
+    y = np.asarray(targets, dtype=probs.dtype)
+    y = y.reshape(y.shape[:probs.data.ndim - 2] + (1, -1))
     if y.shape != probs.shape:
         raise ValueError(f"targets shape {y.shape} != probs shape {probs.shape}")
     return g.focal_loss(probs, y, gamma, PROB_CLAMP)
@@ -403,6 +406,9 @@ def train(items, cfg: TrainConfig, val_items=None, resume: Checkpoint | None = N
         rng = Rng(cfg.seed)
         rng.set_state(resume.rng_state)
         start = resume.iteration
+        if start > cfg.max_iters:
+            raise ConfigError(f"max_iters {cfg.max_iters} is below the checkpoint's "
+                              f"iteration {start}")
     else:
         rng = Rng(cfg.seed)
         model = HgnnModel(model_config_for(cfg, d_a, d_v, n_a, n_v, n_classes), rng)
@@ -417,11 +423,14 @@ def train(items, cfg: TrainConfig, val_items=None, resume: Checkpoint | None = N
         lr = lr_at(t, cfg)
         model.zero_grad()
         batch = stream.indices(t)
+        groups: dict[tuple, list[int]] = {}  # one tape per node-count shape
+        for i in batch:
+            groups.setdefault((items[i].graph.n_audio, items[i].graph.n_video), []).append(i)
         total = 0.0
-        for idx in batch:
+        for group in groups.values():
             g = ComputeGraph()
-            result = model.forward(g, items[idx].graph)
-            loss = focal_loss(g, result.probs, items[idx].labels, cfg.gamma)
+            result = model.forward(g, stack_graphs([items[i].graph for i in group]))
+            loss = focal_loss(g, result.probs, [items[i].labels for i in group], cfg.gamma)
             g.backward(loss)
             total += loss.item()
         inv_batch = np.float32(1.0 / len(batch))

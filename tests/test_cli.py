@@ -183,6 +183,30 @@ class TestTrain:
         assert message in err
         assert not (tmp_path / "resumed" / "checkpoint.hgck").exists()
 
+    def test_resume_below_the_checkpoint_iteration_is_config_error(self, capsys,
+                                                                  tmp_path):
+        manifest = gen_dataset(capsys, tmp_path, n_items=16, n_audio=4, n_video=6,
+                               d_audio=5, d_video=7, seed=2)
+        cfg = write_config(tmp_path, max_iters=6)
+        code, _, _ = run(capsys, "train", "--config", str(cfg), "--data", str(manifest),
+                         "--out", str(tmp_path / "part"))
+        assert code == EXIT_OK
+        code, _, err = run(capsys, "train", "--resume", str(tmp_path / "part" / "checkpoint.hgck"),
+                           "--data", str(manifest), "--out", str(tmp_path / "resumed"),
+                           "--max-iters", "3")
+        assert code == EXIT_DATA
+        assert "max_iters 3 is below the checkpoint's iteration 6" in err
+        assert not (tmp_path / "resumed" / "checkpoint.hgck").exists()
+
+    def test_bad_seed_rejected_before_the_data_loads(self, capsys, tmp_path):
+        cfg = write_config(tmp_path)
+        code, _, err = run(capsys, "train", "--config", str(cfg),
+                           "--data", str(tmp_path / "nope.json"),
+                           "--out", str(tmp_path / "o"), "--seeds", "1,x")
+        assert code == EXIT_DATA
+        assert "--seeds must be comma-separated integers, got '1,x'" in err
+        assert "nope.json" not in err
+
     def test_numeric_blowup_exits_three(self, capsys, tmp_path):
         manifest = gen_dataset(capsys, tmp_path, n_items=16, n_audio=4, n_video=6,
                                d_audio=5, d_video=7, seed=3)

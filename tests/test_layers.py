@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from avhgnn.graph import EdgeRule, EdgeRules, build_hetero_graph
-from avhgnn.layers import (GAT_LEAKY_SLOPE, GatFusionLayer, GcnFusionLayer,
-                           GcnLayer, HgnnModel, ModelConfig)
+from avhgnn.graph import EdgeRule, EdgeRules, build_hetero_graph, stack_graphs
+from avhgnn.layers import (FUSION_MODES, GAT_LEAKY_SLOPE, MODALITIES, POOLING_MODES,
+                           GatFusionLayer, GcnFusionLayer, GcnLayer, HgnnModel,
+                           ModelConfig)
 from avhgnn.tensor import ComputeGraph, NumericError, Rng, ShapeError, Tensor
 from avhgnn.training import focal_loss
 from conftest import assert_grad_close, numeric_gradient
@@ -310,6 +311,15 @@ class TestPoolingAndHead:
         pooled = model._pool(ComputeGraph(), Tensor(mat), None)
         np.testing.assert_allclose(pooled.data, mat.sum(axis=0, keepdims=True))
 
+    @pytest.mark.parametrize("pooling, reduce", [("mean", np.mean), ("sum", np.sum)])
+    @pytest.mark.parametrize("shape", [(6, 4), (3, 6, 4)])
+    def test_constant_row_pooling_matches_column_reduction(self, pooling, reduce, shape):
+        model = tiny_model(pooling=pooling, dtype=np.float32)
+        h = np.random.default_rng(2).normal(0, 1, shape).astype(np.float32)
+        pooled = model._pool(ComputeGraph(), Tensor(h), None)
+        np.testing.assert_allclose(pooled.data, reduce(h, axis=-2, keepdims=True),
+                                   rtol=0, atol=1e-6)
+
     def test_zero_head_gives_half_probabilities(self):
         model = tiny_model()
         model.cls_weight.data = np.zeros_like(model.cls_weight.data)
@@ -469,3 +479,41 @@ class TestFullModelGradients:
         for (name, p), num in zip(names_params, numeric):
             assert p.grad is not None, f"no gradient for {name}"
             assert_grad_close(p.grad, num)
+
+
+class TestBatchedForward:
+    """A stack of B graphs on one tape gives each graph's own loss and gradients."""
+
+    @pytest.mark.parametrize("modality", MODALITIES)
+    @pytest.mark.parametrize("fusion", FUSION_MODES)
+    @pytest.mark.parametrize("pooling", POOLING_MODES)
+    def test_batch_equals_sum_of_graphs(self, pooling, fusion, modality):
+        model = tiny_model(seed=3, fusion=fusion, modality=modality, pooling=pooling)
+        rng = np.random.default_rng(4)
+        for batch in (1, 3, 8):
+            graphs = [tiny_graph(seed=int(s)) for s in rng.integers(0, 1000, batch)]
+            labels = [(rng.random(2) > 0.5).astype(np.float64) for _ in graphs]
+
+            model.zero_grad()
+            per_graph = 0.0
+            for graph, y in zip(graphs, labels):
+                g = ComputeGraph()
+                loss = focal_loss(g, model.forward(g, graph).probs, y, gamma=2.0)
+                g.backward(loss)
+                per_graph += loss.item()
+            expected = {name: p.grad.copy() for name, p in model.named_params()}
+
+            model.zero_grad()
+            g = ComputeGraph()
+            result = model.forward(g, stack_graphs(graphs))
+            assert result.probs.shape == (batch, 1, 2)
+            loss = focal_loss(g, result.probs, labels, gamma=2.0)
+            g.backward(loss)
+            assert abs(loss.item() - per_graph) < 1e-6
+            for name, p in model.named_params():
+                np.testing.assert_allclose(p.grad, expected[name], rtol=0, atol=1e-6,
+                                           err_msg=f"{name} at B={batch}")
+
+    def test_stack_rejects_graphs_with_different_structures(self):
+        with pytest.raises(ShapeError, match="one structure"):
+            stack_graphs([tiny_graph(), tiny_graph(n_audio=4)])

@@ -1,5 +1,8 @@
 """Tensor core: forward semantics, backward rules vs finite differences."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -8,8 +11,8 @@ from avhgnn.tensor import (ComputeGraph, NumericError, Rng, ShapeError, Tensor,
 from conftest import assert_grad_close, numeric_gradient
 
 
-def _leaf(rng, rows, cols, lo=-2.0, hi=2.0):
-    return Tensor(rng.uniform(lo, hi, (rows, cols)), requires_grad=True)
+def _leaf(rng, *shape, lo=-2.0, hi=2.0):
+    return Tensor(rng.uniform(lo, hi, shape), requires_grad=True)
 
 
 class TestForward:
@@ -82,12 +85,51 @@ class TestForward:
         out = g.concat_cols(Tensor([[1.0], [2.0]]), Tensor([[3.0, 4.0], [5.0, 6.0]]))
         np.testing.assert_array_equal(out.data, [[1.0, 3.0, 4.0], [2.0, 5.0, 6.0]])
 
-    def test_col_reductions(self):
+    def test_col_max(self):
         g = ComputeGraph()
         x = Tensor([[1.0, -4.0], [3.0, 2.0]])
-        np.testing.assert_array_equal(g.col_sum(x).data, [[4.0, -2.0]])
-        np.testing.assert_array_equal(g.col_mean(x).data, [[2.0, -1.0]])
         np.testing.assert_array_equal(g.col_max(x).data, [[3.0, 2.0]])
+        batch = Tensor([[[1.0, -4.0], [3.0, 2.0]], [[0.0, 5.0], [-1.0, 5.0]]])
+        np.testing.assert_array_equal(g.col_max(batch).data, [[[3.0, 2.0]], [[0.0, 5.0]]])
+
+
+class TestBatchAxis:
+    """A B x rows x cols tensor is B matrices: each op acts on every one alike."""
+
+    def test_rows_and_cols_are_the_last_two_axes(self):
+        t = Tensor(np.zeros((4, 2, 3)))
+        assert (t.rows, t.cols, t.shape) == (2, 3, (4, 2, 3))
+        with pytest.raises(ShapeError, match="2-D or 3-D"):
+            Tensor(np.zeros((1, 4, 2, 3)))
+
+    def test_ops_match_each_matrix_alone(self, rng64):
+        stack = rng64.normal(0, 1, (3, 4, 5))
+        weight, other = rng64.normal(0, 1, (5, 2)), rng64.normal(0, 1, (3, 4, 2))
+        mask = rng64.random((4, 5)) > 0.4
+        mask[0] = False
+        g = ComputeGraph()
+
+        def ops(x, y):
+            return {"matmul": g.matmul(x, Tensor(weight)), "transpose": g.transpose(x),
+                    "softmax": g.row_softmax_masked(x, mask), "col_max": g.col_max(x),
+                    "concat": g.concat_cols(x, y), "sigmoid": g.sigmoid(x)}
+
+        batched = ops(Tensor(stack), Tensor(other))
+        for b in range(3):
+            for name, out in ops(Tensor(stack[b]), Tensor(other[b])).items():
+                np.testing.assert_allclose(batched[name].data[b], out.data, atol=1e-12,
+                                           err_msg=name)
+
+    def test_mask_must_match_the_last_two_axes(self):
+        with pytest.raises(ShapeError, match="mask shape"):
+            ComputeGraph().row_softmax_masked(Tensor(np.zeros((2, 3, 4))),
+                                              np.ones((2, 3, 4), dtype=bool))
+
+    def test_focal_loss_over_a_batch_is_one_scalar(self):
+        probs = Tensor(np.full((3, 1, 2), 0.5))
+        loss = ComputeGraph().focal_loss(probs, np.ones((3, 1, 2)), 0.0, 1e-7)
+        assert loss.shape == (1, 1)
+        assert abs(loss.item() - 6.0 * np.log(2.0)) < 1e-12
 
 
 class TestBackward:
@@ -116,6 +158,27 @@ class TestBackward:
         w = Tensor(np.ones((2, 2)), requires_grad=True)
         with pytest.raises(ShapeError):
             g.backward(g.relu(w))
+
+    def test_tape_freed_without_cyclic_gc(self, rng64):
+        # Backward rules must not hold their tape: with the cyclic collector
+        # off, dropping the last reference has to free it.
+        w = _leaf(rng64, 4, 3)
+        x = Tensor(rng64.normal(0, 1, (5, 4)))
+        gc.disable()
+        try:
+            g = ComputeGraph()
+            h = g.leaky_relu(g.matmul(x, w), 0.2)
+            alpha = g.row_softmax_masked(g.matmul(h, g.transpose(h)),
+                                         np.ones((5, 5), dtype=bool))
+            h = g.concat_cols(g.relu(g.matmul(alpha, h)), g.mul(h, h))
+            pooled = g.add(g.col_max(h), Tensor(np.zeros((1, 6))))
+            g.backward(g.focal_loss(g.sigmoid(pooled), np.ones((1, 6)), 2.0, 1e-7))
+            tape = weakref.ref(g)
+            del g
+            assert tape() is None
+        finally:
+            gc.enable()
+        assert w.grad is not None
 
     def test_leaf_without_requires_grad_gets_none(self):
         g = ComputeGraph()
@@ -187,11 +250,39 @@ class TestGradientOracle:
         self._check(
             lambda g: g.sum_all(g.mul(g.row_softmax_masked(a, mask), weight)), [a])
 
-    def test_reductions(self, rng64):
+    def test_col_max(self, rng64):
         a = _leaf(rng64, 4, 3)
-        self._check(lambda g: g.sum_all(g.mul(g.col_sum(a), g.col_sum(a))), [a])
-        self._check(lambda g: g.sum_all(g.mul(g.col_mean(a), g.col_mean(a))), [a])
         self._check(lambda g: g.sum_all(g.mul(g.col_max(a), g.col_max(a))), [a])
+        batch = _leaf(rng64, 3, 4, 3)
+        self._check(lambda g: g.sum_all(g.mul(g.col_max(batch), g.col_max(batch))),
+                    [batch])
+
+    def test_constant_row_pooling(self, rng64):
+        # Mean and sum pooling: a constant 1 x n row times one matrix or a batch.
+        for a in (_leaf(rng64, 4, 3), _leaf(rng64, 2, 4, 3)):
+            for value in (0.25, 1.0):
+                row = Tensor(np.full((1, 4), value))
+                self._check(lambda g: g.sum_all(g.mul(g.matmul(row, a),
+                                                      g.matmul(row, a))), [a])
+
+    @pytest.mark.parametrize("shapes", [((3, 4, 5), (5, 2)), ((4, 5), (3, 5, 2)),
+                                        ((3, 4, 5), (3, 5, 2))])
+    def test_batched_matmul(self, rng64, shapes):
+        a, b = _leaf(rng64, *shapes[0]), _leaf(rng64, *shapes[1])
+        weight = Tensor(rng64.normal(0, 1, (3, 4, 2)))
+        self._check(lambda g: g.sum_all(g.mul(g.matmul(a, b), weight)), [a, b])
+
+    @pytest.mark.parametrize("shapes", [((3, 4, 1), (3, 1, 5)), ((3, 1, 5), (1, 5))])
+    def test_add_batch_broadcast(self, rng64, shapes):
+        a, b = _leaf(rng64, *shapes[0]), _leaf(rng64, *shapes[1])
+        out_shape = np.broadcast_shapes(shapes[0], shapes[1])
+        weight = Tensor(rng64.normal(0, 1, out_shape))
+        self._check(lambda g: g.sum_all(g.mul(g.add(a, b), weight)), [a, b])
+
+    def test_batched_concat_cols(self, rng64):
+        a, b = _leaf(rng64, 3, 4, 2), _leaf(rng64, 3, 4, 3)
+        weight = Tensor(rng64.normal(0, 1, (3, 4, 5)))
+        self._check(lambda g: g.sum_all(g.mul(g.concat_cols(a, b), weight)), [a, b])
 
     def test_shared_input_fan_out(self, rng64):
         a = _leaf(rng64, 3, 3)

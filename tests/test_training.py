@@ -8,7 +8,7 @@ import pytest
 from avhgnn import training
 
 from avhgnn.data import LabeledGraph
-from avhgnn.graph import EdgeRule, EdgeRules, build_hetero_graph
+from avhgnn.graph import EdgeRule, EdgeRules, build_hetero_graph, stack_graphs
 from avhgnn.tensor import ComputeGraph, NumericError, Tensor
 from avhgnn.training import (Adam, ConfigError, TrainConfig, _BatchStream,
                              focal_loss, load_checkpoint, lr_at, run_seeds,
@@ -78,6 +78,14 @@ class TestFocalLoss:
             probs = rng.uniform(0, 1, (1, 4))
             targets = (rng.random((1, 4)) > 0.5).astype(float)
             assert _focal_value(probs, targets, 2.0) >= 0.0
+
+    def test_batch_takes_one_target_row_per_graph(self):
+        probs = Tensor(np.full((3, 1, 2), 0.5))
+        rows = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+        loss = focal_loss(ComputeGraph(), probs, rows, 2.0).item()
+        assert abs(loss - 3 * _focal_value([[0.5, 0.5]], [[1.0, 0.0]], 2.0)) < 1e-12
+        with pytest.raises(ValueError, match="targets shape"):
+            focal_loss(ComputeGraph(), probs, np.zeros((2, 3)), 2.0)
 
     def test_negative_gamma_rejected(self):
         with pytest.raises(ConfigError):
@@ -236,6 +244,46 @@ class TestTrainLoop:
         items[-1].item_id = "tall-one"
         with pytest.raises(ConfigError, match="tall-one"):
             train(items, small_config(pooling="learned"))
+
+
+    def test_mixed_lengths_train_one_tape_per_shape(self, monkeypatch):
+        items = make_items(3) + make_items(3, n_audio=5, n_video=6, seed=3)
+        cfg = small_config(max_iters=4, batch_size=6)
+        stacked = []
+
+        def recording_stack(graphs):
+            stacked.append([(g.n_audio, g.n_video) for g in graphs])
+            return stack_graphs(graphs)
+
+        monkeypatch.setattr(training, "stack_graphs", recording_stack)
+        result = train(items, cfg)
+        assert len(stacked) == 2 * cfg.max_iters
+        for groups in zip(stacked[::2], stacked[1::2]):
+            assert sorted(len(group) for group in groups) == [3, 3]
+            assert {shape for group in groups for shape in group} == {(3, 4), (5, 6)}
+            assert all(len(set(group)) == 1 for group in groups)
+        assert all(np.isfinite(row["loss"]) for row in result.history)
+
+        # Iteration 1's loss is the mean of per-graph losses of the initial model.
+        model = training.HgnnModel(
+            training.model_config_for(cfg, 5, 6, 3, 4, 2), training.Rng(cfg.seed))
+        per_graph = []
+        for item in items:
+            g = ComputeGraph()
+            probs = model.forward(g, item.graph).probs
+            per_graph.append(focal_loss(g, probs, item.labels, cfg.gamma).item())
+        assert abs(result.history[0]["loss"] - np.mean(per_graph)) < 1e-6
+
+    def test_resume_below_the_checkpoint_iteration_rejected(self, tmp_path):
+        items = make_items(4)
+        part = train(items, small_config(max_iters=6))
+        path = tmp_path / "ck.hgck"
+        part.save(path)
+        rows = []
+        with pytest.raises(ConfigError, match="max_iters 3 .* iteration 6"):
+            train(items, small_config(max_iters=3), resume=load_checkpoint(path),
+                  progress=rows.append)
+        assert rows == []
 
 
 class TestCheckpoint:
