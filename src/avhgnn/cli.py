@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import (DataFormatError, DatasetError, SYNTH_MODES, SynthSpec,
-                   generate_synthetic, load_dataset)
+                   generate_synthetic, load_dataset, read_json)
 from .graph import EdgeRule, EdgeRules, cross_modal_edges, temporal_edges
 from .layers import FUSION_GAT, FUSION_MODES, MODALITIES, POOLING_MODES
 from .metrics import evaluate
@@ -39,16 +39,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _load_json(path) -> dict:
-    try:
-        with open(path) as f:
-            return json.load(f)
-    except OSError as exc:
-        raise DatasetError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path}: invalid JSON: {exc}") from exc
-
-
 def _echo(label: str, payload: dict):
     print(f"{label}: {json.dumps(payload, sort_keys=True)}")
 
@@ -67,7 +57,7 @@ def _add_gen_synth(sub):
 
 
 def _cmd_gen_synth(args) -> int:
-    spec_dict = _load_json(args.spec) if args.spec else {}
+    spec_dict = read_json(args.spec) if args.spec else {}
     for key, value in (("mode", args.mode), ("n_items", args.n_items),
                        ("noise_sigma", args.noise_sigma), ("seed", args.seed)):
         if value is not None:
@@ -107,7 +97,7 @@ def _add_train(sub):
 
 def _train_config(args, base: TrainConfig | None = None) -> TrainConfig:
     if base is None:
-        cfg = TrainConfig.from_dict(_load_json(args.config) if args.config else {})
+        cfg = TrainConfig.from_dict(read_json(args.config) if args.config else {})
     else:
         cfg = base
     names = [name for name, _ in _TRAIN_OVERRIDES] + ["pooling", "fusion", "modality"]
@@ -121,7 +111,7 @@ def _run_one_seed(items_train, items_val, cfg, out_dir: Path, tag: str,
     suffix = f"_{tag}" if tag else ""
 
     def progress(row):
-        if row["iteration"] % max(1, cfg.eval_every) == 0:
+        if cfg.validates(row["iteration"]):
             print(f"[{tag or 'train'}] iter {row['iteration']}/{cfg.max_iters} "
                   f"loss {row['loss']:.5f} lr {row['lr']:.5g} map {row['map']:.4f}")
 
@@ -130,7 +120,7 @@ def _run_one_seed(items_train, items_val, cfg, out_dir: Path, tag: str,
     ckpt_path = out_dir / f"checkpoint{suffix}.hgck"
     result.save(ckpt_path)
     write_history_csv(out_dir / f"history{suffix}.csv", result.history)
-    return result, ckpt_path, result.evaluation(items_val)
+    return ckpt_path, result.final_eval
 
 
 def _parse_seeds(text: str) -> list[int]:
@@ -170,8 +160,8 @@ def _cmd_train(args) -> int:
             raise ConfigError(MULTI_SEED_NEEDS_VAL)
         evals = []
         for s in seeds:
-            _, ckpt_path, ev = _run_one_seed(items_train, items_val,
-                                             replace(cfg, seed=s), out_dir, f"seed{s}")
+            ckpt_path, ev = _run_one_seed(items_train, items_val,
+                                          replace(cfg, seed=s), out_dir, f"seed{s}")
             evals.append(ev)
             print(f"seed {s}: map {ev.map:.4f} roc_auc {ev.roc_auc:.4f} -> {ckpt_path}")
         aggregate = SeedSummary.from_evals(seeds, evals).to_dict()
@@ -180,8 +170,8 @@ def _cmd_train(args) -> int:
         _echo("aggregate", aggregate)
         return EXIT_OK
 
-    _, ckpt_path, ev = _run_one_seed(items_train, items_val, cfg, out_dir,
-                                     tag="", resume=ckpt)
+    ckpt_path, ev = _run_one_seed(items_train, items_val, cfg, out_dir,
+                                  tag="", resume=ckpt)
     if ev is not None:
         print(f"final: map {ev.map:.4f} roc_auc {ev.roc_auc:.4f}")
     print(f"checkpoint: {ckpt_path}")
@@ -223,7 +213,7 @@ def _add_inspect(sub):
 
 def _rules_from_args(args) -> EdgeRules:
     if args.config:
-        rules = TrainConfig.from_dict(_load_json(args.config)).rules
+        rules = TrainConfig.from_dict(read_json(args.config)).rules
     else:
         rules = EdgeRules.default()
     out = {}

@@ -1,9 +1,10 @@
 """Config records: every field is type- and range-checked on construction.
 
-TrainConfig, ModelConfig, SynthSpec, EdgeRule and Checkpoint derive from
-Record. Their int, float and choice fields are checked from the field
-annotations in one method, and Record.from_dict is the one reader that
-turns a malformed JSON object into a ConfigError.
+TrainConfig, ModelConfig, SynthSpec, EdgeRule, Checkpoint and the dataset
+manifest records derive from Record. Their int, float, str, list and choice
+fields are checked from the field annotations in one method, and
+Record.from_dict is the one reader that turns a malformed JSON object into
+a ConfigError.
 """
 
 from __future__ import annotations
@@ -27,9 +28,10 @@ class Record:
     """Base of the config dataclasses.
 
     An `int` field must be a non-bool integer >= its FLOORS entry (default
-    0), a `float` field a finite non-bool real, and a field named in CHOICES
-    one of its values. Subclasses with cross-field rules call
-    super().__post_init__() before checking them.
+    0), a `float` field a finite non-bool real, a field named in CHOICES one
+    of its values, and a `str` or `list` field of exactly that type.
+    Subclasses with cross-field rules call super().__post_init__() before
+    checking them.
     """
 
     FLOORS = {}
@@ -49,6 +51,8 @@ class Record:
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
             if name in self.CHOICES and value not in self.CHOICES[name]:
                 raise ConfigError(f"{name} must be one of {self.CHOICES[name]}, got {value!r}")
+            if kind in (str, list) and type(value) is not kind:
+                raise ConfigError(f"{name} must be a {kind.__name__}, got {value!r}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

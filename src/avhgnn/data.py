@@ -93,17 +93,20 @@ def read_container(path) -> FeatureContainer:
 
 
 @dataclass
-class ManifestItem:
+class ManifestItem(Record):
     item_id: str
     container_path: str
     labels: list  # class indices
 
 
 @dataclass
-class DatasetManifest:
+class DatasetManifest(Record):
+    FLOORS = {"num_classes": 1}
+    CHOICES = {"version": (MANIFEST_VERSION,)}
+
     num_classes: int
     class_names: list
-    items: list
+    items: list           # of ManifestItem
     version: int = MANIFEST_VERSION
 
     def to_dict(self) -> dict:
@@ -119,29 +122,40 @@ class DatasetManifest:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "DatasetManifest":
+    def from_dict(cls, d) -> "DatasetManifest":
+        """Read a manifest's JSON object; unknown keys are ignored.
+
+        A malformed field is a DataFormatError naming it (and the item's
+        index), a label out of range a DatasetError.
+        """
         try:
-            items = [ManifestItem(item_id=it["id"], container_path=it["container_path"],
-                                  labels=list(it["labels"]))
-                     for it in d["items"]]
-            manifest = cls(num_classes=int(d["num_classes"]),
-                           class_names=list(d["class_names"]),
-                           items=items, version=int(d.get("version", MANIFEST_VERSION)))
-        except (KeyError, TypeError) as exc:
-            raise DataFormatError(f"manifest missing or malformed field: {exc}") from exc
+            if isinstance(d, dict):
+                d = {k: v for k, v in d.items() if k in cls.__dataclass_fields__}
+            manifest = super().from_dict(d)
+        except ConfigError as exc:
+            raise DataFormatError(str(exc)) from exc
         if len(manifest.class_names) != manifest.num_classes:
             raise DataFormatError(
                 f"manifest has {len(manifest.class_names)} class names for "
                 f"{manifest.num_classes} classes")
-        for it in manifest.items:
-            for label in it.labels:
+        items = []
+        for i, it in enumerate(manifest.items):
+            try:
+                if not isinstance(it, dict):
+                    raise ConfigError(f"must be a JSON object, got {it!r}")
+                item = ManifestItem(it.get("id"), it.get("container_path"), it.get("labels"))
+            except ConfigError as exc:
+                raise DataFormatError(f"manifest item {i}: {exc}") from exc
+            for label in item.labels:
                 if type(label) is not int:
                     raise DataFormatError(
-                        f"item {it.item_id!r}: label {label!r} is not an integer")
+                        f"item {item.item_id!r}: label {label!r} is not an integer")
                 if not 0 <= label < manifest.num_classes:
                     raise DatasetError(
-                        f"item {it.item_id!r}: label {label} out of range "
+                        f"item {item.item_id!r}: label {label} out of range "
                         f"[0, {manifest.num_classes})")
+            items.append(item)
+        manifest.items = items
         return manifest
 
 
@@ -150,9 +164,20 @@ def write_manifest(path, manifest: DatasetManifest):
         json.dump(manifest.to_dict(), f, indent=2)
 
 
+def read_json(path):
+    """The one JSON-file reader: an unreadable file is a DatasetError, bad JSON
+    a DataFormatError."""
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except OSError as exc:
+        raise DatasetError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise DataFormatError(f"{path}: invalid JSON: {exc}") from exc
+
+
 def read_manifest(path) -> DatasetManifest:
-    with open(path) as f:
-        return DatasetManifest.from_dict(json.load(f))
+    return DatasetManifest.from_dict(read_json(path))
 
 
 # -- synthetic data ----------------------------------------------------------------

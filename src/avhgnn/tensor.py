@@ -29,11 +29,11 @@ class Tensor:
     """A rows x cols (or B x rows x cols) float tensor, optionally tracked for gradients.
 
     `grad` is allocated lazily by backward() and has the same shape as
-    `data`. Tensors created by graph ops carry `from_op=True` so gradients
-    flow through them even when requires_grad is False.
+    `data`. Tensors created by graph ops have requires_grad set, so
+    gradients flow through them to the leaves that require them.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "from_op", "name")
+    __slots__ = ("data", "grad", "requires_grad", "name")
 
     def __init__(self, data, requires_grad: bool = False, name: str = ""):
         arr = np.asarray(data)
@@ -44,7 +44,6 @@ class Tensor:
         self.data = arr
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = requires_grad
-        self.from_op = False
         self.name = name
 
     @property
@@ -116,7 +115,7 @@ def xavier_init(rows: int, cols: int, rng: Rng, dtype=np.float32,
 def _accum(t: Tensor, g: np.ndarray):
     """Add `g` into t.grad, summed over the axes `t` was broadcast along. Not a
     method, so backward closures do not hold their tape in a reference cycle."""
-    if not (t.requires_grad or t.from_op):
+    if not t.requires_grad:
         return
     if g.shape != t.shape:
         padded = (1,) * (g.ndim - t.data.ndim) + t.shape
@@ -146,8 +145,7 @@ class ComputeGraph:
     # -- recording machinery -------------------------------------------------
 
     def _emit(self, data: np.ndarray, backward: Callable[[np.ndarray], None]) -> Tensor:
-        out = Tensor(data)
-        out.from_op = True
+        out = Tensor(data, requires_grad=True)
         self._records.append((out, backward))
         return out
 

@@ -4,8 +4,10 @@ Graphs of a minibatch with the same node counts are stacked and run as
 one forward and backward on one tape; gradients are averaged over the
 minibatch. Batch composition at iteration t is a pure function of
 (seed, t) - concatenated per-epoch permutations - so resuming from a
-checkpoint replays the identical stream. Single-threaded on purpose:
-same seed means bitwise-identical curves.
+checkpoint replays the identical stream. TrainConfig.validates(t) is the
+one validation schedule; a resumed run also applies it at its starting
+iteration, so it scores the held-out split where the uninterrupted run
+did. Single-threaded on purpose: same seed means bitwise-identical curves.
 """
 
 from __future__ import annotations
@@ -67,6 +69,11 @@ class TrainConfig(Record):
             raise ConfigError(f"gamma must be >= 0, got {self.gamma}")
         if not 0.0 < self.val_fraction < 1.0:
             raise ConfigError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
+
+    def validates(self, t: int) -> bool:
+        """Whether iteration t ends with a validation pass: every eval_every-th
+        and the last; never 0, the untrained model."""
+        return t > 0 and (t % self.eval_every == 0 or t == self.max_iters)
 
 
 def model_config_for(cfg: TrainConfig, d_audio: int, d_video: int,
@@ -347,21 +354,11 @@ class TrainResult:
     config: TrainConfig
     history: list          # rows: {iteration, loss, lr, map, roc_auc}
     final_iteration: int
-    final_eval: EvalResult | None = None   # train()'s validation of the final model
+    final_eval: EvalResult | None = None   # the final model on val_items, if any
 
     def save(self, checkpoint_path):
         save_checkpoint(checkpoint_path, self.model, self.optimizer,
                         self.final_iteration, self.rng, self.config)
-
-    def evaluation(self, val_items) -> EvalResult | None:
-        """Scores of the final model on the val_items train() was given.
-
-        Reuses train()'s last validation pass; scores afresh only when
-        train() ran none (a resume already at max_iters). None without items.
-        """
-        if self.final_eval is None and val_items:
-            return evaluate(self.model, val_items)
-        return self.final_eval
 
 
 def _check_dataset(items, cfg: TrainConfig):
@@ -390,7 +387,8 @@ def train(items, cfg: TrainConfig, val_items=None, resume: Checkpoint | None = N
           progress=None) -> TrainResult:
     """Run the loop to cfg.max_iters; returns the trained model and history.
 
-    `resume` continues a run bitwise-identically from its saved iteration.
+    `resume` continues a run bitwise-identically from its saved iteration,
+    validating there if cfg.validates it, as the uninterrupted run did.
     `progress(row)` is called once per iteration with the history row.
     """
     d_a, d_v, n_a, n_v, n_classes = _check_dataset(items, cfg)
@@ -417,8 +415,7 @@ def train(items, cfg: TrainConfig, val_items=None, resume: Checkpoint | None = N
 
     stream = _BatchStream(cfg.seed, len(items), cfg.batch_size)
     history = []
-    last_map, last_auc = float("nan"), float("nan")
-    ev = None
+    ev = evaluate(model, val_items) if val_items and cfg.validates(start) else None
     for t in range(start + 1, cfg.max_iters + 1):
         lr = lr_at(t, cfg)
         model.zero_grad()
@@ -439,11 +436,11 @@ def train(items, cfg: TrainConfig, val_items=None, resume: Checkpoint | None = N
                 p.grad *= inv_batch
         optimizer.step(lr)
 
-        if val_items and (t % cfg.eval_every == 0 or t == cfg.max_iters):
+        if val_items and cfg.validates(t):
             ev = evaluate(model, val_items)
-            last_map, last_auc = ev.map, ev.roc_auc
         row = {"iteration": t, "loss": total / len(batch), "lr": lr,
-               "map": last_map, "roc_auc": last_auc}
+               "map": ev.map if ev else float("nan"),
+               "roc_auc": ev.roc_auc if ev else float("nan")}
         history.append(row)
         if progress is not None:
             progress(row)
@@ -497,9 +494,6 @@ def run_seeds(items, cfg: TrainConfig, seeds, progress=None) -> SeedSummary:
     train_items, val_items = split_dataset(items, cfg.val_fraction, cfg.seed)
     if not val_items:
         raise ConfigError(MULTI_SEED_NEEDS_VAL)
-    evals = []
-    for s in seeds:
-        result = train(train_items, replace(cfg, seed=int(s)), val_items=val_items,
-                       progress=progress)
-        evals.append(result.evaluation(val_items))
+    evals = [train(train_items, replace(cfg, seed=int(s)), val_items=val_items,
+                   progress=progress).final_eval for s in seeds]
     return SeedSummary.from_evals(seeds, evals)

@@ -159,6 +159,25 @@ class TestTrain:
         resumed_rows = (tmp_path / "resumed" / "history.csv").read_text().splitlines()
         assert resumed_rows[1:] == full_rows[7:]
 
+    def test_resume_validates_where_the_uninterrupted_run_did(self, capsys, tmp_path):
+        manifest = gen_dataset(capsys, tmp_path, n_items=16, n_audio=4, n_video=6,
+                               d_audio=5, d_video=7, seed=2)
+        cfg = write_config(tmp_path, eval_every=3)
+        for name, max_iters in (("full", "12"), ("part", "6")):
+            code, _, _ = run(capsys, "train", "--config", str(cfg), "--data", str(manifest),
+                             "--out", str(tmp_path / name), "--max-iters", max_iters)
+            assert code == EXIT_OK
+        code, _, _ = run(capsys, "train",
+                         "--resume", str(tmp_path / "part" / "checkpoint.hgck"),
+                         "--data", str(manifest), "--out", str(tmp_path / "resumed"),
+                         "--max-iters", "12")
+        assert code == EXIT_OK
+
+        full_rows = (tmp_path / "full" / "history.csv").read_text().splitlines()
+        resumed_rows = (tmp_path / "resumed" / "history.csv").read_text().splitlines()
+        assert full_rows[7].split(",")[3] != "nan"  # iteration 7 carries the score of 6
+        assert resumed_rows[1:] == full_rows[7:]
+
     @pytest.mark.parametrize("flags, message", [
         (("--hidden", "64"), "hidden 64 differs"),
         (("--num-layers", "2"), "num_layers 2 differs"),
@@ -246,7 +265,7 @@ class TestTrain:
         final = [line for line in out.splitlines() if line.startswith("final:")]
         assert len(final) == 1
 
-        # Resumed at max_iters, train() validates nothing: the final line is scored afresh.
+        # Resumed at max_iters, train() validates once, at the checkpoint's iteration.
         calls.clear()
         code, out, _ = run(capsys, "train", "--data", str(manifest),
                            "--resume", str(tmp_path / "one" / "checkpoint.hgck"),
@@ -506,6 +525,34 @@ class TestMalformedInput:
         assert code == EXIT_DATA
         assert message in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("change, message", [
+        (None, "invalid JSON"),
+        ({"version": "abc"}, "version must be an integer"),
+        ({"version": 2}, "version must be one of (1,)"),
+        ({"num_classes": "x"}, "num_classes must be an integer"),
+        ({"num_classes": 4.7}, "num_classes must be an integer"),
+        ({"num_classes": True}, "num_classes must be an integer"),
+        ({"class_names": "abcd"}, "class_names must be a list"),
+        ({"container_path": 5}, "container_path must be a str"),
+        ({"id": 5}, "manifest item 0: item_id must be a str"),
+        ({"items": [5]}, "manifest item 0: must be a JSON object"),
+    ])
+    def test_bad_manifest(self, capsys, tmp_path, change, message):
+        manifest = gen_dataset(capsys, tmp_path, n_items=4, n_audio=4, n_video=6,
+                               d_audio=5, d_video=7, mode="audio_only_solvable")
+        if change is None:
+            manifest.write_text("{not json")
+        else:
+            d = json.loads(manifest.read_text())
+            for key, value in change.items():  # item keys change the first item
+                (d["items"][0] if key in d["items"][0] else d)[key] = value
+            manifest.write_text(json.dumps(d))
+        code, _, err = run(capsys, "train", "--config", str(write_config(tmp_path)),
+                           "--data", str(manifest), "--out", str(tmp_path / "o"),
+                           "--max-iters", "2")
+        assert code == EXIT_DATA
+        assert message in err
 
 
 class TestUsage:

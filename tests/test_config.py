@@ -1,4 +1,5 @@
-"""Config readers: any mutated JSON object gives a record or a ConfigError."""
+"""Config and manifest readers: any mutated JSON object gives a record or
+the reader's own error."""
 
 import copy
 
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from avhgnn.config import ConfigError
-from avhgnn.data import SynthSpec
+from avhgnn.data import (DataFormatError, DatasetError, DatasetManifest, ManifestItem,
+                         SynthSpec)
 from avhgnn.layers import ModelConfig
 from avhgnn.training import TrainConfig
 
@@ -24,18 +26,25 @@ READERS = [
 ]
 
 
+MANIFEST = DatasetManifest(num_classes=2, class_names=["a", "b"],
+                           items=[ManifestItem("x", "x.hgav", [0, 1]),
+                                  ManifestItem("y", "y.hgav", [1])]).to_dict()
+
+
 def _paths(d, prefix=()):
-    """Key paths to every value of a nested dict, nested dicts included."""
+    """Key paths to every value of a nested dict, nested dicts and the first
+    of a list of dicts included."""
     for key, value in d.items():
         yield prefix + (key,)
         if isinstance(value, dict):
             yield from _paths(value, prefix + (key,))
+        if isinstance(value, list) and value and isinstance(value[0], dict):
+            yield from _paths(value[0], prefix + (key, 0))
 
 
-@pytest.mark.parametrize("cls, base", READERS, ids=[cls.__name__ for cls, _ in READERS])
-@settings(max_examples=1000, deadline=None)
-@given(data=st.data())
-def test_mutated_object_gives_record_or_config_error(cls, base, data):
+def _mutated(base, data):
+    """`base` with one value replaced by an arbitrary JSON value, or one
+    unknown key added beside it."""
     d = copy.deepcopy(base)
     path = data.draw(st.sampled_from(list(_paths(base))))
     parent = d
@@ -46,8 +55,26 @@ def test_mutated_object_gives_record_or_config_error(cls, base, data):
     else:
         parent[data.draw(st.text(max_size=8).filter(lambda k: k not in parent))] = \
             data.draw(JSON_VALUES)
+    return d
+
+
+@pytest.mark.parametrize("cls, base", READERS, ids=[cls.__name__ for cls, _ in READERS])
+@settings(max_examples=1000, deadline=None)
+@given(data=st.data())
+def test_mutated_object_gives_record_or_config_error(cls, base, data):
     try:
-        record = cls.from_dict(d)
+        record = cls.from_dict(_mutated(base, data))
     except ConfigError:
         return
     assert isinstance(record, cls)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(data=st.data())
+def test_mutated_manifest_gives_manifest_or_data_error(data):
+    try:
+        manifest = DatasetManifest.from_dict(_mutated(MANIFEST, data))
+    except (DataFormatError, DatasetError):
+        return
+    assert isinstance(manifest, DatasetManifest)
+    assert all(isinstance(it, ManifestItem) for it in manifest.items)

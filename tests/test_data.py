@@ -89,6 +89,12 @@ class TestManifest:
             DatasetManifest.from_dict({
                 "num_classes": 3, "class_names": ["x"], "items": []})
 
+    def test_unknown_keys_are_ignored(self):
+        manifest = DatasetManifest.from_dict({
+            "num_classes": 1, "class_names": ["x"], "source": {"url": "u"},
+            "items": [{"id": "a", "container_path": "a.hgav", "labels": [0], "start_s": 3}]})
+        assert manifest.items == [ManifestItem("a", "a.hgav", [0])]
+
     def test_missing_field(self):
         with pytest.raises(DataFormatError):
             DatasetManifest.from_dict({"num_classes": 1})

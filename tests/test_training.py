@@ -306,6 +306,24 @@ class TestCheckpoint:
                                               resumed.model.named_params()):
             assert p_full.data.tobytes() == p_res.data.tobytes(), name
 
+    def test_resume_at_max_iters_returns_the_final_scores(self, tmp_path):
+        items = make_items(8)
+        cfg = small_config(max_iters=6, eval_every=4)
+        original = train(items[:6], cfg, val_items=items[6:])
+        path = tmp_path / "ck.hgck"
+        original.save(path)
+        rows = []
+        resumed = train(items[:6], cfg, val_items=items[6:], resume=load_checkpoint(path),
+                        progress=rows.append)
+        assert rows == [] and resumed.history == []
+        # Compared as JSON text: NaN != NaN.
+        assert resumed.final_eval.to_json() == original.final_eval.to_json()
+        assert train(items[:6], cfg, resume=load_checkpoint(path)).final_eval is None
+
+    def test_validation_schedule(self):
+        cfg = small_config(max_iters=10, eval_every=4)
+        assert [t for t in range(12) if cfg.validates(t)] == [4, 8, 10]
+
     @pytest.mark.parametrize("change", [
         {"hidden": 16}, {"num_layers": 2}, {"fusion": "gcn"}, {"pooling": "max"},
         {"modality": "audio_only"},
