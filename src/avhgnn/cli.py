@@ -18,11 +18,12 @@ import numpy as np
 from .data import (DataFormatError, DatasetError, SYNTH_MODES, SynthSpec,
                    generate_synthetic, load_dataset, read_json)
 from .graph import EdgeRule, EdgeRules, cross_modal_edges, temporal_edges
-from .layers import FUSION_GAT, FUSION_MODES, MODALITIES, POOLING_MODES
+from .layers import FUSION_GAT, FUSION_MODES, MODALITIES, MODALITY_BOTH, POOLING_MODES
 from .metrics import evaluate
 from .tensor import ComputeGraph, NumericError, ShapeError
 from .training import (MULTI_SEED_NEEDS_VAL, ConfigError, SeedSummary, TrainConfig,
-                       load_checkpoint, split_dataset, train, write_history_csv)
+                       atomic_open, load_checkpoint, split_dataset, train,
+                       write_history_csv)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -149,7 +150,7 @@ def _cmd_train(args) -> int:
         ckpt = None
         cfg = _train_config(args)
     _echo("config", cfg.to_dict())
-    with open(out_dir / "effective_config.json", "w") as f:
+    with atomic_open(out_dir / "effective_config.json", "w") as f:
         json.dump(cfg.to_dict(), f, indent=2)
 
     items = load_dataset(args.data, cfg.rules)
@@ -165,7 +166,7 @@ def _cmd_train(args) -> int:
             evals.append(ev)
             print(f"seed {s}: map {ev.map:.4f} roc_auc {ev.roc_auc:.4f} -> {ckpt_path}")
         aggregate = SeedSummary.from_evals(seeds, evals).to_dict()
-        with open(out_dir / "aggregate.json", "w") as f:
+        with atomic_open(out_dir / "aggregate.json", "w") as f:
             json.dump(aggregate, f, indent=2)
         _echo("aggregate", aggregate)
         return EXIT_OK
@@ -191,6 +192,10 @@ def _cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     model = ckpt.build_model()
     items = load_dataset(args.data, ckpt.train_config.rules)
+    n_classes = items[0].labels.shape[-1]
+    if n_classes != ckpt.model_config.num_classes:
+        raise ConfigError(f"the dataset has {n_classes} classes, the checkpoint's "
+                          f"num_classes is {ckpt.model_config.num_classes}")
     result = evaluate(model, items)
     payload = result.to_dict()
     payload["config"] = ckpt.train_config.to_dict()
@@ -293,10 +298,10 @@ def attention_summary(attention_maps) -> list[tuple[int, int, float]]:
 
 def _cmd_dump_attention(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
-    if ckpt.model_config.fusion != FUSION_GAT:
-        raise ConfigError(
-            f"checkpoint was trained with fusion={ckpt.model_config.fusion!r}: "
-            "no attention to dump")
+    fusion, modality = ckpt.model_config.fusion, ckpt.model_config.modality
+    if fusion != FUSION_GAT or modality != MODALITY_BOTH:
+        raise ConfigError(f"checkpoint was trained with fusion={fusion!r}, "
+                          f"modality={modality!r}: no attention to dump")
     model = ckpt.build_model()
     items = load_dataset(args.data, ckpt.train_config.rules)
     matches = [it for it in items if it.item_id == args.item]
@@ -309,7 +314,7 @@ def _cmd_dump_attention(args) -> int:
               for layer, node, value in attention_summary(result.attention)]
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w") as f:
+        with atomic_open(args.out, "w") as f:
             f.write(text)
         print(f"wrote {args.out}")
     else:

@@ -157,8 +157,10 @@ class ComputeGraph:
         out_data = a.data @ b.data
 
         def backward(g):
-            _accum(a, g @ b.data.swapaxes(-1, -2))
-            _accum(b, a.data.swapaxes(-1, -2) @ g)
+            if a.requires_grad:
+                _accum(a, g @ b.data.swapaxes(-1, -2))
+            if b.requires_grad:
+                _accum(b, a.data.swapaxes(-1, -2) @ g)
 
         return self._emit(out_data, backward)
 

@@ -5,9 +5,9 @@ one forward and backward on one tape; gradients are averaged over the
 minibatch. Batch composition at iteration t is a pure function of
 (seed, t) - concatenated per-epoch permutations - so resuming from a
 checkpoint replays the identical stream. TrainConfig.validates(t) is the
-one validation schedule; a resumed run also applies it at its starting
-iteration, so it scores the held-out split where the uninterrupted run
-did. Single-threaded on purpose: same seed means bitwise-identical curves.
+one validation schedule; a history row holds only its own iteration's
+scores, so a resume from any iteration writes the uninterrupted run's
+rows. Single-threaded on purpose: same seed means bitwise-identical curves.
 """
 
 from __future__ import annotations
@@ -268,7 +268,7 @@ def save_checkpoint(path, model: HgnnModel, optimizer: Adam, iteration: int,
         ],
     }
     header_bytes = json.dumps(header).encode("utf-8")
-    with _atomic_open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<I", CHECKPOINT_VERSION))
         f.write(struct.pack("<I", len(header_bytes)))
@@ -282,7 +282,7 @@ def save_checkpoint(path, model: HgnnModel, optimizer: Adam, iteration: int,
 
 
 @contextmanager
-def _atomic_open(path, mode: str):
+def atomic_open(path, mode: str):
     """Open a sibling temp file for writing; on success rename it over `path`.
 
     A write that fails or is killed part way leaves any old file at `path`
@@ -387,18 +387,19 @@ def train(items, cfg: TrainConfig, val_items=None, resume: Checkpoint | None = N
           progress=None) -> TrainResult:
     """Run the loop to cfg.max_iters; returns the trained model and history.
 
-    `resume` continues a run bitwise-identically from its saved iteration,
-    validating there if cfg.validates it, as the uninterrupted run did.
+    A row scores val_items only where cfg.validates(t), nan elsewhere.
+    `resume` continues a run bitwise-identically from its saved iteration;
+    the model config of cfg and the dataset must equal the checkpoint's.
     `progress(row)` is called once per iteration with the history row.
     """
-    d_a, d_v, n_a, n_v, n_classes = _check_dataset(items, cfg)
+    model_cfg = model_config_for(cfg, *_check_dataset(items, cfg))
 
     if resume is not None:
-        for name in ("hidden", "num_layers", "fusion", "pooling", "modality"):
-            if getattr(cfg, name) != getattr(resume.model_config, name):
-                raise ConfigError(
-                    f"{name} {getattr(cfg, name)!r} differs from the checkpoint's "
-                    f"{getattr(resume.model_config, name)!r}; a resume keeps the model")
+        for name, new in model_cfg.to_dict().items():
+            old = getattr(resume.model_config, name)
+            if new != old and (cfg.pooling == "learned" or name not in ("n_audio", "n_video")):
+                raise ConfigError(f"{name} {new!r} differs from the checkpoint's {old!r}; "
+                                  "a resume keeps the model")
         model = resume.build_model()
         optimizer = resume.build_optimizer(model)
         rng = Rng(cfg.seed)
@@ -409,13 +410,13 @@ def train(items, cfg: TrainConfig, val_items=None, resume: Checkpoint | None = N
                               f"iteration {start}")
     else:
         rng = Rng(cfg.seed)
-        model = HgnnModel(model_config_for(cfg, d_a, d_v, n_a, n_v, n_classes), rng)
+        model = HgnnModel(model_cfg, rng)
         optimizer = Adam(model.named_params())
         start = 0
 
     stream = _BatchStream(cfg.seed, len(items), cfg.batch_size)
     history = []
-    ev = evaluate(model, val_items) if val_items and cfg.validates(start) else None
+    ev = evaluate(model, val_items) if val_items and start == cfg.max_iters else None
     for t in range(start + 1, cfg.max_iters + 1):
         lr = lr_at(t, cfg)
         model.zero_grad()
@@ -436,8 +437,7 @@ def train(items, cfg: TrainConfig, val_items=None, resume: Checkpoint | None = N
                 p.grad *= inv_batch
         optimizer.step(lr)
 
-        if val_items and cfg.validates(t):
-            ev = evaluate(model, val_items)
+        ev = evaluate(model, val_items) if val_items and cfg.validates(t) else None
         row = {"iteration": t, "loss": total / len(batch), "lr": lr,
                "map": ev.map if ev else float("nan"),
                "roc_auc": ev.roc_auc if ev else float("nan")}
@@ -450,7 +450,7 @@ def train(items, cfg: TrainConfig, val_items=None, resume: Checkpoint | None = N
 
 
 def write_history_csv(path, history):
-    with _atomic_open(path, "w") as f:
+    with atomic_open(path, "w") as f:
         f.write("iter,loss,lr,map,roc_auc\n")
         for row in history:
             f.write(f"{row['iteration']},{row['loss']:.8g},{row['lr']:.8g},"

@@ -1,7 +1,9 @@
 """End-to-end runs of every subcommand via main(argv)."""
 
+import builtins
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from avhgnn.data import load_dataset
 from avhgnn.metrics import evaluate
 from avhgnn.tensor import Rng
 from avhgnn.training import TrainConfig, run_seeds
+from test_training import _FailOnSecondWrite
 
 
 def run(capsys, *argv):
@@ -128,6 +131,26 @@ class TestTrain:
         assert (json.dumps(aggregate, sort_keys=True)
                 == json.dumps(summary.to_dict(), sort_keys=True))
 
+    def test_failed_aggregate_write_keeps_the_old_file(self, capsys, tmp_path, monkeypatch):
+        manifest = gen_dataset(capsys, tmp_path, n_items=16, n_audio=4, n_video=6,
+                               d_audio=5, d_video=7, seed=1)
+        argv = ("train", "--config", str(write_config(tmp_path, max_iters=2)),
+                "--data", str(manifest), "--out", str(tmp_path / "seeds"), "--seeds", "1,2")
+        assert run(capsys, *argv)[0] == EXIT_OK
+        aggregate = tmp_path / "seeds" / "aggregate.json"
+        old = aggregate.read_bytes()
+
+        def failing_open(path, mode):
+            f = builtins.open(path, mode)
+            return _FailOnSecondWrite(f) if Path(path).name.startswith("aggregate") else f
+
+        monkeypatch.setattr(training, "open", failing_open, raising=False)
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_DATA
+        assert "no space" in err
+        assert aggregate.read_bytes() == old
+        assert not list((tmp_path / "seeds").glob("*.tmp"))
+
     def test_multi_seed_empty_validation_is_config_error(self, capsys, tmp_path):
         manifest = gen_dataset(capsys, tmp_path, n_items=1, n_classes=1)
         cfg = write_config(tmp_path, max_iters=2)
@@ -159,10 +182,12 @@ class TestTrain:
         resumed_rows = (tmp_path / "resumed" / "history.csv").read_text().splitlines()
         assert resumed_rows[1:] == full_rows[7:]
 
-    def test_resume_validates_where_the_uninterrupted_run_did(self, capsys, tmp_path):
+    @staticmethod
+    def _full_and_resumed(capsys, tmp_path, eval_every):
+        """Train 12 iterations, and 6 resumed to 12; return both run dirs."""
         manifest = gen_dataset(capsys, tmp_path, n_items=16, n_audio=4, n_video=6,
                                d_audio=5, d_video=7, seed=2)
-        cfg = write_config(tmp_path, eval_every=3)
+        cfg = write_config(tmp_path, eval_every=eval_every)
         for name, max_iters in (("full", "12"), ("part", "6")):
             code, _, _ = run(capsys, "train", "--config", str(cfg), "--data", str(manifest),
                              "--out", str(tmp_path / name), "--max-iters", max_iters)
@@ -172,11 +197,41 @@ class TestTrain:
                          "--data", str(manifest), "--out", str(tmp_path / "resumed"),
                          "--max-iters", "12")
         assert code == EXIT_OK
+        return tmp_path / "full", tmp_path / "resumed"
 
-        full_rows = (tmp_path / "full" / "history.csv").read_text().splitlines()
-        resumed_rows = (tmp_path / "resumed" / "history.csv").read_text().splitlines()
-        assert full_rows[7].split(",")[3] != "nan"  # iteration 7 carries the score of 6
+    def test_resume_validates_where_the_uninterrupted_run_did(self, capsys, tmp_path):
+        full, resumed = self._full_and_resumed(capsys, tmp_path, eval_every=3)
+        full_rows = (full / "history.csv").read_text().splitlines()
+        resumed_rows = (resumed / "history.csv").read_text().splitlines()
+        cfg = TrainConfig.from_dict(json.loads((full / "effective_config.json").read_text()))
+        for row in full_rows[1:]:  # a score only where the row's own iteration validated
+            t, _, _, map_, _ = row.split(",")
+            assert (map_ != "nan") == cfg.validates(int(t)), row
         assert resumed_rows[1:] == full_rows[7:]
+
+    def test_resume_off_the_schedule_writes_the_uninterrupted_rows(self, capsys, tmp_path):
+        # eval_every 4: the checkpoint at 6 follows a validation at 4 that it keeps no score of
+        full, resumed = self._full_and_resumed(capsys, tmp_path, eval_every=4)
+        full_rows = (full / "history.csv").read_text().splitlines()
+        resumed_rows = (resumed / "history.csv").read_text().splitlines()
+        assert resumed_rows[1:] == full_rows[7:]
+        assert ((resumed / "checkpoint.hgck").read_bytes()
+                == (full / "checkpoint.hgck").read_bytes())
+
+    def test_resume_on_another_class_count_is_config_error(self, capsys, tmp_path):
+        four = gen_dataset(capsys, tmp_path, name="four", n_items=16, n_audio=4,
+                           n_video=6, d_audio=5, d_video=7, seed=2)
+        two = gen_dataset(capsys, tmp_path, name="two", n_items=16, n_classes=2,
+                          n_audio=4, n_video=6, d_audio=5, d_video=7, seed=2)
+        code, _, _ = run(capsys, "train", "--config", str(write_config(tmp_path, max_iters=2)),
+                         "--data", str(four), "--out", str(tmp_path / "part"))
+        assert code == EXIT_OK
+        code, _, err = run(capsys, "train", "--resume", str(tmp_path / "part" / "checkpoint.hgck"),
+                           "--data", str(two), "--out", str(tmp_path / "resumed"),
+                           "--max-iters", "4")
+        assert code == EXIT_DATA
+        assert "num_classes 2 differs from the checkpoint's 4" in err
+        assert not (tmp_path / "resumed" / "checkpoint.hgck").exists()
 
     @pytest.mark.parametrize("flags, message", [
         (("--hidden", "64"), "hidden 64 differs"),
@@ -329,6 +384,19 @@ class TestEval:
         assert code == EXIT_DATA
         assert "9" in err and "5" in err  # both widths named
 
+    def test_class_count_mismatch_names_both_counts(self, capsys, tmp_path):
+        four = gen_dataset(capsys, tmp_path, name="four", n_items=16, n_audio=4,
+                           n_video=6, d_audio=5, d_video=7, seed=4)
+        two = gen_dataset(capsys, tmp_path, name="two", n_items=8, n_classes=2,
+                          n_audio=4, n_video=6, d_audio=5, d_video=7, seed=4)
+        code, _, _ = run(capsys, "train", "--config", str(write_config(tmp_path, max_iters=2)),
+                         "--data", str(four), "--out", str(tmp_path / "run"))
+        assert code == EXIT_OK
+        code, _, err = run(capsys, "eval", "--data", str(two),
+                           "--checkpoint", str(tmp_path / "run" / "checkpoint.hgck"))
+        assert code == EXIT_DATA
+        assert "2 classes, the checkpoint's num_classes is 4" in err
+
 
 class TestInspectGraph:
     def test_three_node_chain(self, capsys, tmp_path):
@@ -404,6 +472,21 @@ class TestDumpAttention:
                            "--data", str(manifest), "--item", "synth-0000")
         assert code == EXIT_DATA
         assert "no attention" in err
+
+    def test_single_modality_checkpoint_rejected(self, capsys, tmp_path):
+        manifest = gen_dataset(capsys, tmp_path, n_items=16, n_audio=4, n_video=6,
+                               d_audio=5, d_video=7, seed=6)
+        cfg = write_config(tmp_path, max_iters=5, modality="audio_only")
+        out_dir = tmp_path / "audio"
+        code, _, _ = run(capsys, "train", "--config", str(cfg),
+                         "--data", str(manifest), "--out", str(out_dir))
+        assert code == EXIT_OK
+        code, out, err = run(capsys, "dump-attention",
+                             "--checkpoint", str(out_dir / "checkpoint.hgck"),
+                             "--data", str(manifest), "--item", "synth-0000")
+        assert code == EXIT_DATA
+        assert "modality='audio_only': no attention to dump" in err
+        assert out == ""
 
     def test_unknown_item(self, capsys, tmp_path):
         manifest = gen_dataset(capsys, tmp_path, n_items=16, n_audio=4, n_video=6,

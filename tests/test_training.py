@@ -1,6 +1,7 @@
 """Loss, schedule, optimizer, loop determinism, checkpoint round-trips."""
 
 import builtins
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -319,6 +320,22 @@ class TestCheckpoint:
         # Compared as JSON text: NaN != NaN.
         assert resumed.final_eval.to_json() == original.final_eval.to_json()
         assert train(items[:6], cfg, resume=load_checkpoint(path)).final_eval is None
+
+    def test_resume_validates_only_on_the_schedule(self, tmp_path, monkeypatch):
+        items = make_items(8)
+        cfg = small_config(max_iters=12, eval_every=3)
+        path = tmp_path / "ck.hgck"
+        train(items[:6], replace(cfg, max_iters=6), val_items=items[6:]).save(path)
+        calls, evaluate = [], training.evaluate
+
+        def counting_evaluate(model, val_items):
+            calls.append(len(val_items))
+            return evaluate(model, val_items)
+
+        monkeypatch.setattr(training, "evaluate", counting_evaluate)
+        rows = train(items[:6], cfg, val_items=items[6:], resume=load_checkpoint(path)).history
+        assert len(calls) == 2  # iterations 9 and 12, not the checkpoint's 6
+        assert [r["iteration"] for r in rows if not np.isnan(r["map"])] == [9, 12]
 
     def test_validation_schedule(self):
         cfg = small_config(max_iters=10, eval_every=4)
