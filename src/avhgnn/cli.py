@@ -22,8 +22,8 @@ from .layers import FUSION_GAT, FUSION_MODES, MODALITIES, MODALITY_BOTH, POOLING
 from .metrics import evaluate
 from .tensor import ComputeGraph, NumericError, ShapeError
 from .training import (MULTI_SEED_NEEDS_VAL, ConfigError, SeedSummary, TrainConfig,
-                       atomic_open, load_checkpoint, split_dataset, train,
-                       write_history_csv)
+                       atomic_open, load_checkpoint, seed_configs, split_dataset,
+                       train, write_history_csv)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -129,18 +129,13 @@ def _parse_seeds(text: str) -> list[int]:
         seeds = [int(s) for s in text.split(",") if s.strip()]
     except ValueError:
         raise ConfigError(f"--seeds must be comma-separated integers, got {text!r}") from None
-    if not seeds:
-        raise ConfigError("--seeds given but no seeds parsed")
     return seeds
 
 
 def _cmd_train(args) -> int:
-    seeds = _parse_seeds(args.seeds) if args.seeds else None
-    if seeds and args.resume:
+    seeds = _parse_seeds(args.seeds) if args.seeds is not None else None
+    if seeds is not None and args.resume:
         raise ConfigError("--resume cannot be combined with --seeds")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     if args.resume:
         if args.config:
             raise ConfigError("--resume cannot be combined with --config")
@@ -149,22 +144,24 @@ def _cmd_train(args) -> int:
     else:
         ckpt = None
         cfg = _train_config(args)
+    seed_cfgs = seed_configs(cfg, seeds) if seeds is not None else None
     _echo("config", cfg.to_dict())
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     with atomic_open(out_dir / "effective_config.json", "w") as f:
         json.dump(cfg.to_dict(), f, indent=2)
 
     items = load_dataset(args.data, cfg.rules)
     items_train, items_val = split_dataset(items, cfg.val_fraction, cfg.seed)
 
-    if seeds:
+    if seed_cfgs:
         if not items_val:
             raise ConfigError(MULTI_SEED_NEEDS_VAL)
         evals = []
-        for s in seeds:
-            ckpt_path, ev = _run_one_seed(items_train, items_val,
-                                          replace(cfg, seed=s), out_dir, f"seed{s}")
+        for c in seed_cfgs:
+            ckpt_path, ev = _run_one_seed(items_train, items_val, c, out_dir, f"seed{c.seed}")
             evals.append(ev)
-            print(f"seed {s}: map {ev.map:.4f} roc_auc {ev.roc_auc:.4f} -> {ckpt_path}")
+            print(f"seed {c.seed}: map {ev.map:.4f} roc_auc {ev.roc_auc:.4f} -> {ckpt_path}")
         aggregate = SeedSummary.from_evals(seeds, evals).to_dict()
         with atomic_open(out_dir / "aggregate.json", "w") as f:
             json.dump(aggregate, f, indent=2)

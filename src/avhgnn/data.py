@@ -138,7 +138,7 @@ class DatasetManifest(Record):
             raise DataFormatError(
                 f"manifest has {len(manifest.class_names)} class names for "
                 f"{manifest.num_classes} classes")
-        items = []
+        items, first_index = [], {}
         for i, it in enumerate(manifest.items):
             try:
                 if not isinstance(it, dict):
@@ -146,6 +146,10 @@ class DatasetManifest(Record):
                 item = ManifestItem(it.get("id"), it.get("container_path"), it.get("labels"))
             except ConfigError as exc:
                 raise DataFormatError(f"manifest item {i}: {exc}") from exc
+            j = first_index.setdefault(item.item_id, i)
+            if j != i:
+                raise DataFormatError(
+                    f"manifest items {j} and {i} share the id {item.item_id!r}")
             for label in item.labels:
                 if type(label) is not int:
                     raise DataFormatError(

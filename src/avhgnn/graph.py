@@ -5,10 +5,11 @@ links to neighbours at strides of `dilation`, up to `span` of them per
 direction. Across modalities, each audio node is anchored to the video
 node at the proportional position in time and linked to a dilated window
 around that anchor. Intra-modality adjacencies are symmetrically
-normalized with self-loops; the cross-modal adjacency stays a binary mask
-(attention normalizes it later). Edges never depend on the clip, so all
-graphs with the same (n_audio, n_video, rules, dtype) share one read-only
-set of adjacency arrays, and such graphs stack into one minibatch graph.
+normalized with self-loops; the cross-modal adjacency is kept as a binary
+mask (for attention) and row-normalized (for the attention-free fusion's
+mean). Edges never depend on the clip, so all graphs with the same
+(n_audio, n_video, rules, dtype) share one read-only set of adjacency
+arrays, and such graphs stack into one minibatch graph.
 """
 
 from __future__ import annotations
@@ -50,8 +51,9 @@ class HeteroGraph:
     """One audio-visual clip as a two-modality graph (or B stacked clips).
 
     adj_aa / adj_vv are the normalized intra-modality adjacencies; adj_va
-    is the raw 0/1 video-to-audio mask with shape (n_audio, n_video). All
-    three are read-only and shared per (n_audio, n_video, rules, dtype).
+    is the raw 0/1 video-to-audio mask with shape (n_audio, n_video), and
+    adj_va_mean that mask with each row divided by its sum. All four are
+    read-only and shared per (n_audio, n_video, rules, dtype).
     """
 
     audio_feats: Tensor
@@ -59,6 +61,11 @@ class HeteroGraph:
     adj_aa: Tensor
     adj_vv: Tensor
     adj_va: np.ndarray
+    adj_va_mean: Tensor
+
+    def structure(self) -> tuple:
+        """The four shared adjacency arrays."""
+        return self.adj_aa.data, self.adj_vv.data, self.adj_va, self.adj_va_mean.data
 
     @property
     def n_audio(self) -> int:
@@ -123,15 +130,21 @@ def normalize_adjacency(adj: np.ndarray, dtype=np.float32) -> Tensor:
     return Tensor(normalized.astype(dtype))
 
 
+def mean_adjacency(mask: np.ndarray, dtype=np.float32) -> Tensor:
+    """A 0/1 mask with each row divided by its sum; a row with no neighbour stays zero."""
+    return Tensor((mask / np.maximum(mask.sum(axis=1, keepdims=True), 1.0)).astype(dtype))
+
+
 @functools.lru_cache(maxsize=128)
 def _shared_adjacencies(n_audio: int, n_video: int, rules: EdgeRules, dtype):
-    """(adj_aa, adj_vv, adj_va) for one shape and rule set, built once, read-only."""
+    """The four adjacencies for one shape and rule set, built once, read-only."""
     adj_aa = normalize_adjacency(temporal_edges(n_audio, rules.audio), dtype=dtype)
     adj_vv = normalize_adjacency(temporal_edges(n_video, rules.video), dtype=dtype)
     adj_va = cross_modal_edges(n_audio, n_video, rules.cross)
-    for arr in (adj_aa.data, adj_vv.data, adj_va):
+    adj_va_mean = mean_adjacency(adj_va, dtype=dtype)
+    for arr in (adj_aa.data, adj_vv.data, adj_va, adj_va_mean.data):
         arr.flags.writeable = False
-    return adj_aa, adj_vv, adj_va
+    return adj_aa, adj_vv, adj_va, adj_va_mean
 
 
 def build_hetero_graph(audio_feats, video_feats, rules: EdgeRules) -> HeteroGraph:
@@ -146,10 +159,9 @@ def build_hetero_graph(audio_feats, video_feats, rules: EdgeRules) -> HeteroGrap
 def stack_graphs(graphs) -> HeteroGraph:
     """Graphs that share one structure, their features stacked on a batch axis."""
     first = graphs[0]
-    if not all(x is y or np.array_equal(x, y) for g in graphs[1:] for x, y in
-               zip((first.adj_aa.data, first.adj_vv.data, first.adj_va),
-                   (g.adj_aa.data, g.adj_vv.data, g.adj_va))):
+    if not all(x is y or np.array_equal(x, y) for g in graphs[1:]
+               for x, y in zip(first.structure(), g.structure())):
         raise ShapeError("stack_graphs needs graphs that share one structure")
     return HeteroGraph(Tensor(np.stack([g.audio_feats.data for g in graphs])),
                        Tensor(np.stack([g.video_feats.data for g in graphs])),
-                       first.adj_aa, first.adj_vv, first.adj_va)
+                       first.adj_aa, first.adj_vv, first.adj_va, first.adj_va_mean)

@@ -2,9 +2,10 @@
 
 The stacked layer updates audio nodes from two flows (audio GCN plus a
 fused video message) and video nodes from one (video GCN); video never
-reads from audio. Graph-level readout pools each modality's final node
-embeddings, by default with learnable per-position weights, and a sigmoid
-head scores each class independently.
+reads from audio. The attention-free fusion is one more GCN, over the
+graph's row-normalized video-to-audio adjacency. Graph-level readout pools
+each modality's final node embeddings, by default with learnable
+per-position weights, and a sigmoid head scores each class independently.
 """
 
 from __future__ import annotations
@@ -101,29 +102,6 @@ class GatFusionLayer:
         return [self.w_msg, self.att_audio, self.att_video]
 
 
-class GcnFusionLayer:
-    """Attention-free fusion: mean over masked video neighbours, then ReLU(. W).
-
-    Used by the ablation that keeps both modalities but drops attention.
-    Audio nodes with no video neighbours receive a zero message.
-    """
-
-    def __init__(self, video_dim: int, out_dim: int, rng: Rng, dtype=np.float32,
-                 name="fusion"):
-        self.weight = xavier_init(video_dim, out_dim, rng, dtype=dtype, name=f"{name}.weight")
-
-    def forward(self, g: ComputeGraph, video_feats: Tensor, mask_va: np.ndarray,
-                audio_feats: Tensor = None):
-        deg = mask_va.sum(axis=1, keepdims=True)
-        norm = np.divide(mask_va, deg, out=np.zeros(mask_va.shape, video_feats.dtype),
-                         where=deg > 0)
-        agg = g.matmul(Tensor(norm), g.matmul(video_feats, self.weight))
-        return g.relu(agg), None
-
-    def params(self):
-        return [self.weight]
-
-
 class HeteroLayer:
     """One stacked update step over both modalities."""
 
@@ -140,8 +118,7 @@ class HeteroLayer:
             self.fusion = GatFusionLayer(audio_in, video_in, out_dim, rng, dtype,
                                          name=f"{name}.fusion")
         elif modality == MODALITY_BOTH and fusion == FUSION_GCN:
-            self.fusion = GcnFusionLayer(video_in, out_dim, rng, dtype,
-                                         name=f"{name}.fusion")
+            self.fusion = GcnLayer(video_in, out_dim, rng, dtype, name=f"{name}.fusion")
 
     def forward(self, g: ComputeGraph, graph: HeteroGraph, h_a, h_v):
         """Returns (h_audio', h_video', attention or None)."""
@@ -149,7 +126,9 @@ class HeteroLayer:
         new_a, new_v = None, None
         if self.audio_gcn is not None:
             new_a = self.audio_gcn.forward(g, h_a, graph.adj_aa)
-            if self.fusion is not None:
+            if isinstance(self.fusion, GcnLayer):
+                new_a = g.add(new_a, self.fusion.forward(g, h_v, graph.adj_va_mean))
+            elif self.fusion is not None:
                 fused, alpha = self.fusion.forward(g, h_v, graph.adj_va, h_a)
                 new_a = g.add(new_a, fused)
         if self.video_gcn is not None:

@@ -102,14 +102,13 @@ class Rng:
         self._gen.bit_generator.state = state
 
 
-def xavier_init(rows: int, cols: int, rng: Rng, dtype=np.float32,
-                requires_grad: bool = True, name: str = "") -> Tensor:
+def xavier_init(rows: int, cols: int, rng: Rng, dtype=np.float32, name: str = "") -> Tensor:
     """Glorot-uniform init: values in [-b, b] with b = sqrt(6 / (rows + cols))."""
     if rows < 1 or cols < 1:
         raise ShapeError(f"xavier_init needs positive dims, got ({rows}, {cols})")
     bound = float(np.sqrt(6.0 / (rows + cols)))
     data = rng.uniform(-bound, bound, (rows, cols)).astype(dtype)
-    return Tensor(data, requires_grad=requires_grad, name=name)
+    return Tensor(data, requires_grad=True, name=name)
 
 
 def _accum(t: Tensor, g: np.ndarray):

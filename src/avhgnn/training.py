@@ -229,8 +229,8 @@ class Checkpoint(Record):
     adam_m: dict
     adam_v: dict
 
-    def build_model(self, dtype=np.float32) -> HgnnModel:
-        model = HgnnModel(self.model_config, Rng(0), dtype=dtype)
+    def build_model(self) -> HgnnModel:
+        model = HgnnModel(self.model_config, Rng(0))
         for name, p in model.named_params():
             if name not in self.params:
                 raise ConfigError(f"checkpoint is missing parameter {name!r}")
@@ -238,7 +238,7 @@ class Checkpoint(Record):
                 raise ConfigError(
                     f"checkpoint parameter {name!r} has shape "
                     f"{self.params[name].shape}, model expects {p.data.shape}")
-            p.data = self.params[name].astype(dtype, copy=True)
+            p.data = self.params[name].astype(p.data.dtype, copy=True)
         return model
 
     def build_optimizer(self, model: HgnnModel) -> Adam:
@@ -337,6 +337,8 @@ def load_checkpoint(path) -> Checkpoint:
     params = {name: take(rows, cols) for name, rows, cols in specs}
     adam_m = {name: take(rows, cols) for name, rows, cols in specs}
     adam_v = {name: take(rows, cols) for name, rows, cols in specs}
+    if offset != len(blob):
+        raise ConfigError(f"checkpoint has {len(blob) - offset} bytes after its last tensor")
     return Checkpoint(
         train_config=train_config, model_config=model_config, iteration=iteration,
         adam_step=adam_step, rng_state=rng_state,
@@ -487,13 +489,19 @@ def _mean_std(values) -> tuple[float, float]:
     return float(arr.mean()), std
 
 
+def seed_configs(cfg: TrainConfig, seeds) -> list[TrainConfig]:
+    """`cfg` once per seed of a multi-seed run."""
+    if not seeds or len(set(seeds)) != len(seeds):
+        raise ConfigError(f"seeds must be one or more distinct integers, got {list(seeds)}")
+    return [replace(cfg, seed=int(s)) for s in seeds]
+
+
 def run_seeds(items, cfg: TrainConfig, seeds, progress=None) -> SeedSummary:
     """Train once per seed on a shared split; report mean and sample std."""
-    if not seeds:
-        raise ConfigError("need at least one seed")
+    configs = seed_configs(cfg, seeds)
     train_items, val_items = split_dataset(items, cfg.val_fraction, cfg.seed)
     if not val_items:
         raise ConfigError(MULTI_SEED_NEEDS_VAL)
-    evals = [train(train_items, replace(cfg, seed=int(s)), val_items=val_items,
-                   progress=progress).final_eval for s in seeds]
+    evals = [train(train_items, c, val_items=val_items, progress=progress).final_eval
+             for c in configs]
     return SeedSummary.from_evals(seeds, evals)

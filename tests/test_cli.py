@@ -281,6 +281,20 @@ class TestTrain:
         assert "--seeds must be comma-separated integers, got '1,x'" in err
         assert "nope.json" not in err
 
+    @pytest.mark.parametrize("seeds, message", [
+        ("1,1", "seeds must be one or more distinct integers, got [1, 1]"),
+        ("-1", "seed must be >= 0, got -1"),
+    ])
+    def test_repeated_or_negative_seed_rejected_before_any_file(self, capsys, tmp_path,
+                                                               seeds, message):
+        cfg = write_config(tmp_path)
+        code, _, err = run(capsys, "train", "--config", str(cfg),
+                           "--data", str(tmp_path / "nope.json"),
+                           "--out", str(tmp_path / "o"), f"--seeds={seeds}")
+        assert code == EXIT_DATA
+        assert message in err
+        assert not (tmp_path / "o").exists()
+
     def test_numeric_blowup_exits_three(self, capsys, tmp_path):
         manifest = gen_dataset(capsys, tmp_path, n_items=16, n_audio=4, n_video=6,
                                d_audio=5, d_video=7, seed=3)
@@ -579,13 +593,16 @@ class TestMalformedInput:
         pytest.param(_header(d_audio="x"), "d_audio must be an integer", id="d_audio-x"),
         pytest.param(_header(n_audio=-3), "n_audio must be >= 1", id="n_audio-neg"),
         pytest.param(_header(hidden=True), "hidden must be an integer", id="hidden-true"),
+        pytest.param((_header(), bytes(14)), "checkpoint has 14 bytes after its last tensor",
+                     id="trailing-bytes"),
     ])
     def test_bad_checkpoint(self, capsys, tmp_path, header, message):
         path = tmp_path / "bad.hgck"
         if header is None:  # 7 bytes: magic plus part of the version field
             path.write_bytes(b"HGCK\x01\x00\x00")
-        else:
-            path.write_bytes(b"HGCK" + struct.pack("<II", 1, len(header)) + header)
+        else:  # a header, or a (header, bytes after the tensors) pair
+            header, tail = header if isinstance(header, tuple) else (header, b"")
+            path.write_bytes(b"HGCK" + struct.pack("<II", 1, len(header)) + header + tail)
         code, _, err = run(capsys, "eval", "--checkpoint", str(path),
                            "--data", str(tmp_path / "absent.json"))
         assert code == EXIT_DATA
@@ -620,6 +637,7 @@ class TestMalformedInput:
         ({"container_path": 5}, "container_path must be a str"),
         ({"id": 5}, "manifest item 0: item_id must be a str"),
         ({"items": [5]}, "manifest item 0: must be a JSON object"),
+        ({"id": "synth-0001"}, "manifest items 0 and 1 share the id 'synth-0001'"),
     ])
     def test_bad_manifest(self, capsys, tmp_path, change, message):
         manifest = gen_dataset(capsys, tmp_path, n_items=4, n_audio=4, n_video=6,

@@ -220,10 +220,11 @@ class TestLoadDataset:
             assert g.adj_aa is first.adj_aa
             assert g.adj_vv is first.adj_vv
             assert g.adj_va is first.adj_va
+            assert g.adj_va_mean is first.adj_va_mean
         assert len(structures) == 3
         assert len({id(g.adj_aa) for g in structures.values()}) == 3
         g = loaded[0].graph
-        for arr in (g.adj_aa.data, g.adj_vv.data, g.adj_va):
+        for arr in g.structure():
             with pytest.raises(ValueError, match="read-only"):
                 arr[0, 0] = 0.5
             with pytest.raises(ValueError, match="read-only"):

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from avhgnn.graph import EdgeRule, EdgeRules, build_hetero_graph, stack_graphs
+from avhgnn.graph import (EdgeRule, EdgeRules, build_hetero_graph, mean_adjacency,
+                          stack_graphs)
 from avhgnn.layers import (FUSION_MODES, GAT_LEAKY_SLOPE, MODALITIES, POOLING_MODES,
-                           GatFusionLayer, GcnFusionLayer, GcnLayer, HgnnModel,
-                           ModelConfig)
+                           GatFusionLayer, GcnLayer, HgnnModel, ModelConfig)
 from avhgnn.tensor import ComputeGraph, NumericError, Rng, ShapeError, Tensor
 from avhgnn.training import focal_loss
 from conftest import assert_grad_close, numeric_gradient
@@ -16,11 +16,10 @@ TINY_RULES = EdgeRules(audio=EdgeRule(1, 1), video=EdgeRule(1, 1), cross=EdgeRul
 
 def gcn_oracle(adj, feats, weight):
     """Per-node loop: out[i] = relu(sum_j adj[i,j] * feats[j] @ W)."""
-    n, d_out = adj.shape[0], weight.shape[1]
-    out = np.zeros((n, d_out))
+    out = np.zeros((adj.shape[0], weight.shape[1]))
     projected = feats @ weight
-    for i in range(n):
-        for j in range(n):
+    for i in range(adj.shape[0]):
+        for j in range(adj.shape[1]):
             out[i] += adj[i, j] * projected[j]
     return np.maximum(out, 0.0)
 
@@ -218,12 +217,12 @@ class TestGatFusion:
 
 class TestGcnFusion:
     def test_mean_aggregation_with_isolated_row(self):
-        layer = GcnFusionLayer(2, 2, Rng(0), dtype=np.float64)
+        # a hand-built mask: every row of a built graph holds its anchor
+        layer = GcnLayer(2, 2, Rng(0), dtype=np.float64)
         layer.weight.data = np.eye(2)
         video = Tensor(np.array([[2.0, -2.0], [4.0, 6.0]]))
         mask = np.array([[1.0, 1.0], [0.0, 0.0]])
-        out, alpha = layer.forward(ComputeGraph(), video, mask)
-        assert alpha is None
+        out = layer.forward(ComputeGraph(), video, mean_adjacency(mask, dtype=np.float64))
         np.testing.assert_allclose(out.data, [[3.0, 2.0], [0.0, 0.0]])
 
 
@@ -282,6 +281,21 @@ class TestHeteroLayer:
                                layer.video_gcn.weight.data)
         np.testing.assert_allclose(h_a.data, exp_audio + exp_fused, atol=1e-6)
         np.testing.assert_allclose(h_v.data, exp_video, atol=1e-6)
+
+    def test_gcn_fusion_matches_composed_oracle(self):
+        model = tiny_model(fusion="gcn", layers=1, pooling="mean")
+        layer = model.layers[0]
+        graph = tiny_graph(seed=5, n_audio=4, n_video=9)
+        result = model.forward(ComputeGraph(), graph)
+        assert result.attention == []
+        mean_va = np.zeros(graph.adj_va.shape)
+        for i in range(graph.n_audio):  # each audio node averages its masked video nodes
+            neigh = np.flatnonzero(graph.adj_va[i] > 0)
+            mean_va[i, neigh] = 1.0 / neigh.size
+        expected = (gcn_oracle(graph.adj_aa.data, graph.audio_feats.data,
+                               layer.audio_gcn.weight.data)
+                    + gcn_oracle(mean_va, graph.video_feats.data, layer.fusion.weight.data))
+        np.testing.assert_allclose(result.audio_states[0], expected, rtol=0, atol=1e-12)
 
 
 class TestPoolingAndHead:

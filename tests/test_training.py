@@ -445,9 +445,13 @@ class TestRunSeeds:
 
     def test_identical_seeds_identical_metrics(self):
         items = make_items(10)
-        summary = run_seeds(items, small_config(max_iters=5), seeds=[4, 4])
-        assert summary.per_seed_map[0] == summary.per_seed_map[1]
-        assert summary.map_std == 0.0
+        first, second = (run_seeds(items, small_config(max_iters=5), seeds=[4])
+                         for _ in range(2))
+        assert first.per_seed_map == second.per_seed_map
+
+    def test_rejects_a_repeated_seed(self):
+        with pytest.raises(ConfigError, match=r"distinct integers, got \[4, 4\]"):
+            run_seeds(make_items(10), small_config(max_iters=5), seeds=[4, 4])
 
     def test_requires_a_seed(self):
         with pytest.raises(ConfigError):
