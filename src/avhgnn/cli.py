@@ -21,9 +21,8 @@ from .graph import EdgeRule, EdgeRules, cross_modal_edges, temporal_edges
 from .layers import FUSION_GAT, FUSION_MODES, MODALITIES, MODALITY_BOTH, POOLING_MODES
 from .metrics import evaluate
 from .tensor import ComputeGraph, NumericError, ShapeError
-from .training import (MULTI_SEED_NEEDS_VAL, ConfigError, SeedSummary, TrainConfig,
-                       atomic_open, load_checkpoint, seed_configs, split_dataset,
-                       train, write_history_csv)
+from .training import (ConfigError, TrainConfig, atomic_open, load_checkpoint,
+                       run_seeds, seed_configs, split_dataset, train, write_history_csv)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -144,7 +143,8 @@ def _cmd_train(args) -> int:
     else:
         ckpt = None
         cfg = _train_config(args)
-    seed_cfgs = seed_configs(cfg, seeds) if seeds is not None else None
+    if seeds is not None:
+        seed_configs(cfg, seeds)  # a bad seed list exits before any file is written
     _echo("config", cfg.to_dict())
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -152,22 +152,19 @@ def _cmd_train(args) -> int:
         json.dump(cfg.to_dict(), f, indent=2)
 
     items = load_dataset(args.data, cfg.rules)
-    items_train, items_val = split_dataset(items, cfg.val_fraction, cfg.seed)
-
-    if seed_cfgs:
-        if not items_val:
-            raise ConfigError(MULTI_SEED_NEEDS_VAL)
-        evals = []
-        for c in seed_cfgs:
+    if seeds is not None:
+        def run_seed(items_train, items_val, c):
             ckpt_path, ev = _run_one_seed(items_train, items_val, c, out_dir, f"seed{c.seed}")
-            evals.append(ev)
             print(f"seed {c.seed}: map {ev.map:.4f} roc_auc {ev.roc_auc:.4f} -> {ckpt_path}")
-        aggregate = SeedSummary.from_evals(seeds, evals).to_dict()
+            return ev
+
+        aggregate = run_seeds(items, cfg, seeds, run=run_seed).to_dict()
         with atomic_open(out_dir / "aggregate.json", "w") as f:
             json.dump(aggregate, f, indent=2)
         _echo("aggregate", aggregate)
         return EXIT_OK
 
+    items_train, items_val = split_dataset(items, cfg.val_fraction, cfg.seed)
     ckpt_path, ev = _run_one_seed(items_train, items_val, cfg, out_dir,
                                   tag="", resume=ckpt)
     if ev is not None:

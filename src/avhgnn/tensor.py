@@ -1,13 +1,14 @@
 """Dense float tensors with reverse-mode autodiff on a recording tape.
 
 A tensor is a matrix or a batch of B matrices; rows and cols are the last
-two axes, so every op serves one graph and B same-shape graphs alike.
-Everything downstream (graph layers, pooling, the head) is built from the
-ops on ComputeGraph, and the focal loss is one op of its own. Forward
-values are computed eagerly with numpy; each op appends a backward rule to
-the tape, and backward() replays the tape in reverse. float32 is the
-training dtype; float64 is used as a shadow mode by the gradient-check
-tests.
+two axes, so every op serves one graph and B same-shape graphs alike. A
+batch times a shared 2-D operand (a weight) folds the batch into matrix
+rows: one GEMM forward and one per gradient backward. Everything
+downstream (graph layers, pooling, the head) is built from the ops on
+ComputeGraph, and the focal loss is one op of its own. Forward values are
+computed eagerly with numpy; each op appends a backward rule to the tape,
+and backward() replays the tape in reverse. float32 is the training
+dtype; float64 is used as a shadow mode by the gradient-check tests.
 """
 
 from __future__ import annotations
@@ -151,15 +152,24 @@ class ComputeGraph:
     # -- linear algebra -------------------------------------------------------
 
     def matmul(self, a: Tensor, b: Tensor) -> Tensor:
+        """a @ b. A batched `a` times a shared 2-D `b` (a weight) folds the
+        batch into rows: one (B*n) x k GEMM, whose backward sums b's gradient
+        over the batch inside the GEMM instead of over a B x k x m stack."""
         if a.cols != b.rows:
             raise ShapeError(f"matmul inner dims differ: {a.shape} x {b.shape}")
-        out_data = a.data @ b.data
+        fold = a.data.ndim == 3 and b.data.ndim == 2
+        a_rows = a.data.reshape(-1, a.cols) if fold else a.data
+        out_data = a_rows @ b.data
+        if fold:
+            out_data = out_data.reshape(a.shape[:-1] + (b.cols,))
 
         def backward(g):
+            g_rows = g.reshape(-1, b.cols) if fold else g
             if a.requires_grad:
-                _accum(a, g @ b.data.swapaxes(-1, -2))
+                ga = g_rows @ b.data.swapaxes(-1, -2)
+                _accum(a, ga.reshape(g.shape[:-1] + (a.cols,)))
             if b.requires_grad:
-                _accum(b, a.data.swapaxes(-1, -2) @ g)
+                _accum(b, a_rows.swapaxes(-1, -2) @ g_rows)
 
         return self._emit(out_data, backward)
 

@@ -33,9 +33,6 @@ CHECKPOINT_VERSION = 1
 PROB_CLAMP = 1e-7
 
 
-MULTI_SEED_NEEDS_VAL = "multi-seed run needs a non-empty validation split"
-
-
 @dataclass
 class TrainConfig(Record):
     """Hyperparameters for optimization, architecture, and graph building."""
@@ -123,7 +120,9 @@ def lr_at(iteration: int, cfg: TrainConfig) -> float:
 
 
 class Adam:
-    """Standard Adam with bias correction, one (m, v) pair per parameter."""
+    """Standard Adam with bias correction, one (m, v) pair per parameter. A
+    step runs in place through two scratch buffers sized to the largest
+    parameter and shared by all, so it allocates no per-parameter temporaries."""
 
     def __init__(self, named_params, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8):
@@ -134,6 +133,8 @@ class Adam:
             name: (np.zeros_like(p.data), np.zeros_like(p.data))
             for name, p in self._params
         }
+        nbytes = max((p.data.nbytes for _, p in self._params), default=0)
+        self._scratch = (np.empty(nbytes, np.uint8), np.empty(nbytes, np.uint8))
 
     def step(self, lr: float):
         self.step_count += 1
@@ -145,13 +146,19 @@ class Adam:
             if not np.isfinite(grad).all():
                 raise NumericError(f"non-finite gradient for parameter {name!r}")
             m, v = self.moments[name]
+            s, d = (buf[:p.data.nbytes].view(p.data.dtype).reshape(p.data.shape)
+                    for buf in self._scratch)
             m *= self.beta1
-            m += (1.0 - self.beta1) * grad
+            m += np.multiply(grad, 1.0 - self.beta1, out=s)
             v *= self.beta2
-            v += (1.0 - self.beta2) * grad * grad
-            m_hat = m / (1.0 - self.beta1 ** t)
-            v_hat = v / (1.0 - self.beta2 ** t)
-            p.data -= (lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(p.data.dtype)
+            np.multiply(grad, 1.0 - self.beta2, out=s)
+            v += np.multiply(s, grad, out=s)
+            np.divide(m, 1.0 - self.beta1 ** t, out=s)  # m_hat
+            np.divide(v, 1.0 - self.beta2 ** t, out=d)  # v_hat
+            np.sqrt(d, out=d)
+            d += self.eps
+            s *= lr
+            p.data -= np.divide(s, d, out=s)
 
 
 # -- dataset split ---------------------------------------------------------------
@@ -496,12 +503,13 @@ def seed_configs(cfg: TrainConfig, seeds) -> list[TrainConfig]:
     return [replace(cfg, seed=int(s)) for s in seeds]
 
 
-def run_seeds(items, cfg: TrainConfig, seeds, progress=None) -> SeedSummary:
-    """Train once per seed on a shared split; report mean and sample std."""
+def run_seeds(items, cfg: TrainConfig, seeds, run=None) -> SeedSummary:
+    """Train once per seed on a shared split; report mean and sample std.
+    `run(train_items, val_items, seed_cfg)` trains one seed and returns its
+    held-out EvalResult; the default is `train(...).final_eval`."""
     configs = seed_configs(cfg, seeds)
     train_items, val_items = split_dataset(items, cfg.val_fraction, cfg.seed)
     if not val_items:
-        raise ConfigError(MULTI_SEED_NEEDS_VAL)
-    evals = [train(train_items, c, val_items=val_items, progress=progress).final_eval
-             for c in configs]
-    return SeedSummary.from_evals(seeds, evals)
+        raise ConfigError("multi-seed run needs a non-empty validation split")
+    run = run or (lambda tr, val, c: train(tr, c, val_items=val).final_eval)
+    return SeedSummary.from_evals(seeds, [run(train_items, val_items, c) for c in configs])

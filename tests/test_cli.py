@@ -11,7 +11,7 @@ import pytest
 from avhgnn import cli, training
 from avhgnn.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from avhgnn.cli import attention_summary
-from avhgnn.data import load_dataset
+from avhgnn.data import FeatureContainer, load_dataset, write_container
 from avhgnn.metrics import evaluate
 from avhgnn.tensor import Rng
 from avhgnn.training import TrainConfig, run_seeds
@@ -654,6 +654,21 @@ class TestMalformedInput:
                            "--max-iters", "2")
         assert code == EXIT_DATA
         assert message in err
+
+    def test_empty_feature_blocks_named_per_item(self, capsys, tmp_path):
+        manifest = gen_dataset(capsys, tmp_path, n_items=8, n_audio=4, n_video=6,
+                               d_audio=5, d_video=7, mode="audio_only_solvable")
+        write_container(manifest.parent / "synth-0003.hgav",
+                        FeatureContainer(audio=np.zeros((0, 5)), video=np.ones((6, 7))))
+        write_container(manifest.parent / "synth-0005.hgav",
+                        FeatureContainer(audio=np.ones((4, 5)), video=np.zeros((6, 0))))
+        code, _, err = run(capsys, "train", "--config", str(write_config(tmp_path)),
+                           "--data", str(manifest), "--out", str(tmp_path / "o"),
+                           "--max-iters", "2")
+        assert code == EXIT_DATA
+        assert "2 item(s) failed to load" in err
+        assert "'synth-0003'" in err and "audio block has shape (0, 5)" in err
+        assert "'synth-0005'" in err and "video block has shape (6, 0)" in err
 
 
 class TestUsage:

@@ -26,6 +26,37 @@ class TestContainerFormat:
         assert loaded.audio.tobytes() == container.audio.tobytes()
         assert loaded.video.tobytes() == container.video.tobytes()
 
+    def test_read_into_a_shared_buffer(self, tmp_path):
+        rng = np.random.default_rng(1)
+        container = FeatureContainer(audio=rng.normal(0, 1, (3, 4)),
+                                     video=rng.normal(0, 1, (5, 2)))
+        path = tmp_path / "clip.hgav"
+        write_container(path, container)
+        out = np.zeros(30, np.float32)
+        loaded = read_container(path, out=out[4:26])
+        assert loaded.audio.tobytes() == container.audio.tobytes()
+        assert loaded.video.tobytes() == container.video.tobytes()
+        assert np.shares_memory(loaded.audio, out) and np.shares_memory(loaded.video, out)
+        assert not out[:4].any() and not out[26:].any()
+        with pytest.raises(DataFormatError, match="changed while it was read"):
+            read_container(path, out=np.zeros(21, np.float32))
+
+    def test_loaded_items_share_one_feature_buffer(self, tmp_path):
+        spec = SynthSpec(n_items=4, n_classes=2, mode="audio_only_solvable")
+        manifest = generate_synthetic(spec, tmp_path)
+        items = load_dataset(manifest, RULES)
+        buffers = set()
+        for it in items:
+            for x in (it.graph.audio_feats.data, it.graph.video_feats.data):
+                while x.base is not None:
+                    x = x.base
+                buffers.add(id(x))
+        assert len(buffers) == 1
+        for it in items:
+            direct = read_container(tmp_path / f"{it.item_id}.hgav")
+            assert it.graph.audio_feats.data.tobytes() == direct.audio.tobytes()
+            assert it.graph.video_feats.data.tobytes() == direct.video.tobytes()
+
     def test_minimal_container_is_32_bytes(self, tmp_path):
         path = tmp_path / "min.hgav"
         write_container(path, FeatureContainer(audio=np.ones((1, 1)),

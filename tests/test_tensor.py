@@ -1,6 +1,7 @@
 """Tensor core: forward semantics, backward rules vs finite differences."""
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -180,6 +181,23 @@ class TestBackward:
             gc.enable()
         assert w.grad is not None
 
+    def test_shared_weight_gradient_needs_no_per_graph_stack(self):
+        # A batch times a shared weight folds the batch into GEMM rows, so the
+        # weight's gradient is one k x m product: no B x k x m stack of
+        # per-graph gradients is ever allocated.
+        x = Tensor(np.ones((8, 4, 64), dtype=np.float32))
+        w = Tensor(np.ones((64, 64), dtype=np.float32), requires_grad=True)
+        g = ComputeGraph()
+        loss = g.sum_all(g.matmul(x, w))
+        tracemalloc.start()
+        try:
+            g.backward(loss)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 64 * 64 * w.data.itemsize / 2
+        np.testing.assert_array_equal(w.grad, np.full((64, 64), 32.0))
+
     def test_leaf_without_requires_grad_gets_none(self):
         g = ComputeGraph()
         w = Tensor([[1.0, 2.0]], requires_grad=True)
@@ -266,10 +284,11 @@ class TestGradientOracle:
                                                       g.matmul(row, a))), [a])
 
     @pytest.mark.parametrize("shapes", [((3, 4, 5), (5, 2)), ((4, 5), (3, 5, 2)),
-                                        ((3, 4, 5), (3, 5, 2))])
+                                        ((3, 4, 5), (3, 5, 2)), ((1, 4, 5), (5, 2)),
+                                        ((3, 1, 5), (5, 2))])
     def test_batched_matmul(self, rng64, shapes):
         a, b = _leaf(rng64, *shapes[0]), _leaf(rng64, *shapes[1])
-        weight = Tensor(rng64.normal(0, 1, (3, 4, 2)))
+        weight = Tensor(rng64.normal(0, 1, np.matmul(a.data, b.data).shape))
         self._check(lambda g: g.sum_all(g.mul(g.matmul(a, b), weight)), [a, b])
 
     @pytest.mark.parametrize("shapes", [((3, 4, 1), (3, 1, 5)), ((3, 1, 5), (1, 5))])

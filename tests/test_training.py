@@ -165,6 +165,38 @@ class TestAdam:
             ref -= lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
         np.testing.assert_allclose(p.data, ref, rtol=1e-5, atol=1e-6)
 
+    def test_bitwise_equal_to_textbook_formula_in_float32(self):
+        # The in-place update must round exactly as the textbook expression
+        # does, for parameters of different sizes sharing the scratch buffers.
+        rng = np.random.default_rng(7)
+        shapes = {"big": (6, 5), "small": (2, 3), "unused": (4, 4)}
+        params = {name: Tensor(rng.normal(0, 1, shape).astype(np.float32),
+                               requires_grad=True, name=name)
+                  for name, shape in shapes.items()}
+        ref = {name: p.data.copy() for name, p in params.items()}
+        m = {name: np.zeros(shape, np.float32) for name, shape in shapes.items()}
+        v = {name: np.zeros(shape, np.float32) for name, shape in shapes.items()}
+        opt = Adam(list(params.items()))
+        b1, b2, eps = 0.9, 0.999, 1e-8
+        for t, lr in enumerate([0.001, 0.004, 0.0025, 0.0005], start=1):
+            for name in ("big", "small"):
+                params[name].grad = rng.normal(0, 1, shapes[name]).astype(np.float32)
+            opt.step(lr)
+            for name in shapes:
+                grad = params[name].grad
+                if grad is None:
+                    grad = np.zeros(shapes[name], np.float32)
+                m[name] = b1 * m[name] + (1 - b1) * grad
+                v[name] = b2 * v[name] + (1 - b2) * grad * grad
+                m_hat = m[name] / (1 - b1 ** t)
+                v_hat = v[name] / (1 - b2 ** t)
+                ref[name] = ref[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
+                assert ref[name].dtype == np.float32
+                np.testing.assert_array_equal(params[name].data, ref[name])
+                np.testing.assert_array_equal(opt.moments[name][0], m[name])
+                np.testing.assert_array_equal(opt.moments[name][1], v[name])
+        assert params["unused"].grad is None
+
     def test_nan_gradient_aborts_with_parameter_name(self):
         p = Tensor(np.ones((1, 1), dtype=np.float32), requires_grad=True,
                    name="layer0.audio.weight")
