@@ -1,18 +1,18 @@
 """Training: focal loss, Adam with warmup + one-step decay, checkpoints.
 
-Graphs of a minibatch with the same node counts are stacked and run as
-one forward and backward on one tape; gradients are averaged over the
-minibatch. Batch composition at iteration t is a pure function of
-(seed, t) - concatenated per-epoch permutations - so resuming from a
-checkpoint replays the identical stream. TrainConfig.validates(t) is the
-one validation schedule; a history row holds only its own iteration's
-scores, so a resume from any iteration writes the uninterrupted run's
-rows. Single-threaded on purpose: same seed means bitwise-identical curves.
-"""
+Graphs of a minibatch with the same node counts are stacked and run as one
+forward and backward on one tape. Adam holds parameters and moments as three
+flat blocks, the checkpoint's payload, and updates them in chunks from the
+gathered gradients averaged over the minibatch. Batch composition at
+iteration t is a pure function of (seed, t) - concatenated per-epoch
+permutations - so a resume replays the identical stream, and a history row
+holds only its own iteration's scores (TrainConfig.validates(t)). Single-
+threaded on purpose: same seed means bitwise-identical curves and resumes."""
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from contextlib import contextmanager
@@ -31,6 +31,7 @@ CHECKPOINT_MAGIC = b"HGCK"
 CHECKPOINT_VERSION = 1
 
 PROB_CLAMP = 1e-7
+CHUNK = 1 << 16  # values per Adam pass: 64K ran a paper-scale step fastest
 
 
 @dataclass
@@ -119,46 +120,63 @@ def lr_at(iteration: int, cfg: TrainConfig) -> float:
 # -- optimizer -----------------------------------------------------------------
 
 
+def _split(block, shapes) -> list:
+    """Consecutive views of a flat block, one per shape."""
+    ends = np.cumsum([math.prod(shape) for shape in shapes], dtype=np.int64).tolist()
+    return [block[lo:hi].reshape(shape) for shape, lo, hi in zip(shapes, [0] + ends, ends)]
+
+
 class Adam:
-    """Standard Adam with bias correction, one (m, v) pair per parameter. A
-    step runs in place through two scratch buffers sized to the largest
-    parameter and shared by all, so it allocates no per-parameter temporaries."""
+    """Standard Adam with bias correction over one flat buffer.
+
+    Adam owns its parameters' storage: each `p.data` becomes a view of
+    `blocks[0]`, in the given order, so a second Adam on the same parameters
+    re-homes them. `blocks` is (parameters, m, v), the checkpoint payload;
+    `moments[name]` is one parameter's (m, v) views."""
 
     def __init__(self, named_params, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8):
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
         self._params = list(named_params)
-        self.moments = {
-            name: (np.zeros_like(p.data), np.zeros_like(p.data))
-            for name, p in self._params
-        }
-        nbytes = max((p.data.nbytes for _, p in self._params), default=0)
-        self._scratch = (np.empty(nbytes, np.uint8), np.empty(nbytes, np.uint8))
+        shapes = [p.data.shape for _, p in self._params]
+        dtype = np.result_type(np.float32, *(p.data for _, p in self._params))
+        n = sum(p.data.size for _, p in self._params)
+        self.blocks = (np.empty(n, dtype), np.zeros(n, dtype), np.zeros(n, dtype))
+        self._grad = np.empty(n, dtype)
+        data, m, v, self._grads = (_split(b, shapes) for b in self.blocks + (self._grad,))
+        for (_, p), view in zip(self._params, data):
+            view[...] = p.data
+            p.data = view
+        self.moments = {name: mv for (name, _), mv in zip(self._params, zip(m, v))}
+        self._scratch = (np.empty(min(n, CHUNK), dtype), np.empty(min(n, CHUNK), dtype))
 
-    def step(self, lr: float):
+    def step(self, lr: float, grad_scale: float = 1.0):
+        """Gather every `grad` (None counts as zeros) into one buffer, scale and
+        check it once, then update in place CHUNK values at a time."""
         self.step_count += 1
-        t = self.step_count
-        for name, p in self._params:
-            grad = p.grad
-            if grad is None:
-                grad = np.zeros_like(p.data)
-            if not np.isfinite(grad).all():
-                raise NumericError(f"non-finite gradient for parameter {name!r}")
-            m, v = self.moments[name]
-            s, d = (buf[:p.data.nbytes].view(p.data.dtype).reshape(p.data.shape)
-                    for buf in self._scratch)
+        grad = self._grad
+        np.concatenate([np.zeros_like(p.data) if p.grad is None else p.grad
+                        for _, p in self._params], axis=None, out=grad)
+        grad *= grad_scale
+        if not np.isfinite(grad).all():
+            bad = next(name for (name, _), g in zip(self._params, self._grads)
+                       if not np.isfinite(g).all())
+            raise NumericError(f"non-finite gradient for parameter {bad!r}")
+        for lo in range(0, grad.size, CHUNK):
+            p, m, v, g = (a[lo:lo + CHUNK] for a in self.blocks + (grad,))
+            s, d = (buf[:g.size] for buf in self._scratch)
             m *= self.beta1
-            m += np.multiply(grad, 1.0 - self.beta1, out=s)
+            m += np.multiply(g, 1.0 - self.beta1, out=s)
             v *= self.beta2
-            np.multiply(grad, 1.0 - self.beta2, out=s)
-            v += np.multiply(s, grad, out=s)
-            np.divide(m, 1.0 - self.beta1 ** t, out=s)  # m_hat
-            np.divide(v, 1.0 - self.beta2 ** t, out=d)  # v_hat
+            np.multiply(g, 1.0 - self.beta2, out=s)
+            v += np.multiply(s, g, out=s)
+            np.divide(m, 1.0 - self.beta1 ** self.step_count, out=s)  # m_hat
+            np.divide(v, 1.0 - self.beta2 ** self.step_count, out=d)  # v_hat
             np.sqrt(d, out=d)
             d += self.eps
             s *= lr
-            p.data -= np.divide(s, d, out=s)
+            p -= np.divide(s, d, out=s)
 
 
 # -- dataset split ---------------------------------------------------------------
@@ -232,9 +250,9 @@ class Checkpoint(Record):
     iteration: int
     adam_step: int
     rng_state: dict
-    params: dict          # name -> ndarray (f32)
-    adam_m: dict
-    adam_v: dict
+    params: dict          # name -> (rows, cols) f32 view of the parameter block
+    adam_m: dict          # the same views of the first-moment block
+    adam_v: dict          # and of the second-moment block
 
     def build_model(self) -> HgnnModel:
         model = HgnnModel(self.model_config, Rng(0))
@@ -242,17 +260,16 @@ class Checkpoint(Record):
             if name not in self.params:
                 raise ConfigError(f"checkpoint is missing parameter {name!r}")
             if self.params[name].shape != p.data.shape:
-                raise ConfigError(
-                    f"checkpoint parameter {name!r} has shape "
-                    f"{self.params[name].shape}, model expects {p.data.shape}")
-            p.data = self.params[name].astype(p.data.dtype, copy=True)
+                raise ConfigError(f"checkpoint parameter {name!r} has shape "
+                                  f"{self.params[name].shape}, model expects {p.data.shape}")
+            p.data = self.params[name].astype(p.data.dtype, copy=False)
         return model
 
     def build_optimizer(self, model: HgnnModel) -> Adam:
         opt = Adam(model.named_params())
         opt.step_count = self.adam_step
-        for name, _ in model.named_params():
-            opt.moments[name] = (self.adam_m[name].copy(), self.adam_v[name].copy())
+        for block, saved in zip(opt.blocks[1:], (self.adam_m, self.adam_v)):
+            np.concatenate([saved[name] for name in opt.moments], axis=None, out=block)
         return opt
 
 
@@ -260,32 +277,26 @@ def save_checkpoint(path, model: HgnnModel, optimizer: Adam, iteration: int,
                     rng: Rng, train_config: TrainConfig):
     """Single binary file: magic, version, JSON header, then f32 LE tensors.
 
-    Tensor payload order is model parameters, then Adam first moments, then
-    second moments, all in the model's declared parameter order.
-    """
+    The payload is the optimizer's `blocks`, one write each: parameters, first
+    and second moments, in the model's declared parameter order. The optimizer
+    must hold the model's parameters, as `Adam(model.named_params())` does."""
     named = model.named_params()
-    header = {
+    blocks = optimizer.blocks
+    if [n for n, _ in named] != list(optimizer.moments) or any(
+            p.data.base is not blocks[0] for _, p in named):
+        raise ValueError("the optimizer does not hold the model's parameters")
+    header = json.dumps({
         "train_config": train_config.to_dict(),
         "model_config": model.config.to_dict(),
         "iteration": int(iteration),
         "adam_step": int(optimizer.step_count),
         "rng_state": rng.get_state(),
-        "params": [
-            {"name": name, "rows": p.rows, "cols": p.cols} for name, p in named
-        ],
-    }
-    header_bytes = json.dumps(header).encode("utf-8")
+        "params": [{"name": name, "rows": p.rows, "cols": p.cols} for name, p in named],
+    }).encode("utf-8")
     with atomic_open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", CHECKPOINT_VERSION))
-        f.write(struct.pack("<I", len(header_bytes)))
-        f.write(header_bytes)
-        for _, p in named:
-            f.write(np.ascontiguousarray(p.data, dtype="<f4").tobytes())
-        for which in (0, 1):
-            for name, _ in named:
-                f.write(np.ascontiguousarray(optimizer.moments[name][which],
-                                             dtype="<f4").tobytes())
+        f.write(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(header)) + header)
+        for block in blocks:
+            f.write(np.ascontiguousarray(block, dtype="<f4"))
 
 
 @contextmanager
@@ -307,45 +318,40 @@ def atomic_open(path, mode: str):
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint: each payload block into one array, each tensor a view of it."""
     with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:4] != CHECKPOINT_MAGIC:
-        raise ConfigError(f"not a checkpoint file: bad magic {blob[:4]!r}")
-    if len(blob) < 12:
-        raise ConfigError(f"checkpoint truncated: {len(blob)} bytes, header needs 12")
-    version, header_len = struct.unpack("<II", blob[4:12])
-    if version != CHECKPOINT_VERSION:
-        raise ConfigError(f"unsupported checkpoint version {version}")
-    try:
-        header = json.loads(blob[12:12 + header_len].decode("utf-8"))
-        specs = [(s["name"], int(s["rows"]), int(s["cols"])) for s in header["params"]]
-        if any(min(rows, cols) < 1 for _, rows, cols in specs):
-            raise ValueError(f"parameter shapes must be >= 1, got {specs}")
-        train_config = TrainConfig.from_dict(header["train_config"])
-        model_config = ModelConfig.from_dict(header["model_config"])
-        iteration, adam_step = header["iteration"], header["adam_step"]
-        rng_state = header["rng_state"]
-        Rng(0).set_state(rng_state)
-    except (KeyError, TypeError, ValueError) as exc:  # ValueError covers bad JSON/UTF-8
-        raise ConfigError(f"malformed checkpoint header: {exc!r}") from exc
-    offset = 12 + header_len
-
-    def take(rows, cols):
-        nonlocal offset
-        nbytes = rows * cols * 4
-        if offset + nbytes > len(blob):
-            raise ConfigError(
-                f"checkpoint truncated: need {offset + nbytes} bytes, have {len(blob)}")
-        arr = np.frombuffer(blob, dtype="<f4", count=rows * cols,
-                            offset=offset).reshape(rows, cols).copy()
-        offset += nbytes
-        return arr
-
-    params = {name: take(rows, cols) for name, rows, cols in specs}
-    adam_m = {name: take(rows, cols) for name, rows, cols in specs}
-    adam_v = {name: take(rows, cols) for name, rows, cols in specs}
-    if offset != len(blob):
-        raise ConfigError(f"checkpoint has {len(blob) - offset} bytes after its last tensor")
+        head = f.read(12)
+        if head[:4] != CHECKPOINT_MAGIC:
+            raise ConfigError(f"not a checkpoint file: bad magic {head[:4]!r}")
+        if len(head) < 12:
+            raise ConfigError(f"checkpoint truncated: {len(head)} bytes, header needs 12")
+        version, header_len = struct.unpack("<II", head[4:12])
+        if version != CHECKPOINT_VERSION:
+            raise ConfigError(f"unsupported checkpoint version {version}")
+        try:
+            header = json.loads(f.read(header_len).decode("utf-8"))
+            specs = [(s["name"], int(s["rows"]), int(s["cols"])) for s in header["params"]]
+            if any(min(rows, cols) < 1 for _, rows, cols in specs):
+                raise ValueError(f"parameter shapes must be >= 1, got {specs}")
+            train_config = TrainConfig.from_dict(header["train_config"])
+            model_config = ModelConfig.from_dict(header["model_config"])
+            iteration, adam_step = header["iteration"], header["adam_step"]
+            rng_state = header["rng_state"]
+            Rng(0).set_state(rng_state)
+        except (KeyError, TypeError, ValueError) as exc:  # ValueError covers bad JSON/UTF-8
+            raise ConfigError(f"malformed checkpoint header: {exc!r}") from exc
+        total = sum(rows * cols for _, rows, cols in specs)
+        expected = 12 + header_len + 3 * 4 * total
+        size = os.fstat(f.fileno()).st_size
+        if size < expected:
+            raise ConfigError(f"checkpoint truncated: need {expected} bytes, have {size}")
+        if size > expected:
+            raise ConfigError(f"checkpoint has {size - expected} bytes after its last tensor")
+        blocks = [np.empty(total, "<f4") for _ in range(3)]
+        if sum(map(f.readinto, blocks)) != 3 * 4 * total:
+            raise ConfigError("checkpoint changed while it was read")
+    names, shapes = [s[0] for s in specs], [s[1:] for s in specs]
+    params, adam_m, adam_v = (dict(zip(names, _split(block, shapes))) for block in blocks)
     return Checkpoint(
         train_config=train_config, model_config=model_config, iteration=iteration,
         adam_step=adam_step, rng_state=rng_state,
@@ -402,7 +408,7 @@ def train(items, cfg: TrainConfig, val_items=None, resume: Checkpoint | None = N
     `progress(row)` is called once per iteration with the history row.
     """
     model_cfg = model_config_for(cfg, *_check_dataset(items, cfg))
-
+    rng = Rng(cfg.seed)
     if resume is not None:
         for name, new in model_cfg.to_dict().items():
             old = getattr(resume.model_config, name)
@@ -411,14 +417,12 @@ def train(items, cfg: TrainConfig, val_items=None, resume: Checkpoint | None = N
                                   "a resume keeps the model")
         model = resume.build_model()
         optimizer = resume.build_optimizer(model)
-        rng = Rng(cfg.seed)
         rng.set_state(resume.rng_state)
         start = resume.iteration
         if start > cfg.max_iters:
             raise ConfigError(f"max_iters {cfg.max_iters} is below the checkpoint's "
                               f"iteration {start}")
     else:
-        rng = Rng(cfg.seed)
         model = HgnnModel(model_cfg, rng)
         optimizer = Adam(model.named_params())
         start = 0
@@ -440,11 +444,7 @@ def train(items, cfg: TrainConfig, val_items=None, resume: Checkpoint | None = N
             loss = focal_loss(g, result.probs, [items[i].labels for i in group], cfg.gamma)
             g.backward(loss)
             total += loss.item()
-        inv_batch = np.float32(1.0 / len(batch))
-        for _, p in model.named_params():
-            if p.grad is not None:
-                p.grad *= inv_batch
-        optimizer.step(lr)
+        optimizer.step(lr, grad_scale=np.float32(1.0 / len(batch)))
 
         ev = evaluate(model, val_items) if val_items and cfg.validates(t) else None
         row = {"iteration": t, "loss": total / len(batch), "lr": lr,

@@ -1,6 +1,7 @@
 """Loss, schedule, optimizer, loop determinism, checkpoint round-trips."""
 
 import builtins
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -205,6 +206,55 @@ class TestAdam:
         with pytest.raises(NumericError, match="layer0.audio.weight"):
             opt.step(0.01)
 
+    def test_non_finite_gradient_names_the_first_bad_parameter(self):
+        params = {name: Tensor(np.full((2, 3), k, np.float32), requires_grad=True, name=name)
+                  for k, name in enumerate(("first", "second", "third"))}
+        for p in params.values():
+            p.grad = np.ones((2, 3), np.float32)
+        params["second"].grad[1, 2] = np.inf
+        params["third"].grad[0, 0] = np.nan
+        opt = Adam(list(params.items()))
+        with pytest.raises(NumericError, match="'second'") as err:
+            opt.step(0.01, grad_scale=0.5)
+        assert "first" not in str(err.value) and "third" not in str(err.value)
+        for k, (name, p) in enumerate(params.items()):
+            np.testing.assert_array_equal(p.data, np.full((2, 3), k, np.float32))
+            assert not opt.moments[name][0].any() and not opt.moments[name][1].any()
+
+    def test_chunked_scaled_step_bitwise_equal_to_textbook_formula(self):
+        # A parameter spanning several chunks, updated from grad * grad_scale,
+        # rounds exactly as the textbook expression on the scaled gradient.
+        rng = np.random.default_rng(11)
+        shapes = {"big": (300, 250), "small": (3, 7), "unused": (4, 4)}
+        assert 300 * 250 > training.CHUNK
+        params = {name: Tensor(rng.normal(0, 1, shape).astype(np.float32),
+                               requires_grad=True, name=name)
+                  for name, shape in shapes.items()}
+        ref = {name: p.data.copy() for name, p in params.items()}
+        m = {name: np.zeros(shape, np.float32) for name, shape in shapes.items()}
+        v = {name: np.zeros(shape, np.float32) for name, shape in shapes.items()}
+        opt = Adam(list(params.items()))
+        b1, b2, eps, scale = 0.9, 0.999, 1e-8, 1 / 8
+        for t, lr in enumerate([0.002, 0.0005, 0.003, 0.001], start=1):
+            for name in ("big", "small"):
+                params[name].grad = rng.normal(0, 3, shapes[name]).astype(np.float32)
+            opt.step(lr, grad_scale=scale)
+            for name in shapes:
+                grad = params[name].grad
+                if grad is None:
+                    grad = np.zeros(shapes[name], np.float32)
+                grad = grad * np.float32(scale)
+                m[name] = b1 * m[name] + (1 - b1) * grad
+                v[name] = b2 * v[name] + (1 - b2) * grad * grad
+                m_hat = m[name] / (1 - b1 ** t)
+                v_hat = v[name] / (1 - b2 ** t)
+                ref[name] = ref[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
+                assert ref[name].dtype == np.float32
+                np.testing.assert_array_equal(params[name].data, ref[name])
+                np.testing.assert_array_equal(opt.moments[name][0], m[name])
+                np.testing.assert_array_equal(opt.moments[name][1], v[name])
+        assert params["unused"].grad is None
+
 
 class TestSplitAndBatches:
     def test_split_sizes_and_determinism(self):
@@ -406,6 +456,56 @@ class TestCheckpoint:
             for side in (0, 1):
                 assert np.array_equal(opt.moments[name][side],
                                       result.optimizer.moments[name][side])
+
+    def test_model_and_optimizer_share_storage(self, tmp_path):
+        items = make_items(4)
+        cfg = small_config(max_iters=1)
+        initial = training.HgnnModel(training.model_config_for(cfg, 5, 6, 3, 4, 2),
+                                     training.Rng(cfg.seed))
+        result = train(items, cfg)
+        named = result.model.named_params()
+        blocks = result.optimizer.blocks
+        model_bytes = b"".join(p.data.tobytes() for _, p in named)
+        assert all(np.shares_memory(p.data, blocks[0]) for _, p in named)
+        assert model_bytes == blocks[0].tobytes()
+        assert model_bytes != b"".join(p.data.tobytes() for _, p in initial.named_params())
+
+        path = tmp_path / "ck.hgck"
+        save_checkpoint(path, result.model, result.optimizer, 1, result.rng, cfg)
+        payload = b"".join(block.tobytes() for block in blocks)
+        assert path.read_bytes()[-len(payload):] == payload
+        assert payload[:len(model_bytes)] == model_bytes
+
+        ckpt = load_checkpoint(path)
+        model = ckpt.build_model()
+        opt = ckpt.build_optimizer(model)
+        assert all(np.shares_memory(p.data, opt.blocks[0]) for _, p in model.named_params())
+        assert [b.tobytes() for b in opt.blocks] == [b.tobytes() for b in blocks]
+        resumed = train(items, small_config(max_iters=3), resume=ckpt)
+        full = train(items, small_config(max_iters=3))
+        assert resumed.optimizer.blocks[0].tobytes() == full.optimizer.blocks[0].tobytes()
+
+        # A second Adam re-homes the parameters; the first no longer holds them.
+        second = Adam(named)
+        assert all(np.shares_memory(p.data, second.blocks[0]) for _, p in named)
+        with pytest.raises(ValueError, match="does not hold"):
+            save_checkpoint(path, result.model, result.optimizer, 1, result.rng, cfg)
+
+    def test_load_peaks_below_one_and_a_quarter_payloads(self, tmp_path):
+        cfg = TrainConfig(hidden=64, num_layers=2, pooling="mean")
+        model = training.HgnnModel(training.model_config_for(cfg, 96, 96, 4, 6, 4),
+                                   training.Rng(0))
+        path = tmp_path / "ck.hgck"
+        save_checkpoint(path, model, Adam(model.named_params()), 0, training.Rng(0), cfg)
+        payload = 3 * 4 * model.count_params()
+        tracemalloc.start()
+        try:
+            ckpt = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert list(ckpt.params) == [name for name, _ in model.named_params()]
+        assert peak < 1.25 * payload, (peak, payload)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.hgck"
