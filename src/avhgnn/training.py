@@ -3,7 +3,8 @@
 Graphs of a minibatch with the same node counts are stacked and run as one
 forward and backward on one tape. Adam holds parameters and moments as three
 flat blocks, the checkpoint's payload, and updates them in chunks from the
-gathered gradients averaged over the minibatch. Batch composition at
+gathered gradients averaged over the minibatch; a resume adopts the loaded
+blocks as they are. Batch composition at
 iteration t is a pure function of (seed, t) - concatenated per-epoch
 permutations - so a resume replays the identical stream, and a history row
 holds only its own iteration's scores (TrainConfig.validates(t)). Single-
@@ -11,6 +12,8 @@ threaded on purpose: same seed means bitwise-identical curves and resumes."""
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 import os
@@ -32,6 +35,7 @@ CHECKPOINT_VERSION = 1
 
 PROB_CLAMP = 1e-7
 CHUNK = 1 << 16  # values per Adam pass: 64K ran a paper-scale step fastest
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's constants, Kingma & Ba 2015's defaults
 
 
 @dataclass
@@ -129,27 +133,26 @@ def _split(block, shapes) -> list:
 class Adam:
     """Standard Adam with bias correction over one flat buffer.
 
-    Adam owns its parameters' storage: each `p.data` becomes a view of
-    `blocks[0]`, in the given order, so a second Adam on the same parameters
-    re-homes them. `blocks` is (parameters, m, v), the checkpoint payload;
-    `moments[name]` is one parameter's (m, v) views."""
+    `blocks` is (parameters, m, v), the checkpoint payload in `named_params`
+    order, adopted as given and advanced in place; by default the parameters
+    are packed and m and v zeroed. Each `p.data` becomes a view of
+    `blocks[0]`, so a second Adam on the same parameters re-homes them."""
 
-    def __init__(self, named_params, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    def __init__(self, named_params, blocks=None):
         self.step_count = 0
         self._params = list(named_params)
+        if blocks is None:
+            dtype = np.result_type(np.float32, *(p.data for _, p in self._params))
+            data = np.concatenate([p.data for _, p in self._params], axis=None, dtype=dtype)
+            blocks = (data, np.zeros_like(data), np.zeros_like(data))
+        self.blocks = tuple(blocks)
         shapes = [p.data.shape for _, p in self._params]
-        dtype = np.result_type(np.float32, *(p.data for _, p in self._params))
-        n = sum(p.data.size for _, p in self._params)
-        self.blocks = (np.empty(n, dtype), np.zeros(n, dtype), np.zeros(n, dtype))
-        self._grad = np.empty(n, dtype)
-        data, m, v, self._grads = (_split(b, shapes) for b in self.blocks + (self._grad,))
-        for (_, p), view in zip(self._params, data):
-            view[...] = p.data
+        for (_, p), view in zip(self._params, _split(self.blocks[0], shapes)):
             p.data = view
-        self.moments = {name: mv for (name, _), mv in zip(self._params, zip(m, v))}
-        self._scratch = (np.empty(min(n, CHUNK), dtype), np.empty(min(n, CHUNK), dtype))
+        self._grad = np.empty_like(self.blocks[0])
+        self._grads = _split(self._grad, shapes)
+        self._scratch = tuple(np.empty(min(self._grad.size, CHUNK), self._grad.dtype)
+                              for _ in range(2))
 
     def step(self, lr: float, grad_scale: float = 1.0):
         """Gather every `grad` (None counts as zeros) into one buffer, scale and
@@ -166,15 +169,15 @@ class Adam:
         for lo in range(0, grad.size, CHUNK):
             p, m, v, g = (a[lo:lo + CHUNK] for a in self.blocks + (grad,))
             s, d = (buf[:g.size] for buf in self._scratch)
-            m *= self.beta1
-            m += np.multiply(g, 1.0 - self.beta1, out=s)
-            v *= self.beta2
-            np.multiply(g, 1.0 - self.beta2, out=s)
+            m *= BETA1
+            m += np.multiply(g, 1.0 - BETA1, out=s)
+            v *= BETA2
+            np.multiply(g, 1.0 - BETA2, out=s)
             v += np.multiply(s, g, out=s)
-            np.divide(m, 1.0 - self.beta1 ** self.step_count, out=s)  # m_hat
-            np.divide(v, 1.0 - self.beta2 ** self.step_count, out=d)  # v_hat
+            np.divide(m, 1.0 - BETA1 ** self.step_count, out=s)  # m_hat
+            np.divide(v, 1.0 - BETA2 ** self.step_count, out=d)  # v_hat
             np.sqrt(d, out=d)
-            d += self.eps
+            d += EPS
             s *= lr
             p -= np.divide(s, d, out=s)
 
@@ -212,32 +215,20 @@ def split_dataset(items, fraction: float, seed: int):
 # -- batch stream ----------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=2)  # a batch no larger than an epoch spans at most two
 def _epoch_permutation(seed: int, epoch: int, n: int) -> np.ndarray:
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, epoch])))
     return gen.permutation(n)
 
 
-class _BatchStream:
-    """Batch b(t) for iteration t >= 1, independent of loop state.
+def batch_indices(seed: int, n_items: int, batch_size: int, t: int) -> list[int]:
+    """Batch b(t) for iteration t >= 1, a pure function of its arguments.
 
     The stream is the concatenation of per-epoch permutations, each keyed
     by (seed, epoch); iteration t takes positions [(t-1)*B, t*B).
     """
-
-    def __init__(self, seed: int, n_items: int, batch_size: int):
-        self.seed, self.n, self.batch = seed, n_items, batch_size
-        self._perms: dict[int, np.ndarray] = {}
-
-    def indices(self, iteration: int) -> list[int]:
-        start = (iteration - 1) * self.batch
-        out = []
-        for pos in range(start, start + self.batch):
-            epoch, offset = divmod(pos, self.n)
-            if epoch not in self._perms:
-                self._perms.clear()  # only the current window is ever needed
-                self._perms[epoch] = _epoch_permutation(self.seed, epoch, self.n)
-            out.append(int(self._perms[epoch][offset]))
-        return out
+    return [int(_epoch_permutation(seed, pos // n_items, n_items)[pos % n_items])
+            for pos in range((t - 1) * batch_size, t * batch_size)]
 
 
 # -- checkpoint ------------------------------------------------------------------
@@ -245,31 +236,34 @@ class _BatchStream:
 
 @dataclass
 class Checkpoint(Record):
+    """A loaded header and the three payload blocks. The blocks are the training
+    state, not a copy of it: `build_model` makes the parameters views of block 0
+    and `build_optimizer` adopts all three, so a resume advances them in place."""
+
     train_config: TrainConfig
     model_config: ModelConfig
     iteration: int
     adam_step: int
     rng_state: dict
-    params: dict          # name -> (rows, cols) f32 view of the parameter block
-    adam_m: dict          # the same views of the first-moment block
-    adam_v: dict          # and of the second-moment block
+    params: list          # the header's (name, rows, cols), in declared order
+    blocks: tuple         # flat f32 parameters, first and second moments
 
     def build_model(self) -> HgnnModel:
         model = HgnnModel(self.model_config, Rng(0))
-        for name, p in model.named_params():
-            if name not in self.params:
-                raise ConfigError(f"checkpoint is missing parameter {name!r}")
-            if self.params[name].shape != p.data.shape:
-                raise ConfigError(f"checkpoint parameter {name!r} has shape "
-                                  f"{self.params[name].shape}, model expects {p.data.shape}")
-            p.data = self.params[name].astype(p.data.dtype, copy=False)
+        named = model.named_params()
+        expected = [(name, *p.data.shape) for name, p in named]
+        if self.params != expected:
+            i, got, want = next((i, a, b) for i, (a, b) in enumerate(
+                itertools.zip_longest(self.params, expected)) if a != b)
+            raise ConfigError(f"checkpoint parameter {i} is {got}, the model's is {want}; "
+                              "the parameter list must match the model's exactly")
+        for (_, p), view in zip(named, _split(self.blocks[0], [p.data.shape for _, p in named])):
+            p.data = view
         return model
 
     def build_optimizer(self, model: HgnnModel) -> Adam:
-        opt = Adam(model.named_params())
+        opt = Adam(model.named_params(), self.blocks)
         opt.step_count = self.adam_step
-        for block, saved in zip(opt.blocks[1:], (self.adam_m, self.adam_v)):
-            np.concatenate([saved[name] for name in opt.moments], axis=None, out=block)
         return opt
 
 
@@ -282,7 +276,7 @@ def save_checkpoint(path, model: HgnnModel, optimizer: Adam, iteration: int,
     must hold the model's parameters, as `Adam(model.named_params())` does."""
     named = model.named_params()
     blocks = optimizer.blocks
-    if [n for n, _ in named] != list(optimizer.moments) or any(
+    if [n for n, _ in named] != [n for n, _ in optimizer._params] or any(
             p.data.base is not blocks[0] for _, p in named):
         raise ValueError("the optimizer does not hold the model's parameters")
     header = json.dumps({
@@ -318,7 +312,7 @@ def atomic_open(path, mode: str):
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint: each payload block into one array, each tensor a view of it."""
+    """Read a checkpoint: its header, and each payload block into one array."""
     with open(path, "rb") as f:
         head = f.read(12)
         if head[:4] != CHECKPOINT_MAGIC:
@@ -350,12 +344,9 @@ def load_checkpoint(path) -> Checkpoint:
         blocks = [np.empty(total, "<f4") for _ in range(3)]
         if sum(map(f.readinto, blocks)) != 3 * 4 * total:
             raise ConfigError("checkpoint changed while it was read")
-    names, shapes = [s[0] for s in specs], [s[1:] for s in specs]
-    params, adam_m, adam_v = (dict(zip(names, _split(block, shapes))) for block in blocks)
     return Checkpoint(
         train_config=train_config, model_config=model_config, iteration=iteration,
-        adam_step=adam_step, rng_state=rng_state,
-        params=params, adam_m=adam_m, adam_v=adam_v)
+        adam_step=adam_step, rng_state=rng_state, params=specs, blocks=tuple(blocks))
 
 
 # -- training loop ----------------------------------------------------------------
@@ -403,8 +394,9 @@ def train(items, cfg: TrainConfig, val_items=None, resume: Checkpoint | None = N
     """Run the loop to cfg.max_iters; returns the trained model and history.
 
     A row scores val_items only where cfg.validates(t), nan elsewhere.
-    `resume` continues a run bitwise-identically from its saved iteration;
-    the model config of cfg and the dataset must equal the checkpoint's.
+    `resume` continues a run bitwise-identically from its saved iteration,
+    advancing its blocks in place; the model config of cfg and the dataset
+    must equal the checkpoint's.
     `progress(row)` is called once per iteration with the history row.
     """
     model_cfg = model_config_for(cfg, *_check_dataset(items, cfg))
@@ -427,13 +419,12 @@ def train(items, cfg: TrainConfig, val_items=None, resume: Checkpoint | None = N
         optimizer = Adam(model.named_params())
         start = 0
 
-    stream = _BatchStream(cfg.seed, len(items), cfg.batch_size)
     history = []
     ev = evaluate(model, val_items) if val_items and start == cfg.max_iters else None
     for t in range(start + 1, cfg.max_iters + 1):
         lr = lr_at(t, cfg)
         model.zero_grad()
-        batch = stream.indices(t)
+        batch = batch_indices(cfg.seed, len(items), cfg.batch_size, t)
         groups: dict[tuple, list[int]] = {}  # one tape per node-count shape
         for i in batch:
             groups.setdefault((items[i].graph.n_audio, items[i].graph.n_video), []).append(i)

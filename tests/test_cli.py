@@ -12,6 +12,7 @@ from avhgnn import cli, training
 from avhgnn.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from avhgnn.cli import attention_summary
 from avhgnn.data import FeatureContainer, load_dataset, write_container
+from avhgnn.layers import HgnnModel, ModelConfig
 from avhgnn.metrics import evaluate
 from avhgnn.tensor import Rng
 from avhgnn.training import TrainConfig, run_seeds
@@ -530,6 +531,14 @@ def _header(**changes) -> bytes:
     return json.dumps(header).encode()
 
 
+def _listing(edit) -> tuple:
+    """_header() listing `edit(its model's parameter list)`, and zero tensors for that list."""
+    model = HgnnModel(ModelConfig(**json.loads(_header())["model_config"]), Rng(0))
+    params = edit([{"name": name, "rows": p.rows, "cols": p.cols}
+                   for name, p in model.named_params()])
+    return _header(params=params), bytes(3 * 4 * sum(s["rows"] * s["cols"] for s in params))
+
+
 class TestMalformedInput:
     """Bad configs and checkpoints exit 2 with a message, before any data loads."""
 
@@ -595,6 +604,14 @@ class TestMalformedInput:
         pytest.param(_header(hidden=True), "hidden must be an integer", id="hidden-true"),
         pytest.param((_header(), bytes(14)), "checkpoint has 14 bytes after its last tensor",
                      id="trailing-bytes"),
+        pytest.param(_listing(lambda ps: ps + [{"name": "extra", "rows": 1, "cols": 1}]),
+                     "is ('extra', 1, 1), the model's is None", id="unknown-param"),
+        pytest.param(_listing(lambda ps: ps + ps[:1]),
+                     "is ('layer0.audio.weight', 5, 8), the model's is None",
+                     id="repeated-param"),
+        pytest.param(_listing(lambda ps: ps[::-1]),
+                     "parameter 0 is ('classifier.bias', 1, 4), the model's is "
+                     "('layer0.audio.weight', 5, 8)", id="reordered-params"),
     ])
     def test_bad_checkpoint(self, capsys, tmp_path, header, message):
         path = tmp_path / "bad.hgck"

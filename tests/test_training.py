@@ -12,7 +12,7 @@ from avhgnn import training
 from avhgnn.data import LabeledGraph
 from avhgnn.graph import EdgeRule, EdgeRules, build_hetero_graph, stack_graphs
 from avhgnn.tensor import ComputeGraph, NumericError, Tensor
-from avhgnn.training import (Adam, ConfigError, TrainConfig, _BatchStream,
+from avhgnn.training import (Adam, ConfigError, TrainConfig, batch_indices,
                              focal_loss, load_checkpoint, lr_at, run_seeds,
                              save_checkpoint, split_dataset, train, write_history_csv)
 
@@ -194,8 +194,8 @@ class TestAdam:
                 ref[name] = ref[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
                 assert ref[name].dtype == np.float32
                 np.testing.assert_array_equal(params[name].data, ref[name])
-                np.testing.assert_array_equal(opt.moments[name][0], m[name])
-                np.testing.assert_array_equal(opt.moments[name][1], v[name])
+            for block, want in zip(opt.blocks[1:], (m, v)):
+                np.testing.assert_array_equal(block, np.concatenate(list(want.values()), None))
         assert params["unused"].grad is None
 
     def test_nan_gradient_aborts_with_parameter_name(self):
@@ -217,9 +217,9 @@ class TestAdam:
         with pytest.raises(NumericError, match="'second'") as err:
             opt.step(0.01, grad_scale=0.5)
         assert "first" not in str(err.value) and "third" not in str(err.value)
-        for k, (name, p) in enumerate(params.items()):
+        for k, p in enumerate(params.values()):
             np.testing.assert_array_equal(p.data, np.full((2, 3), k, np.float32))
-            assert not opt.moments[name][0].any() and not opt.moments[name][1].any()
+        assert not opt.blocks[1].any() and not opt.blocks[2].any()
 
     def test_chunked_scaled_step_bitwise_equal_to_textbook_formula(self):
         # A parameter spanning several chunks, updated from grad * grad_scale,
@@ -251,8 +251,8 @@ class TestAdam:
                 ref[name] = ref[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
                 assert ref[name].dtype == np.float32
                 np.testing.assert_array_equal(params[name].data, ref[name])
-                np.testing.assert_array_equal(opt.moments[name][0], m[name])
-                np.testing.assert_array_equal(opt.moments[name][1], v[name])
+            for block, want in zip(opt.blocks[1:], (m, v)):
+                np.testing.assert_array_equal(block, np.concatenate(list(want.values()), None))
         assert params["unused"].grad is None
 
 
@@ -274,16 +274,13 @@ class TestSplitAndBatches:
         assert all(count > 0 for count in per_class.values())
 
     def test_batch_stream_is_pure_in_iteration(self):
-        a = _BatchStream(seed=9, n_items=7, batch_size=3)
-        b = _BatchStream(seed=9, n_items=7, batch_size=3)
-        seq_a = [a.indices(t) for t in range(1, 20)]
+        seq_a = [batch_indices(9, 7, 3, t) for t in range(1, 20)]
         # query out of order: must not depend on traversal history
-        seq_b = [b.indices(t) for t in (5, 1, 19, 7)]
+        seq_b = [batch_indices(9, 7, 3, t) for t in (5, 1, 19, 7)]
         assert seq_b == [seq_a[4], seq_a[0], seq_a[18], seq_a[6]]
 
     def test_batch_stream_covers_each_epoch(self):
-        stream = _BatchStream(seed=0, n_items=6, batch_size=2)
-        seen = [i for t in range(1, 4) for i in stream.indices(t)]
+        seen = [i for t in range(1, 4) for i in batch_indices(0, 6, 2, t)]
         assert sorted(seen) == list(range(6))
 
 
@@ -452,10 +449,9 @@ class TestCheckpoint:
                                        model.named_params()):
             assert p0.data.tobytes() == p1.data.tobytes(), name
         opt = ckpt.build_optimizer(model)
-        for name, _ in model.named_params():
-            for side in (0, 1):
-                assert np.array_equal(opt.moments[name][side],
-                                      result.optimizer.moments[name][side])
+        assert opt.step_count == 5
+        for saved, trained in zip(opt.blocks[1:], result.optimizer.blocks[1:]):
+            assert saved.tobytes() == trained.tobytes()
 
     def test_model_and_optimizer_share_storage(self, tmp_path):
         items = make_items(4)
@@ -491,21 +487,41 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="does not hold"):
             save_checkpoint(path, result.model, result.optimizer, 1, result.rng, cfg)
 
-    def test_load_peaks_below_one_and_a_quarter_payloads(self, tmp_path):
-        cfg = TrainConfig(hidden=64, num_layers=2, pooling="mean")
-        model = training.HgnnModel(training.model_config_for(cfg, 96, 96, 4, 6, 4),
+    @staticmethod
+    def _saved_model(tmp_path, hidden, dim):
+        """A checkpoint of a 2-layer model; returns (path, model, payload bytes)."""
+        cfg = TrainConfig(hidden=hidden, num_layers=2, pooling="mean")
+        model = training.HgnnModel(training.model_config_for(cfg, dim, dim, 4, 6, 4),
                                    training.Rng(0))
         path = tmp_path / "ck.hgck"
         save_checkpoint(path, model, Adam(model.named_params()), 0, training.Rng(0), cfg)
-        payload = 3 * 4 * model.count_params()
+        return path, model, 3 * 4 * model.count_params()
+
+    def test_load_peaks_below_one_and_a_quarter_payloads(self, tmp_path):
+        path, model, payload = self._saved_model(tmp_path, hidden=64, dim=96)  # 0.38 MB
         tracemalloc.start()
         try:
             ckpt = load_checkpoint(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert list(ckpt.params) == [name for name, _ in model.named_params()]
+        assert ckpt.params == [(name, *p.data.shape) for name, p in model.named_params()]
         assert peak < 1.25 * payload, (peak, payload)
+
+    def test_restore_adopts_the_payload(self, tmp_path):
+        # The optimizer's blocks are the checkpoint's, not copies of them, so
+        # a restore holds one copy of the training state, plus the gathered
+        # gradient (a third of the payload) and Adam's 0.5 MB of scratch.
+        path, _, payload = self._saved_model(tmp_path, hidden=384, dim=384)  # 10.6 MB
+        tracemalloc.start()
+        try:
+            ckpt = load_checkpoint(path)
+            opt = ckpt.build_optimizer(ckpt.build_model())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(np.shares_memory(opt.blocks[k], ckpt.blocks[k]) for k in range(3))
+        assert peak < 1.5 * payload, (peak, payload)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.hgck"
