@@ -2,8 +2,9 @@
 
 The stacked layer updates audio nodes from two flows (audio GCN plus a
 fused video message) and video nodes from one (video GCN); video never
-reads from audio. The attention-free fusion is one more GCN, over the
-graph's row-normalized video-to-audio adjacency. Graph-level readout pools
+reads from audio. The attention fusion aggregates the attended video
+features, then projects them. The attention-free fusion is one more GCN, over
+the graph's row-normalized video-to-audio adjacency. Graph-level readout pools
 each modality's final node embeddings, by default with learnable
 per-position weights, and a sigmoid head scores each class independently.
 """
@@ -53,11 +54,27 @@ class ModelConfig(Record):
     modality: str = MODALITY_BOTH
 
 
+def _param(init, rows: int, cols: int, dtype, name: str, fill=None) -> Tensor:
+    """A learnable rows x cols tensor. From an Rng: a Xavier draw, or the
+    constant `fill` with no draw. From an iterator: its next array as it is,
+    with no copy and no draw; an array of another shape, or none, gives a
+    read-only zero placeholder, which the caller's shape check rejects."""
+    if isinstance(init, Rng):
+        if fill is None:
+            return xavier_init(rows, cols, init, dtype=dtype, name=name)
+        data = np.full((rows, cols), fill, dtype=dtype)
+    else:
+        data = next(init, None)
+        if data is None or data.shape != (rows, cols):
+            data = np.broadcast_to(np.zeros((), dtype), (rows, cols))
+    return Tensor(data, requires_grad=True, name=name)
+
+
 class GcnLayer:
     """One graph convolution: ReLU(A_norm @ H @ W)."""
 
-    def __init__(self, in_dim: int, out_dim: int, rng: Rng, dtype=np.float32, name="gcn"):
-        self.weight = xavier_init(in_dim, out_dim, rng, dtype=dtype, name=f"{name}.weight")
+    def __init__(self, in_dim: int, out_dim: int, init, dtype=np.float32, name="gcn"):
+        self.weight = _param(init, in_dim, out_dim, dtype, f"{name}.weight")
 
     def forward(self, g: ComputeGraph, feats: Tensor, adj_norm: Tensor) -> Tensor:
         return g.relu(g.matmul(adj_norm, g.matmul(feats, self.weight)))
@@ -69,18 +86,18 @@ class GcnLayer:
 class GatFusionLayer:
     """Single-head attention carrying video node content to audio nodes.
 
-    Messages are W-projected video features. Each audio node scores its
-    masked video neighbours with LeakyReLU(att_a . h_audio + att_v . W h_video),
-    softmax-normalizes the scores, and takes the weighted sum. Audio and
-    video inputs may have different widths, so the audio endpoint enters
-    the score through its own attention vector on the raw features.
+    Each audio node scores its masked video neighbours with
+    LeakyReLU(att_a . h_audio + att_v . W h_video), softmax-normalizes the
+    scores, and takes the message (sum_j alpha_j h_video_j) W: it aggregates,
+    then projects, so no video node is projected. Audio and video widths may
+    differ, so the audio endpoint scores its raw features with its own vector.
     """
 
-    def __init__(self, audio_dim: int, video_dim: int, out_dim: int, rng: Rng,
+    def __init__(self, audio_dim: int, video_dim: int, out_dim: int, init,
                  dtype=np.float32, name="fusion"):
-        self.w_msg = xavier_init(video_dim, out_dim, rng, dtype=dtype, name=f"{name}.w_msg")
-        self.att_audio = xavier_init(audio_dim, 1, rng, dtype=dtype, name=f"{name}.att_audio")
-        self.att_video = xavier_init(out_dim, 1, rng, dtype=dtype, name=f"{name}.att_video")
+        self.w_msg = _param(init, video_dim, out_dim, dtype, f"{name}.w_msg")
+        self.att_audio = _param(init, audio_dim, 1, dtype, f"{name}.att_audio")
+        self.att_video = _param(init, out_dim, 1, dtype, f"{name}.att_video")
 
     def forward(self, g: ComputeGraph, video_feats: Tensor, mask_va: np.ndarray,
                 audio_feats: Tensor):
@@ -90,13 +107,13 @@ class GatFusionLayer:
             raise ShapeError(
                 f"cross-modal mask {mask_va.shape} does not match "
                 f"({n_audio} audio, {n_video} video) nodes")
-        wh_v = g.matmul(video_feats, self.w_msg)
-        score_v = g.matmul(wh_v, self.att_video)        # n_video x 1
-        score_a = g.matmul(audio_feats, self.att_audio)  # n_audio x 1
-        scores = g.add(score_a, g.transpose(score_v))    # broadcast to n_audio x n_video
+        att_v = g.matmul(self.w_msg, self.att_video)     # video_dim x 1
+        score_v = g.matmul(video_feats, att_v)            # n_video x 1
+        score_a = g.matmul(audio_feats, self.att_audio)   # n_audio x 1
+        scores = g.add(score_a, g.transpose(score_v))     # broadcast to n_audio x n_video
         scores = g.leaky_relu(scores, GAT_LEAKY_SLOPE)
         alpha = g.row_softmax_masked(scores, mask_va > 0)
-        return g.matmul(alpha, wh_v), alpha
+        return g.matmul(g.matmul(alpha, video_feats), self.w_msg), alpha
 
     def params(self):
         return [self.w_msg, self.att_audio, self.att_video]
@@ -105,20 +122,20 @@ class GatFusionLayer:
 class HeteroLayer:
     """One stacked update step over both modalities."""
 
-    def __init__(self, audio_in: int, video_in: int, out_dim: int, rng: Rng,
+    def __init__(self, audio_in: int, video_in: int, out_dim: int, init,
                  fusion: str, modality: str, dtype=np.float32, name="layer"):
         self.audio_gcn = None
         self.video_gcn = None
         self.fusion = None
         if modality in (MODALITY_BOTH, MODALITY_AUDIO):
-            self.audio_gcn = GcnLayer(audio_in, out_dim, rng, dtype, name=f"{name}.audio")
+            self.audio_gcn = GcnLayer(audio_in, out_dim, init, dtype, name=f"{name}.audio")
         if modality in (MODALITY_BOTH, MODALITY_VIDEO):
-            self.video_gcn = GcnLayer(video_in, out_dim, rng, dtype, name=f"{name}.video")
+            self.video_gcn = GcnLayer(video_in, out_dim, init, dtype, name=f"{name}.video")
         if modality == MODALITY_BOTH and fusion == FUSION_GAT:
-            self.fusion = GatFusionLayer(audio_in, video_in, out_dim, rng, dtype,
+            self.fusion = GatFusionLayer(audio_in, video_in, out_dim, init, dtype,
                                          name=f"{name}.fusion")
         elif modality == MODALITY_BOTH and fusion == FUSION_GCN:
-            self.fusion = GcnLayer(video_in, out_dim, rng, dtype, name=f"{name}.fusion")
+            self.fusion = GcnLayer(video_in, out_dim, init, dtype, name=f"{name}.fusion")
 
     def forward(self, g: ComputeGraph, graph: HeteroGraph, h_a, h_v):
         """Returns (h_audio', h_video', attention or None)."""
@@ -158,16 +175,19 @@ class ForwardResult:
 
 
 class HgnnModel:
-    """The full classifier: stacked hetero layers, pooling, sigmoid head."""
+    """The full classifier: stacked hetero layers, pooling, sigmoid head.
 
-    def __init__(self, config: ModelConfig, rng: Rng, dtype=np.float32):
+    `init` is an Rng, for a fresh init, or an iterator over the parameters'
+    arrays in `named_params` order, which the model then holds as they are."""
+
+    def __init__(self, config: ModelConfig, init, dtype=np.float32):
         self.config = config
         cfg = config
         self.layers = []
         audio_in, video_in = cfg.d_audio, cfg.d_video
         for i in range(cfg.num_layers):
             self.layers.append(HeteroLayer(
-                audio_in, video_in, cfg.hidden, rng,
+                audio_in, video_in, cfg.hidden, init,
                 fusion=cfg.fusion, modality=cfg.modality, dtype=dtype,
                 name=f"layer{i}"))
             audio_in = video_in = cfg.hidden
@@ -177,19 +197,15 @@ class HgnnModel:
         if cfg.pooling == "learned":
             # Uniform start: learned pooling begins exactly at mean pooling.
             if cfg.modality in (MODALITY_BOTH, MODALITY_AUDIO):
-                self.pool_audio = Tensor(
-                    np.full((cfg.n_audio, 1), 1.0 / cfg.n_audio, dtype=dtype),
-                    requires_grad=True, name="pool.audio")
+                self.pool_audio = _param(init, cfg.n_audio, 1, dtype, "pool.audio",
+                                         fill=1.0 / cfg.n_audio)
             if cfg.modality in (MODALITY_BOTH, MODALITY_VIDEO):
-                self.pool_video = Tensor(
-                    np.full((cfg.n_video, 1), 1.0 / cfg.n_video, dtype=dtype),
-                    requires_grad=True, name="pool.video")
+                self.pool_video = _param(init, cfg.n_video, 1, dtype, "pool.video",
+                                         fill=1.0 / cfg.n_video)
 
         head_in = cfg.hidden * (2 if cfg.modality == MODALITY_BOTH else 1)
-        self.cls_weight = xavier_init(head_in, cfg.num_classes, rng, dtype=dtype,
-                                      name="classifier.weight")
-        self.cls_bias = Tensor(np.zeros((1, cfg.num_classes), dtype=dtype),
-                               requires_grad=True, name="classifier.bias")
+        self.cls_weight = _param(init, head_in, cfg.num_classes, dtype, "classifier.weight")
+        self.cls_bias = _param(init, 1, cfg.num_classes, dtype, "classifier.bias", fill=0.0)
 
     # -- parameters -----------------------------------------------------------
 

@@ -249,16 +249,15 @@ class Checkpoint(Record):
     blocks: tuple         # flat f32 parameters, first and second moments
 
     def build_model(self) -> HgnnModel:
-        model = HgnnModel(self.model_config, Rng(0))
-        named = model.named_params()
-        expected = [(name, *p.data.shape) for name, p in named]
+        """The model over views of block 0, built with no random draw."""
+        views = _split(self.blocks[0], [(rows, cols) for _, rows, cols in self.params])
+        model = HgnnModel(self.model_config, iter(views))
+        expected = [(name, *p.data.shape) for name, p in model.named_params()]
         if self.params != expected:
             i, got, want = next((i, a, b) for i, (a, b) in enumerate(
                 itertools.zip_longest(self.params, expected)) if a != b)
             raise ConfigError(f"checkpoint parameter {i} is {got}, the model's is {want}; "
                               "the parameter list must match the model's exactly")
-        for (_, p), view in zip(named, _split(self.blocks[0], [p.data.shape for _, p in named])):
-            p.data = view
         return model
 
     def build_optimizer(self, model: HgnnModel) -> Adam:

@@ -1,10 +1,12 @@
 """Layers vs per-edge loop oracles, pooling, head, parameter counting."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
-from avhgnn.graph import (EdgeRule, EdgeRules, build_hetero_graph, mean_adjacency,
-                          stack_graphs)
+from avhgnn.graph import (EdgeRule, EdgeRules, build_hetero_graph, cross_modal_edges,
+                          mean_adjacency, stack_graphs)
 from avhgnn.layers import (FUSION_MODES, GAT_LEAKY_SLOPE, MODALITIES, POOLING_MODES,
                            GatFusionLayer, GcnLayer, HgnnModel, ModelConfig)
 from avhgnn.tensor import ComputeGraph, NumericError, Rng, ShapeError, Tensor
@@ -45,6 +47,17 @@ def gat_oracle(video, mask, audio, w_msg, att_audio, att_video, slope=GAT_LEAKY_
         for a, j in zip(alpha, neigh):
             out[i] += a * msgs[j]
     return out, alphas
+
+
+def project_then_aggregate(layer, g, video, mask, audio):
+    """The fusion as first written: every video node projected by w_msg, the
+    video score taken on the projection, the message a sum of projections."""
+    wh_v = g.matmul(video, layer.w_msg)
+    score_v = g.matmul(wh_v, layer.att_video)
+    score_a = g.matmul(audio, layer.att_audio)
+    scores = g.leaky_relu(g.add(score_a, g.transpose(score_v)), GAT_LEAKY_SLOPE)
+    alpha = g.row_softmax_masked(scores, mask > 0)
+    return g.matmul(alpha, wh_v), alpha
 
 
 def random_graph(rng, n_audio, n_video, d_audio, d_video, dtype=np.float64):
@@ -177,11 +190,10 @@ class TestGatFusion:
         mask = (rng.random((4, 6)) > 0.3).astype(float)
         g = ComputeGraph()
         out, alpha = layer.forward(g, video, mask, audio)
-        assert len(g) == 8
+        assert len(g) == 9
 
         g = ComputeGraph()
-        wh_v = g.matmul(video, layer.w_msg)
-        score_v = g.matmul(wh_v, layer.att_video)
+        score_v = g.matmul(video, g.matmul(layer.w_msg, layer.att_video))
         score_a = g.matmul(audio, layer.att_audio)
         ones_row = Tensor(np.ones((1, 6), dtype=np.float32))
         ones_col = Tensor(np.ones((4, 1), dtype=np.float32))
@@ -192,7 +204,59 @@ class TestGatFusion:
         old_alpha = g.row_softmax_masked(g.leaky_relu(old_scores, GAT_LEAKY_SLOPE),
                                          mask > 0)
         assert alpha.data.tobytes() == old_alpha.data.tobytes()
-        assert out.data.tobytes() == g.matmul(old_alpha, wh_v).data.tobytes()
+        message = g.matmul(g.matmul(old_alpha, video), layer.w_msg)
+        assert out.data.tobytes() == message.data.tobytes()
+
+    @pytest.mark.parametrize("batch", [None, 1, 3, 8])
+    def test_aggregate_then_project_equals_project_then_aggregate(self, batch):
+        """Aggregating before projecting is the same map in float64: message,
+        attention and every gradient, with d_video != out_dim and an audio
+        node that has no video neighbour."""
+        rng = np.random.default_rng(30)
+        layer = GatFusionLayer(3, 6, 4, Rng(7), dtype=np.float64)
+        lead = () if batch is None else (batch,)
+        video = Tensor(rng.normal(0, 1, lead + (7, 6)), requires_grad=True)
+        audio = Tensor(rng.normal(0, 1, lead + (5, 3)), requires_grad=True)
+        mask = (rng.random((5, 7)) > 0.5).astype(float)
+        mask[1] = 0.0
+        mix_out = Tensor(rng.normal(0, 1, lead + (5, 4)))
+        mix_alpha = Tensor(rng.normal(0, 1, lead + (5, 7)))
+        leaves = [layer.w_msg, layer.att_audio, layer.att_video, video, audio]
+
+        results = []
+        for fusion in (layer.forward, partial(project_then_aggregate, layer)):
+            for leaf in leaves:
+                leaf.zero_grad()
+            g = ComputeGraph()
+            out, alpha = fusion(g, video, mask, audio)
+            g.backward(g.add(g.sum_all(g.mul(out, mix_out)),
+                             g.sum_all(g.mul(alpha, mix_alpha))))
+            results.append([out.data, alpha.data] + [leaf.grad for leaf in leaves])
+        np.testing.assert_array_equal(results[0][1][..., 1, :], 0.0)
+        for new, old in zip(*results):
+            np.testing.assert_allclose(new, old, rtol=0, atol=1e-6)
+
+    def test_no_video_node_is_projected(self, monkeypatch):
+        """At paper-like shapes, w_msg multiplies one aggregated row per audio
+        node, never the n_video video rows: 40 rows of the 1024 x 512 GEMM
+        per graph instead of 100."""
+        n_audio, n_video, batch = 40, 100, 2
+        layer = GatFusionLayer(128, 1024, 512, Rng(0))
+        rng = np.random.default_rng(0)
+        video = Tensor(rng.normal(0, 1, (batch, n_video, 1024)).astype(np.float32))
+        audio = Tensor(rng.normal(0, 1, (batch, n_audio, 128)).astype(np.float32))
+        mask = cross_modal_edges(n_audio, n_video, EdgeRule(3, 1))
+        by_w_msg = []
+        matmul = ComputeGraph.matmul
+
+        def recording(g, a, b):
+            if b is layer.w_msg:
+                by_w_msg.append(a.shape)
+            return matmul(g, a, b)
+
+        monkeypatch.setattr(ComputeGraph, "matmul", recording)
+        layer.forward(ComputeGraph(), video, mask, audio)
+        assert by_w_msg == [(batch, n_audio, 1024)]
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(9)
@@ -373,10 +437,12 @@ class TestModelForward:
         model.layers[0].fusion.w_msg.data[0, 0] = 1e30
         graph = tiny_graph(dtype=np.float32)
         graph.video_feats.data[:] = 1e10  # 1e30 * 1e10 overflows float32
-        # Ops 0-2 are layer 0's audio GCN (matmul, matmul, relu); op 3 is the
-        # fusion's message projection, where the first inf appears.
+        # Ops 0-2 are layer 0's audio GCN (matmul, matmul, relu); ops 3-10
+        # score, normalize and aggregate the video nodes (scores reach about
+        # 1e37, still finite); op 11 is the fusion's message projection of the
+        # aggregate, where the first inf appears.
         with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(NumericError, match=r"op 3 \(matmul\)"):
+                pytest.raises(NumericError, match=r"op 11 \(matmul\)"):
             model.forward(ComputeGraph(), graph)
 
     def test_attention_collected_per_layer(self):

@@ -33,6 +33,23 @@ class TestForward:
         with pytest.raises(ShapeError, match=r"\(1, 2\).*\(3, 1\)"):
             g.matmul(Tensor(np.zeros((1, 2))), Tensor(np.zeros((3, 1))))
 
+    @pytest.mark.parametrize("shapes", [((8, 1), (1, 6)), ((3, 8, 1), (1, 6)),
+                                        ((8, 1), (3, 1, 6)), ((3, 8, 1), (3, 1, 6))])
+    def test_length_one_matmul_bitwise_equals_numpy(self, shapes):
+        # A length-1 contraction runs as a broadcast product: on non-zero
+        # float32 data that is numpy's matmul bit for bit. Only a -0.0
+        # product keeps its sign, where numpy's matmul gives +0.0.
+        rng = np.random.default_rng(3)
+        x, y = (rng.uniform(0.5, 2.0, s) * rng.choice([-1.0, 1.0], s) for s in shapes)
+        x, y = x.astype(np.float32), y.astype(np.float32)
+        out = ComputeGraph().matmul(Tensor(x), Tensor(y)).data
+        assert out.tobytes() == (x @ y).tobytes()
+        x[..., 0, 0] = -0.0  # row 0 of each product is then +-0.0 * y
+        out = ComputeGraph().matmul(Tensor(x), Tensor(y)).data
+        assert (out == x @ y).all()
+        assert (np.signbit(out[..., 0, :]) == (y[..., 0, :] > 0)).all()
+        assert not np.signbit((x @ y)[..., 0, :]).any()
+
     def test_relu(self):
         g = ComputeGraph()
         np.testing.assert_array_equal(
@@ -283,9 +300,15 @@ class TestGradientOracle:
                 self._check(lambda g: g.sum_all(g.mul(g.matmul(row, a),
                                                       g.matmul(row, a))), [a])
 
-    @pytest.mark.parametrize("shapes", [((3, 4, 5), (5, 2)), ((4, 5), (3, 5, 2)),
-                                        ((3, 4, 5), (3, 5, 2)), ((1, 4, 5), (5, 2)),
-                                        ((3, 1, 5), (5, 2))])
+    # The last nine contract over length 1 in the forward product (a.cols == 1),
+    # in a's gradient (b.cols == 1) or in b's (one row of a, or of the folded
+    # batch), on the fold, 2-D @ 3-D and 3-D @ 3-D paths.
+    @pytest.mark.parametrize("shapes", [
+        ((3, 4, 5), (5, 2)), ((4, 5), (3, 5, 2)), ((3, 4, 5), (3, 5, 2)),
+        ((1, 4, 5), (5, 2)), ((3, 1, 5), (5, 2)),
+        ((3, 4, 1), (1, 5)), ((3, 4, 5), (5, 1)), ((1, 1, 5), (5, 2)),
+        ((4, 1), (3, 1, 5)), ((4, 5), (3, 5, 1)), ((1, 5), (3, 5, 2)),
+        ((3, 4, 1), (3, 1, 5)), ((3, 4, 5), (3, 5, 1)), ((3, 1, 5), (3, 5, 2))])
     def test_batched_matmul(self, rng64, shapes):
         a, b = _leaf(rng64, *shapes[0]), _leaf(rng64, *shapes[1])
         weight = Tensor(rng64.normal(0, 1, np.matmul(a.data, b.data).shape))

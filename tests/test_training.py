@@ -523,6 +523,28 @@ class TestCheckpoint:
         assert all(np.shares_memory(opt.blocks[k], ckpt.blocks[k]) for k in range(3))
         assert peak < 1.5 * payload, (peak, payload)
 
+    def test_build_model_draws_nothing_and_copies_nothing(self, tmp_path, monkeypatch):
+        # The model is built over views of block 0: no init is drawn and no
+        # parameter is allocated. Measured peak for load + build: 1.0014x.
+        path, model, payload = self._saved_model(tmp_path, hidden=384, dim=384)  # 10.6 MB
+
+        def no_draw(*args):
+            raise AssertionError("build_model drew random values")
+
+        monkeypatch.setattr(training.Rng, "uniform", no_draw)
+        monkeypatch.setattr(training.Rng, "normal", no_draw)
+        tracemalloc.start()
+        try:
+            ckpt = load_checkpoint(path)
+            restored = ckpt.build_model()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.01 * payload, (peak, payload)
+        for (name, p), (_, saved) in zip(restored.named_params(), model.named_params()):
+            assert p.data.base is ckpt.blocks[0], name
+            assert p.data.tobytes() == saved.data.tobytes(), name
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.hgck"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
