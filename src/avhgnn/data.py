@@ -109,6 +109,13 @@ class ManifestItem(Record):
     container_path: str
     labels: list  # class indices
 
+    def __post_init__(self):
+        super().__post_init__()
+        path = self.container_path  # string tests: a Path would cost 4 us per item
+        if os.path.isabs(path) or ".." in path.split("/"):
+            raise ConfigError(f"container_path {self.container_path!r} must be relative "
+                              "and inside the manifest's directory")
+
 
 @dataclass
 class DatasetManifest(Record):
@@ -244,7 +251,8 @@ def _bump_positions(spec: SynthSpec) -> list[int]:
     return [(i * stride) % spec.n_audio for i in range(count)]
 
 
-def _make_item(spec: SynthSpec, cls: int, j: int, rng: Rng) -> FeatureContainer:
+def _make_item(spec: SynthSpec, cls: int, j: int,
+               rng: np.random.Generator) -> FeatureContainer:
     """Item j of class `cls`. The (audio pattern, start position) sequence is
     the same for every class; only the paired video pattern encodes the class."""
     audio = rng.normal(0.0, spec.noise_sigma, (spec.n_audio, spec.d_audio))

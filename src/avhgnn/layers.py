@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import Record
 from .graph import HeteroGraph
-from .tensor import ComputeGraph, Rng, ShapeError, Tensor, xavier_init
+from .tensor import ComputeGraph, ShapeError, Tensor, xavier_init
 
 FUSION_GAT = "gat"
 FUSION_GCN = "gcn"
@@ -55,11 +55,11 @@ class ModelConfig(Record):
 
 
 def _param(init, rows: int, cols: int, dtype, name: str, fill=None) -> Tensor:
-    """A learnable rows x cols tensor. From an Rng: a Xavier draw, or the
+    """A learnable rows x cols tensor. From a Generator: a Xavier draw, or the
     constant `fill` with no draw. From an iterator: its next array as it is,
     with no copy and no draw; an array of another shape, or none, gives a
     read-only zero placeholder, which the caller's shape check rejects."""
-    if isinstance(init, Rng):
+    if isinstance(init, np.random.Generator):
         if fill is None:
             return xavier_init(rows, cols, init, dtype=dtype, name=name)
         data = np.full((rows, cols), fill, dtype=dtype)
@@ -102,11 +102,6 @@ class GatFusionLayer:
     def forward(self, g: ComputeGraph, video_feats: Tensor, mask_va: np.ndarray,
                 audio_feats: Tensor):
         """Returns (message [n_audio x out_dim], attention [n_audio x n_video])."""
-        n_audio, n_video = audio_feats.rows, video_feats.rows
-        if mask_va.shape != (n_audio, n_video):
-            raise ShapeError(
-                f"cross-modal mask {mask_va.shape} does not match "
-                f"({n_audio} audio, {n_video} video) nodes")
         att_v = g.matmul(self.w_msg, self.att_video)     # video_dim x 1
         score_v = g.matmul(video_feats, att_v)            # n_video x 1
         score_a = g.matmul(audio_feats, self.att_audio)   # n_audio x 1
@@ -177,7 +172,7 @@ class ForwardResult:
 class HgnnModel:
     """The full classifier: stacked hetero layers, pooling, sigmoid head.
 
-    `init` is an Rng, for a fresh init, or an iterator over the parameters'
+    `init` is `Rng(seed)`, for a fresh init, or an iterator over the parameters'
     arrays in `named_params` order, which the model then holds as they are."""
 
     def __init__(self, config: ModelConfig, init, dtype=np.float32):

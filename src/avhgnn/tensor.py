@@ -76,34 +76,14 @@ class Tensor:
         return f"Tensor({'x'.join(map(str, self.shape))}, dtype={self.data.dtype.name}{tag})"
 
 
-class Rng:
-    """Deterministic random source keyed by a 64-bit seed.
-
-    The same seed yields the same draw sequence on a given build; the
-    generator state can be captured and restored for checkpointing.
-    """
-
-    def __init__(self, seed: int):
-        self.seed = int(seed)
-        self._gen = np.random.Generator(np.random.PCG64(self.seed))
-
-    def uniform(self, low: float, high: float, shape) -> np.ndarray:
-        return self._gen.uniform(low, high, size=shape)
-
-    def normal(self, mean: float, sigma: float, shape) -> np.ndarray:
-        return self._gen.normal(mean, sigma, size=shape)
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n)
-
-    def get_state(self) -> dict:
-        return self._gen.bit_generator.state
-
-    def set_state(self, state: dict):
-        self._gen.bit_generator.state = state
+def Rng(seed) -> np.random.Generator:
+    """numpy's PCG64 generator for an int or SeedSequence seed: the same seed yields
+    the same draws on a given build; `bit_generator.state` captures and restores it."""
+    return np.random.Generator(np.random.PCG64(seed))
 
 
-def xavier_init(rows: int, cols: int, rng: Rng, dtype=np.float32, name: str = "") -> Tensor:
+def xavier_init(rows: int, cols: int, rng: np.random.Generator, dtype=np.float32,
+                name: str = "") -> Tensor:
     """Glorot-uniform init: values in [-b, b] with b = sqrt(6 / (rows + cols))."""
     if rows < 1 or cols < 1:
         raise ShapeError(f"xavier_init needs positive dims, got ({rows}, {cols})")
@@ -220,8 +200,8 @@ class ComputeGraph:
         return self._emit(a.data * mask, backward)
 
     def leaky_relu(self, a: Tensor, slope: float = 0.2) -> Tensor:
-        pos = a.data > 0
-        scale = np.where(pos, 1.0, slope).astype(a.data.dtype)
+        dt = a.data.dtype.type
+        scale = np.where(a.data > 0, dt(1.0), dt(slope))
 
         def backward(g):
             _accum(a, g * scale)
@@ -229,12 +209,8 @@ class ComputeGraph:
         return self._emit(a.data * scale, backward)
 
     def sigmoid(self, a: Tensor) -> Tensor:
-        x = a.data
-        out_data = np.empty_like(x)
-        pos = x >= 0
-        out_data[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out_data[~pos] = ex / (1.0 + ex)
+        e = np.exp(-np.abs(a.data))  # never overflows
+        out_data = np.where(a.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
         def backward(g):
             _accum(a, g * out_data * (1.0 - out_data))
@@ -266,12 +242,9 @@ class ComputeGraph:
             raise ShapeError(f"mask shape {mask.shape} != tensor shape {a.shape[-2:]}")
         x = np.where(mask, a.data, -np.inf)
         row_max = np.max(x, axis=-1, keepdims=True)
-        live = np.isfinite(row_max)  # rows with at least one unmasked entry
-        shifted = np.where(mask, x - np.where(live, row_max, 0.0), -np.inf)
-        ex = np.where(mask, np.exp(np.where(mask, shifted, 0.0)), 0.0)
+        ex = np.exp(x - np.where(np.isfinite(row_max), row_max, 0.0))  # masked: exp(-inf) = 0
         denom = ex.sum(axis=-1, keepdims=True)
         out_data = np.divide(ex, denom, out=np.zeros_like(ex), where=denom > 0)
-        out_data = out_data.astype(a.data.dtype)
 
         def backward(g):
             dot = (g * out_data).sum(axis=-1, keepdims=True)

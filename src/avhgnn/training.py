@@ -217,8 +217,7 @@ def split_dataset(items, fraction: float, seed: int):
 
 @functools.lru_cache(maxsize=2)  # a batch no larger than an epoch spans at most two
 def _epoch_permutation(seed: int, epoch: int, n: int) -> np.ndarray:
-    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, epoch])))
-    return gen.permutation(n)
+    return Rng(np.random.SeedSequence([seed, epoch])).permutation(n)
 
 
 def batch_indices(seed: int, n_items: int, batch_size: int, t: int) -> list[int]:
@@ -267,7 +266,7 @@ class Checkpoint(Record):
 
 
 def save_checkpoint(path, model: HgnnModel, optimizer: Adam, iteration: int,
-                    rng: Rng, train_config: TrainConfig):
+                    rng: np.random.Generator, train_config: TrainConfig):
     """Single binary file: magic, version, JSON header, then f32 LE tensors.
 
     The payload is the optimizer's `blocks`, one write each: parameters, first
@@ -283,7 +282,7 @@ def save_checkpoint(path, model: HgnnModel, optimizer: Adam, iteration: int,
         "model_config": model.config.to_dict(),
         "iteration": int(iteration),
         "adam_step": int(optimizer.step_count),
-        "rng_state": rng.get_state(),
+        "rng_state": rng.bit_generator.state,
         "params": [{"name": name, "rows": p.rows, "cols": p.cols} for name, p in named],
     }).encode("utf-8")
     with atomic_open(path, "wb") as f:
@@ -330,7 +329,7 @@ def load_checkpoint(path) -> Checkpoint:
             model_config = ModelConfig.from_dict(header["model_config"])
             iteration, adam_step = header["iteration"], header["adam_step"]
             rng_state = header["rng_state"]
-            Rng(0).set_state(rng_state)
+            Rng(0).bit_generator.state = rng_state
         except (KeyError, TypeError, ValueError) as exc:  # ValueError covers bad JSON/UTF-8
             raise ConfigError(f"malformed checkpoint header: {exc!r}") from exc
         total = sum(rows * cols for _, rows, cols in specs)
@@ -355,7 +354,7 @@ def load_checkpoint(path) -> Checkpoint:
 class TrainResult:
     model: HgnnModel
     optimizer: Adam
-    rng: Rng
+    rng: np.random.Generator
     config: TrainConfig
     history: list          # rows: {iteration, loss, lr, map, roc_auc}
     final_iteration: int
@@ -408,7 +407,7 @@ def train(items, cfg: TrainConfig, val_items=None, resume: Checkpoint | None = N
                                   "a resume keeps the model")
         model = resume.build_model()
         optimizer = resume.build_optimizer(model)
-        rng.set_state(resume.rng_state)
+        rng.bit_generator.state = resume.rng_state
         start = resume.iteration
         if start > cfg.max_iters:
             raise ConfigError(f"max_iters {cfg.max_iters} is below the checkpoint's "

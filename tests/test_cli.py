@@ -525,7 +525,7 @@ def _header(**changes) -> bytes:
     model_config = dict(d_audio=5, d_video=7, n_audio=4, n_video=6, num_classes=4,
                         hidden=8, num_layers=1, pooling="mean")
     header = {"train_config": TINY_TRAIN, "model_config": model_config, "iteration": 2,
-              "adam_step": 2, "rng_state": Rng(0).get_state(), "params": []}
+              "adam_step": 2, "rng_state": Rng(0).bit_generator.state, "params": []}
     for key, value in changes.items():
         (model_config if key in model_config else header)[key] = value
     return json.dumps(header).encode()
@@ -655,6 +655,10 @@ class TestMalformedInput:
         ({"id": 5}, "manifest item 0: item_id must be a str"),
         ({"items": [5]}, "manifest item 0: must be a JSON object"),
         ({"id": "synth-0001"}, "manifest items 0 and 1 share the id 'synth-0001'"),
+        ({"container_path": "/tmp/synth-0000.hgav"},
+         "manifest item 0: container_path '/tmp/synth-0000.hgav' must be relative"),
+        ({"container_path": "../synth-0000.hgav"},
+         "manifest item 0: container_path '../synth-0000.hgav' must be relative"),
     ])
     def test_bad_manifest(self, capsys, tmp_path, change, message):
         manifest = gen_dataset(capsys, tmp_path, n_items=4, n_audio=4, n_video=6,

@@ -130,6 +130,13 @@ class TestManifest:
         with pytest.raises(DataFormatError):
             DatasetManifest.from_dict({"num_classes": 1})
 
+    @pytest.mark.parametrize("path", ["/data/a.hgav", "../a.hgav", "len20/../../a.hgav"])
+    def test_container_path_outside_the_directory_is_format_error(self, path):
+        items = [{"id": "a", "container_path": "len20/a.hgav", "labels": [0]},
+                 {"id": "b", "container_path": path, "labels": [0]}]
+        with pytest.raises(DataFormatError, match=r"manifest item 1: container_path"):
+            DatasetManifest.from_dict({"num_classes": 1, "class_names": ["x"], "items": items})
+
 
 class TestSynthSpecValidation:
     def test_defaults_valid(self):

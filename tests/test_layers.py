@@ -153,6 +153,13 @@ class TestGatFusion:
         np.testing.assert_array_equal(out.data[1], np.zeros(5))
         np.testing.assert_array_equal(alpha.data[1], np.zeros(2))
 
+    @pytest.mark.parametrize("mask_shape", [(2, 4), (3, 2), (1, 3, 2)])
+    def test_mask_of_another_shape_is_shape_error(self, mask_shape):
+        # The attention softmax checks the mask against the (audio, video) scores.
+        with pytest.raises(ShapeError, match=r"mask shape .* != tensor shape \(3, 4\)"):
+            self._layer(3).forward(ComputeGraph(), Tensor(np.ones((4, 4))),
+                                   np.ones(mask_shape), Tensor(np.ones((3, 3))))
+
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_loop_oracle(self, seed):
         rng = np.random.default_rng(100 + seed)

@@ -331,6 +331,89 @@ class TestGradientOracle:
         self._check(lambda g: g.sum_all(g.add(g.mul(a, a), g.relu(a))), [a])
 
 
+def _softmax_reference(x, mask):
+    """row_softmax_masked's former forward, which applied the mask five times."""
+    x = np.where(mask, x, -np.inf)
+    row_max = np.max(x, axis=-1, keepdims=True)
+    live = np.isfinite(row_max)
+    shifted = np.where(mask, x - np.where(live, row_max, 0.0), -np.inf)
+    ex = np.where(mask, np.exp(np.where(mask, shifted, 0.0)), 0.0)
+    denom = ex.sum(axis=-1, keepdims=True)
+    out = np.divide(ex, denom, out=np.zeros_like(ex), where=denom > 0)
+    return out.astype(x.dtype)
+
+
+def _sigmoid_reference(x):
+    """sigmoid's former forward, which scattered each sign's branch by boolean index."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _leaky_scale_reference(x, slope):
+    """leaky_relu's former scale, built in float64 and cast."""
+    return np.where(x > 0, 1.0, slope).astype(x.dtype)
+
+
+class TestRewrittenOpsBitwise:
+    """row_softmax_masked, sigmoid and leaky_relu give the bytes of their former
+    bodies, forward and backward, in f32 and f64, unbatched and for B = 3."""
+
+    SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf])
+
+    @staticmethod
+    def _assert_same_bits(new, old):
+        # A NaN's payload may differ; its place may not.
+        assert new.dtype == old.dtype and new.shape == old.shape
+        nan = np.isnan(old)
+        assert (np.isnan(new) == nan).all()
+        assert new[~nan].tobytes() == old[~nan].tobytes()
+
+    def _cases(self):
+        """(x, upstream gradient, mask): |x| up to 100, with +-0 and +-inf scattered
+        in; mask row 0 is all False."""
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            for dtype in (np.float32, np.float64):
+                for shape in ((5, 7), (3, 5, 7)):
+                    x = rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.integers(-1, 3, shape)
+                    spots = rng.random(shape) < 0.1 * (seed % 2)
+                    x[spots] = rng.choice(self.SPECIALS, spots.sum())
+                    mask = rng.random(shape[-2:]) > 0.4
+                    mask[0] = False
+                    yield (x.astype(dtype), rng.normal(0, 1, shape).astype(dtype), mask)
+
+    def _check(self, op, ref_forward, ref_backward):
+        for x, upstream, mask in self._cases():
+            leaf = Tensor(x, requires_grad=True)
+            g = ComputeGraph()
+            with np.errstate(invalid="ignore"):  # inf - inf and inf / inf make NaN
+                out = op(g, leaf, mask)
+                g.backward(g.sum_all(g.mul(out, Tensor(upstream))))
+                ref = ref_forward(x, mask)
+                self._assert_same_bits(out.data, ref)
+                self._assert_same_bits(leaf.grad, ref_backward(upstream, ref, x))
+
+    def test_row_softmax_masked(self):
+        def backward(g, out, x):
+            return out * (g - (g * out).sum(axis=-1, keepdims=True))
+
+        self._check(lambda g, a, mask: g.row_softmax_masked(a, mask),
+                    _softmax_reference, backward)
+
+    def test_sigmoid(self):
+        self._check(lambda g, a, mask: g.sigmoid(a), lambda x, mask: _sigmoid_reference(x),
+                    lambda g, out, x: g * out * (1.0 - out))
+
+    def test_leaky_relu(self):
+        self._check(lambda g, a, mask: g.leaky_relu(a, 0.2),
+                    lambda x, mask: x * _leaky_scale_reference(x, 0.2),
+                    lambda g, out, x: g * _leaky_scale_reference(x, 0.2))
+
+
 def _focal_chain_reference(probs, y, gamma, eps):
     """Focal loss and d loss / d probs as a tape of 14 elementwise ops gives them.
 

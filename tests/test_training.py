@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from avhgnn import training
+from avhgnn import layers, training
 
 from avhgnn.data import LabeledGraph
 from avhgnn.graph import EdgeRule, EdgeRules, build_hetero_graph, stack_graphs
@@ -528,11 +528,10 @@ class TestCheckpoint:
         # parameter is allocated. Measured peak for load + build: 1.0014x.
         path, model, payload = self._saved_model(tmp_path, hidden=384, dim=384)  # 10.6 MB
 
-        def no_draw(*args):
+        def no_draw(*args, **kwargs):
             raise AssertionError("build_model drew random values")
 
-        monkeypatch.setattr(training.Rng, "uniform", no_draw)
-        monkeypatch.setattr(training.Rng, "normal", no_draw)
+        monkeypatch.setattr(layers, "xavier_init", no_draw)  # the model's only draw
         tracemalloc.start()
         try:
             ckpt = load_checkpoint(path)
