@@ -77,7 +77,7 @@ class GcnLayer:
         self.weight = _param(init, in_dim, out_dim, dtype, f"{name}.weight")
 
     def forward(self, g: ComputeGraph, feats: Tensor, adj_norm: Tensor) -> Tensor:
-        return g.relu(g.matmul(adj_norm, g.matmul(feats, self.weight)))
+        return g.gcn(adj_norm, feats, self.weight)
 
     def params(self):
         return [self.weight]
@@ -102,12 +102,8 @@ class GatFusionLayer:
     def forward(self, g: ComputeGraph, video_feats: Tensor, mask_va: np.ndarray,
                 audio_feats: Tensor):
         """Returns (message [n_audio x out_dim], attention [n_audio x n_video])."""
-        att_v = g.matmul(self.w_msg, self.att_video)     # video_dim x 1
-        score_v = g.matmul(video_feats, att_v)            # n_video x 1
-        score_a = g.matmul(audio_feats, self.att_audio)   # n_audio x 1
-        scores = g.add(score_a, g.transpose(score_v))     # broadcast to n_audio x n_video
-        scores = g.leaky_relu(scores, GAT_LEAKY_SLOPE)
-        alpha = g.row_softmax_masked(scores, mask_va > 0)
+        alpha = g.gat_attention(audio_feats, video_feats, self.w_msg, self.att_audio,
+                                self.att_video, mask_va > 0, GAT_LEAKY_SLOPE)
         return g.matmul(g.matmul(alpha, video_feats), self.w_msg), alpha
 
     def params(self):
@@ -148,14 +144,8 @@ class HeteroLayer:
         return new_a, new_v, alpha
 
     def params(self):
-        out = []
-        if self.audio_gcn is not None:
-            out.extend(self.audio_gcn.params())
-        if self.video_gcn is not None:
-            out.extend(self.video_gcn.params())
-        if self.fusion is not None:
-            out.extend(self.fusion.params())
-        return out
+        parts = (self.audio_gcn, self.video_gcn, self.fusion)
+        return [p for part in parts if part is not None for p in part.params()]
 
 
 @dataclass

@@ -5,10 +5,11 @@ two axes, so every op serves one graph and B same-shape graphs alike. A
 batch times a shared 2-D operand (a weight) folds the batch into matrix
 rows: one GEMM forward and one per gradient backward. Everything
 downstream (graph layers, pooling, the head) is built from the ops on
-ComputeGraph, and the focal loss is one op of its own. Forward values are
-computed eagerly with numpy; each op appends a backward rule to the tape,
-and backward() replays the tape in reverse. float32 is the training
-dtype; float64 is used as a shadow mode by the gradient-check tests.
+ComputeGraph; a GCN, the GAT attention and the focal loss are one op
+each. Forward values are computed eagerly with numpy; each op appends a
+backward rule to the tape, and backward() replays the tape in reverse.
+float32 is the training dtype; float64 is used as a shadow mode by the
+gradient-check tests.
 """
 
 from __future__ import annotations
@@ -92,17 +93,25 @@ def xavier_init(rows: int, cols: int, rng: np.random.Generator, dtype=np.float32
     return Tensor(data, requires_grad=True, name=name)
 
 
-def _accum(t: Tensor, g: np.ndarray):
-    """Add `g` into t.grad, summed over the axes `t` was broadcast along. Not a
+def _sum_to(g: np.ndarray, shape: tuple) -> np.ndarray:
+    """`g` summed over the axes along which `shape` was broadcast to g's shape."""
+    if g.shape == shape:
+        return g
+    padded = (1,) * (g.ndim - len(shape)) + shape
+    axes = tuple(i for i, (m, n) in enumerate(zip(padded, g.shape)) if m != n)
+    return g.sum(axis=axes, keepdims=True).reshape(shape)
+
+
+def _accum(t: Tensor, g: np.ndarray, own: bool = False):
+    """Add `g` into t.grad, summed over the axes `t` was broadcast along; a first
+    touch adopts `g` if `own` (no one else holds it), else copies it. Not a
     method, so backward closures do not hold their tape in a reference cycle."""
     if not t.requires_grad:
         return
     if g.shape != t.shape:
-        padded = (1,) * (g.ndim - t.data.ndim) + t.shape
-        axes = tuple(i for i, (m, n) in enumerate(zip(padded, g.shape)) if m != n)
-        g = g.sum(axis=axes, keepdims=True).reshape(t.shape)
+        g, own = _sum_to(g, t.shape), True
     if t.grad is None:
-        t.grad = g.astype(t.data.dtype, copy=True)
+        t.grad = g.astype(t.data.dtype, copy=not own)
     else:
         t.grad += g
 
@@ -112,6 +121,48 @@ def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     than numpy's matmul, which uses no BLAS there. The bytes are equal, except
     that a -0.0 product stays -0.0 (`@` adds it to +0.0, giving +0.0)."""
     return x * y if x.shape[-1] == 1 else x @ y
+
+
+def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b; a batched `a` times a shared 2-D `b` folds the batch into rows."""
+    if a.ndim == 3 and b.ndim == 2:
+        return _product(a.reshape(-1, a.shape[-1]), b).reshape(a.shape[:-1] + b.shape[-1:])
+    return _product(a, b)
+
+
+def _mm_backward(g: np.ndarray, a: Tensor, b: Tensor):
+    """Add the gradients of `_mm(a, b)` for its output gradient `g` into a and b."""
+    fold = a.data.ndim == 3 and b.data.ndim == 2
+    g_rows = g.reshape(-1, b.cols) if fold else g
+    if a.requires_grad:
+        ga = _product(g_rows, b.data.swapaxes(-1, -2))
+        _accum(a, ga.reshape(g.shape[:-1] + (a.cols,)), own=True)
+    if b.requires_grad:
+        a_rows = a.data.reshape(-1, a.cols) if fold else a.data
+        _accum(b, _product(a_rows.swapaxes(-1, -2), g_rows), own=True)
+
+
+def _leaky_scale(x: np.ndarray, slope: float) -> np.ndarray:
+    """LeakyReLU's slope per entry: 1 where x > 0, else `slope`, in x's dtype (a
+    two-entry table lookup, which is faster than np.where of two scalars)."""
+    return np.array([slope, 1.0], x.dtype).take((x > 0).view(np.int8))
+
+
+def _softmax_masked(x: np.ndarray, mask) -> np.ndarray:
+    """Softmax over the unmasked entries of each row (see `row_softmax_masked`)."""
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != x.shape[-2:]:
+        raise ShapeError(f"mask shape {mask.shape} != tensor shape {x.shape[-2:]}")
+    x = np.where(mask, x, -np.inf)
+    row_max = x.max(axis=-1, keepdims=True)
+    ex = np.exp(x - np.where(np.isfinite(row_max), row_max, 0.0))  # masked: exp(-inf) = 0
+    denom = ex.sum(axis=-1, keepdims=True)
+    return np.divide(ex, denom, out=np.zeros_like(ex), where=denom > 0)
+
+
+def _softmax_grad(out: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The softmax's input gradient, from its output `out` and output gradient `g`."""
+    return out * (g - (g * out).sum(axis=-1, keepdims=True))
 
 
 class ComputeGraph:
@@ -145,21 +196,11 @@ class ComputeGraph:
         product contracting over length 1 is a broadcast (`_product`)."""
         if a.cols != b.rows:
             raise ShapeError(f"matmul inner dims differ: {a.shape} x {b.shape}")
-        fold = a.data.ndim == 3 and b.data.ndim == 2
-        a_rows = a.data.reshape(-1, a.cols) if fold else a.data
-        out_data = _product(a_rows, b.data)
-        if fold:
-            out_data = out_data.reshape(a.shape[:-1] + (b.cols,))
 
         def backward(g):
-            g_rows = g.reshape(-1, b.cols) if fold else g
-            if a.requires_grad:
-                ga = _product(g_rows, b.data.swapaxes(-1, -2))
-                _accum(a, ga.reshape(g.shape[:-1] + (a.cols,)))
-            if b.requires_grad:
-                _accum(b, _product(a_rows.swapaxes(-1, -2), g_rows))
+            _mm_backward(g, a, b)
 
-        return self._emit(out_data, backward)
+        return self._emit(_mm(a.data, b.data), backward)
 
     def transpose(self, a: Tensor) -> Tensor:
         def backward(g):
@@ -173,8 +214,8 @@ class ComputeGraph:
             raise ShapeError(f"add shapes incompatible: {a.shape} + {b.shape}")
 
         def backward(g):
-            _accum(a, g)
-            _accum(b, g)
+            _accum(a, g)  # a copy, so that add(x, x) does not add g into itself
+            _accum(b, g, own=True)
 
         return self._emit(a.data + b.data, backward)
 
@@ -189,6 +230,52 @@ class ComputeGraph:
 
         return self._emit(a.data * b.data, backward)
 
+    # -- fused layers: one record each, bitwise the chain of ops it replaces; backward
+    # adds its inputs' gradients in the order the chain's rules would add them.
+
+    def gcn(self, adj: Tensor, feats: Tensor, weight: Tensor) -> Tensor:
+        """relu(adj @ (feats @ weight)), a graph convolution over a constant 2-D
+        adjacency; backward keeps only the ReLU mask."""
+        if adj.requires_grad or adj.data.ndim != 2:
+            raise ShapeError(f"gcn adjacency {adj.shape} must be a constant 2-D matrix")
+        if feats.cols != weight.rows or adj.cols != feats.rows:
+            raise ShapeError(f"gcn dims differ: {adj.shape} x {feats.shape} x {weight.shape}")
+        out_data = _product(adj.data, _mm(feats.data, weight.data))
+        mask = out_data > 0
+        np.multiply(out_data, mask, out=out_data)
+
+        def backward(g):
+            np.multiply(g, mask, out=g)  # backward() hands each rule a g it alone holds
+            _mm_backward(_product(adj.data.swapaxes(-1, -2), g), feats, weight)
+
+        return self._emit(out_data, backward)
+
+    def gat_attention(self, audio: Tensor, video: Tensor, w_msg: Tensor, att_audio: Tensor,
+                      att_video: Tensor, mask, slope: float) -> Tensor:
+        """Masked single-head attention of audio rows over video rows:
+        row_softmax_masked(leaky_relu(audio @ att_audio
+        + transpose(video @ (w_msg @ att_video)), slope), mask)."""
+        ins = (audio, video, w_msg, att_audio, att_video)
+        if (video.cols, w_msg.cols, audio.cols, att_audio.cols, att_video.cols) != (
+                w_msg.rows, att_video.rows, att_audio.rows, 1, 1):
+            raise ShapeError(f"gat_attention dims differ: {[t.shape for t in ins]}")
+        att_v = _product(w_msg.data, att_video.data)
+        score_v = _mm(video.data, att_v)
+        score_a = _mm(audio.data, att_audio.data)
+        scores = score_a + score_v.swapaxes(-1, -2)
+        scale = _leaky_scale(scores, slope)
+        alpha = _softmax_masked(scores * scale, mask)
+
+        def backward(g):
+            g_scores = _softmax_grad(alpha, g) * scale
+            _mm_backward(_sum_to(g_scores, score_a.shape), audio, att_audio)
+            g_v = _sum_to(g_scores, score_v.swapaxes(-1, -2).shape).swapaxes(-1, -2)
+            att_v_node = Tensor(att_v, requires_grad=True)  # collects w_msg @ att_video's grad
+            _mm_backward(g_v.copy(), video, att_v_node)  # copied, as the transpose rule copies it
+            _mm_backward(att_v_node.grad, w_msg, att_video)
+
+        return self._emit(alpha, backward)
+
     # -- activations ----------------------------------------------------------
 
     def relu(self, a: Tensor) -> Tensor:
@@ -200,8 +287,7 @@ class ComputeGraph:
         return self._emit(a.data * mask, backward)
 
     def leaky_relu(self, a: Tensor, slope: float = 0.2) -> Tensor:
-        dt = a.data.dtype.type
-        scale = np.where(a.data > 0, dt(1.0), dt(slope))
+        scale = _leaky_scale(a.data, slope)
 
         def backward(g):
             _accum(a, g * scale)
@@ -213,7 +299,7 @@ class ComputeGraph:
         out_data = np.where(a.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
         def backward(g):
-            _accum(a, g * out_data * (1.0 - out_data))
+            _accum(a, g * out_data * (1.0 - out_data), own=True)
 
         return self._emit(out_data, backward)
 
@@ -237,18 +323,10 @@ class ComputeGraph:
         get weight 0. Rows whose mask is all False come out all-zero rather
         than NaN. Row maxima are subtracted before exp for stability.
         """
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != a.shape[-2:]:
-            raise ShapeError(f"mask shape {mask.shape} != tensor shape {a.shape[-2:]}")
-        x = np.where(mask, a.data, -np.inf)
-        row_max = np.max(x, axis=-1, keepdims=True)
-        ex = np.exp(x - np.where(np.isfinite(row_max), row_max, 0.0))  # masked: exp(-inf) = 0
-        denom = ex.sum(axis=-1, keepdims=True)
-        out_data = np.divide(ex, denom, out=np.zeros_like(ex), where=denom > 0)
+        out_data = _softmax_masked(a.data, mask)
 
         def backward(g):
-            dot = (g * out_data).sum(axis=-1, keepdims=True)
-            _accum(a, out_data * (g - dot))
+            _accum(a, _softmax_grad(out_data, g))
 
         return self._emit(out_data, backward)
 
@@ -268,7 +346,7 @@ class ComputeGraph:
         def backward(g):
             da = np.zeros_like(a.data)
             np.put_along_axis(da, idx, g, axis=-2)
-            _accum(a, da)
+            _accum(a, da, own=True)
 
         return self._emit(np.take_along_axis(a.data, idx, axis=-2), backward)
 
@@ -304,7 +382,7 @@ class ComputeGraph:
             g_p += g_pos * pow_omp / p
             g_omp += g_pos * log_p * e * np.power(omp, e - 1.0)
             g_p -= g_omp
-            _accum(probs, g_p * inside)
+            _accum(probs, g_p * inside, own=True)
 
         return self._emit(loss, backward)
 
@@ -319,7 +397,7 @@ class ComputeGraph:
         """
         if loss.shape != (1, 1):
             raise ShapeError(f"backward needs a scalar loss, got {loss.shape}")
-        _accum(loss, np.ones((1, 1), dtype=loss.data.dtype))
+        _accum(loss, np.ones((1, 1), dtype=loss.data.dtype), own=True)
         for out, backward in reversed(self._records):
             g = out.grad
             if g is None:

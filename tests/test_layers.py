@@ -197,7 +197,7 @@ class TestGatFusion:
         mask = (rng.random((4, 6)) > 0.3).astype(float)
         g = ComputeGraph()
         out, alpha = layer.forward(g, video, mask, audio)
-        assert len(g) == 9
+        assert len(g) == 3  # gat_attention, aggregate, projection
 
         g = ComputeGraph()
         score_v = g.matmul(video, g.matmul(layer.w_msg, layer.att_video))
@@ -444,12 +444,21 @@ class TestModelForward:
         model.layers[0].fusion.w_msg.data[0, 0] = 1e30
         graph = tiny_graph(dtype=np.float32)
         graph.video_feats.data[:] = 1e10  # 1e30 * 1e10 overflows float32
-        # Ops 0-2 are layer 0's audio GCN (matmul, matmul, relu); ops 3-10
-        # score, normalize and aggregate the video nodes (scores reach about
-        # 1e37, still finite); op 11 is the fusion's message projection of the
-        # aggregate, where the first inf appears.
+        # Op 0 is layer 0's audio GCN; op 1 is the fusion's gat_attention
+        # (scores reach about 1e37, still finite); op 2 aggregates the video
+        # nodes; op 3 is the fusion's message projection of the aggregate,
+        # where the first inf appears.
         with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(NumericError, match=r"op 11 \(matmul\)"):
+                pytest.raises(NumericError, match=r"op 3 \(matmul\)"):
+            model.forward(ComputeGraph(), graph)
+
+    def test_non_finite_first_gcn_names_the_fused_op(self):
+        model = tiny_model(dtype=np.float32)
+        model.layers[0].audio_gcn.weight.data[:] = 1e30
+        graph = tiny_graph(dtype=np.float32)
+        graph.audio_feats.data[:] = 1e10
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericError, match=r"op 0 \(gcn\)"):
             model.forward(ComputeGraph(), graph)
 
     def test_attention_collected_per_layer(self):
@@ -604,3 +613,38 @@ class TestBatchedForward:
     def test_stack_rejects_graphs_with_different_structures(self):
         with pytest.raises(ShapeError, match="one structure"):
             stack_graphs([tiny_graph(), tiny_graph(n_audio=4)])
+
+
+class TestDeskTape:
+    """The desk-scale model (a3's task: 10/25 nodes, 16/32 dims, hidden 32,
+    2 layers, 4 classes) on a minibatch of 8."""
+
+    @staticmethod
+    def _step():
+        config = ModelConfig(d_audio=16, d_video=32, n_audio=10, n_video=25,
+                             num_classes=4, hidden=32, num_layers=2)
+        model = HgnnModel(config, Rng(1))
+        rng = np.random.default_rng(1)
+        graphs = [build_hetero_graph(rng.normal(0, 1, (10, 16)).astype(np.float32),
+                                     rng.normal(0, 1, (25, 32)).astype(np.float32),
+                                     EdgeRules.default()) for _ in range(8)]
+        labels = [(rng.random(4) > 0.5).astype(np.float32) for _ in graphs]
+        g = ComputeGraph()
+        loss = focal_loss(g, model.forward(g, stack_graphs(graphs)).probs, labels, gamma=2.0)
+        return model, g, loss
+
+    def test_forward_and_loss_record_21_ops(self):
+        # Per layer: audio gcn, gat_attention, aggregate, projection, add,
+        # video gcn (12); learned pooling 4, concat, head matmul and bias add,
+        # sigmoid, focal loss (9).
+        _, g, _ = self._step()
+        assert len(g) == 21
+
+    def test_no_two_parameter_gradients_share_memory(self):
+        model, g, loss = self._step()
+        g.backward(loss)
+        grads = [p.grad for _, p in model.named_params()]
+        assert all(grad is not None for grad in grads)
+        for i, a in enumerate(grads):
+            for b in grads[i + 1:]:
+                assert not np.shares_memory(a, b)

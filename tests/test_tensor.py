@@ -215,6 +215,18 @@ class TestBackward:
         assert peak < 8 * 64 * 64 * w.data.itemsize / 2
         np.testing.assert_array_equal(w.grad, np.full((64, 64), 32.0))
 
+    @pytest.mark.parametrize("op", ["add", "matmul", "mul"])
+    def test_one_tensor_as_both_operands_gets_both_gradients(self, op):
+        # The first side's gradient is stored first; the second must add into
+        # it, not be added into an array the first side adopted.
+        x = Tensor(np.arange(1.0, 10.0).reshape(3, 3), requires_grad=True)
+        up = np.random.default_rng(0).normal(0, 1, (3, 3))
+        g = ComputeGraph()
+        g.backward(g.sum_all(g.mul(getattr(g, op)(x, x), Tensor(up))))
+        expected = {"add": up + up, "matmul": up @ x.data.T + x.data.T @ up,
+                    "mul": up * x.data + up * x.data}[op]
+        assert x.grad.tobytes() == expected.tobytes()
+
     def test_leaf_without_requires_grad_gets_none(self):
         g = ComputeGraph()
         w = Tensor([[1.0, 2.0]], requires_grad=True)
@@ -330,6 +342,26 @@ class TestGradientOracle:
         a = _leaf(rng64, 3, 3)
         self._check(lambda g: g.sum_all(g.add(g.mul(a, a), g.relu(a))), [a])
 
+    @pytest.mark.parametrize("adj_shape, feats_shape", [((4, 4), (4, 3)), ((2, 4), (3, 4, 3))])
+    def test_gcn(self, rng64, adj_shape, feats_shape):
+        adj = Tensor(rng64.uniform(0.0, 1.0, adj_shape))
+        feats, weight = _leaf(rng64, *feats_shape), _leaf(rng64, 3, 5)
+        up = Tensor(rng64.normal(0, 1, np.matmul(adj.data, feats.data @ weight.data).shape))
+        self._check(lambda g: g.sum_all(g.mul(g.gcn(adj, feats, weight), up)),
+                    [feats, weight])
+
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    def test_gat_attention(self, rng64, batch):
+        audio, video = _leaf(rng64, *batch, 4, 3), _leaf(rng64, *batch, 5, 6)
+        w_msg, att_audio, att_video = _leaf(rng64, 6, 2), _leaf(rng64, 3, 1), _leaf(rng64, 2, 1)
+        mask = np.random.default_rng(7).random((4, 5)) > 0.3
+        mask[0, :] = False  # one dead row
+        mask[1, :] = True
+        up = Tensor(rng64.normal(0, 1, batch + (4, 5)))
+        leaves = [audio, video, w_msg, att_audio, att_video]
+        self._check(lambda g: g.sum_all(g.mul(g.gat_attention(*leaves, mask, 0.2), up)),
+                    leaves)
+
 
 def _softmax_reference(x, mask):
     """row_softmax_masked's former forward, which applied the mask five times."""
@@ -412,6 +444,102 @@ class TestRewrittenOpsBitwise:
         self._check(lambda g, a, mask: g.leaky_relu(a, 0.2),
                     lambda x, mask: x * _leaky_scale_reference(x, 0.2),
                     lambda g, out, x: g * _leaky_scale_reference(x, 0.2))
+
+
+def _gcn_chain(g, adj, feats, weight):
+    return g.relu(g.matmul(adj, g.matmul(feats, weight)))
+
+
+def _gat_chain(g, audio, video, w_msg, att_audio, att_video, mask, slope):
+    score_v = g.matmul(video, g.matmul(w_msg, att_video))
+    score_a = g.matmul(audio, att_audio)
+    scores = g.leaky_relu(g.add(score_a, g.transpose(score_v)), slope)
+    return g.row_softmax_masked(scores, mask)
+
+
+class TestFusedOpsBitwise:
+    """gcn and gat_attention give the bytes of the op chains they replace:
+    the output and every input gradient, in f32 and f64, for one matrix and
+    for a batch of 3, with trainable and with frozen features."""
+
+    @staticmethod
+    def _run(op, arrays, trainable, upstream, extra=(), downstream=None):
+        leaves = [Tensor(a.copy(), requires_grad=t) for a, t in zip(arrays, trainable)]
+        g = ComputeGraph()
+        out = op(g, *leaves, *extra)
+        tip = out if downstream is None else downstream(g, out, leaves)
+        g.backward(g.sum_all(g.mul(tip, Tensor(upstream))))
+        return [out.data] + [leaf.grad for leaf in leaves], len(g)
+
+    def _assert_same(self, fused, chain, n_chain_ops):
+        (fused_arrays, fused_len), (chain_arrays, chain_len) = fused, chain
+        assert chain_len - fused_len == n_chain_ops - 1
+        for new, old in zip(fused_arrays, chain_arrays):
+            if old is None:
+                assert new is None
+            else:
+                assert new.dtype == old.dtype and new.shape == old.shape
+                assert new.tobytes() == old.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    @pytest.mark.parametrize("frozen", [False, True])
+    @pytest.mark.parametrize("n_out", [6, 4])  # 4: a non-square adjacency
+    def test_gcn(self, dtype, batch, frozen, n_out):
+        rng = np.random.default_rng(n_out + len(batch))
+        adj = rng.uniform(0.0, 1.0, (n_out, 6)) * (rng.random((n_out, 6)) > 0.4)
+        feats = rng.normal(0, 1, batch + (6, 5))
+        weight = rng.normal(0, 1, (5, 7))
+        arrays = [a.astype(dtype) for a in (adj, feats, weight)]
+        upstream = rng.normal(0, 1, batch + (n_out, 7)).astype(dtype)
+        trainable = [False, not frozen, True]
+        fused = self._run(ComputeGraph.gcn, arrays, trainable, upstream)
+        self._assert_same(fused, self._run(_gcn_chain, arrays, trainable, upstream), 3)
+        assert (fused[0][2] is None) == frozen
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    @pytest.mark.parametrize("frozen", [False, True])
+    @pytest.mark.parametrize("n_audio", [4, 1])
+    def test_gat_attention_and_message(self, dtype, batch, frozen, n_audio):
+        # The layer's aggregate and projection also feed video and w_msg, so
+        # their gradients must be added in the chain's order too.
+        rng = np.random.default_rng(n_audio + len(batch))
+        arrays = [rng.normal(0, s, shape).astype(dtype) for s, shape in (
+            (2.0, batch + (n_audio, 3)), (2.0, batch + (5, 6)), (1.0, (6, 4)),
+            (1.0, (3, 1)), (1.0, (4, 1)))]
+        mask = rng.random((n_audio, 5)) > 0.3
+        mask[-1, :3] = True
+        if n_audio > 1:
+            mask[0] = False  # an all-masked row attends to nothing
+        upstream = rng.normal(0, 1, batch + (n_audio, 4)).astype(dtype)
+        trainable = [not frozen, not frozen, True, True, True]
+
+        def message(g, alpha, leaves):
+            return g.matmul(g.matmul(alpha, leaves[1]), leaves[2])
+
+        fused = self._run(ComputeGraph.gat_attention, arrays, trainable, upstream,
+                          (mask, 0.2), message)
+        chain = self._run(_gat_chain, arrays, trainable, upstream, (mask, 0.2), message)
+        self._assert_same(fused, chain, 7)
+        if n_audio > 1:
+            assert not fused[0][0][..., 0, :].any()
+
+    @pytest.mark.parametrize("adj", [Tensor(np.ones((2, 2)), requires_grad=True),
+                                     Tensor(np.ones((3, 2, 2)))])
+    def test_gcn_adjacency_needing_a_gradient_or_batched_is_shape_error(self, adj):
+        with pytest.raises(ShapeError, match="constant 2-D"):
+            ComputeGraph().gcn(adj, Tensor(np.ones((3, 2, 3))), Tensor(np.ones((3, 4))))
+
+    def test_gcn_dims_mismatch_is_shape_error(self):
+        with pytest.raises(ShapeError, match="gcn dims differ"):
+            ComputeGraph().gcn(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))),
+                               Tensor(np.ones((3, 4))))
+
+    def test_gat_attention_mask_of_another_shape_is_shape_error(self):
+        ones = [np.ones(s) for s in ((2, 3), (4, 5), (5, 6), (3, 1), (6, 1))]
+        with pytest.raises(ShapeError, match="mask shape"):
+            ComputeGraph().gat_attention(*map(Tensor, ones), np.ones((4, 2), bool), 0.2)
 
 
 def _focal_chain_reference(probs, y, gamma, eps):

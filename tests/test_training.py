@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from avhgnn import layers, training
+from avhgnn import layers, tensor, training
 
 from avhgnn.data import LabeledGraph
 from avhgnn.graph import EdgeRule, EdgeRules, build_hetero_graph, stack_graphs
@@ -385,6 +385,41 @@ class TestCheckpoint:
         for (name, p_full), (_, p_res) in zip(full.model.named_params(),
                                               resumed.model.named_params()):
             assert p_full.data.tobytes() == p_res.data.tobytes(), name
+
+    @pytest.mark.parametrize("fusion", ["gat", "gcn"])
+    def test_fused_ops_and_adopted_gradients_write_the_chains_bytes(
+            self, tmp_path, monkeypatch, fusion):
+        """Training through the fused gcn / gat_attention ops, with first-touch
+        gradients adopted, writes the checkpoint of the elementary op chains
+        with every first-touch gradient copied."""
+        items = make_items(6)
+        cfg = small_config(max_iters=12, num_layers=2, batch_size=3, fusion=fusion,
+                           pooling="learned")
+
+        def checkpoint_bytes(name):
+            result = train(items, cfg)
+            path = tmp_path / name
+            save_checkpoint(path, result.model, result.optimizer, cfg.max_iters,
+                            result.rng, cfg)
+            return path.read_bytes()
+
+        fused = checkpoint_bytes("fused.hgck")
+        accum = tensor._accum
+
+        def chain_gcn(self, g, feats, adj_norm):
+            return g.relu(g.matmul(adj_norm, g.matmul(feats, self.weight)))
+
+        def chain_fusion(self, g, video, mask_va, audio):
+            score_v = g.matmul(video, g.matmul(self.w_msg, self.att_video))
+            scores = g.add(g.matmul(audio, self.att_audio), g.transpose(score_v))
+            alpha = g.row_softmax_masked(g.leaky_relu(scores, layers.GAT_LEAKY_SLOPE),
+                                         mask_va > 0)
+            return g.matmul(g.matmul(alpha, video), self.w_msg), alpha
+
+        monkeypatch.setattr(tensor, "_accum", lambda t, g, own=False: accum(t, g))
+        monkeypatch.setattr(layers.GcnLayer, "forward", chain_gcn)
+        monkeypatch.setattr(layers.GatFusionLayer, "forward", chain_fusion)
+        assert checkpoint_bytes("chain.hgck") == fused
 
     def test_resume_at_max_iters_returns_the_final_scores(self, tmp_path):
         items = make_items(8)
