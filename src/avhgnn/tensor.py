@@ -30,12 +30,12 @@ class NumericError(ArithmeticError):
 class Tensor:
     """A rows x cols (or B x rows x cols) float tensor, optionally tracked for gradients.
 
-    `grad` is allocated lazily by backward() and has the same shape as
-    `data`. Tensors created by graph ops have requires_grad set, so
-    gradients flow through them to the leaves that require them.
+    `grad` has `data`'s shape: backward() allocates it, or uses `grad_slice` (an
+    optimizer's view) if set. Tensors created by graph ops have requires_grad set,
+    so gradients flow through them to the leaves that require them.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "name")
+    __slots__ = ("data", "grad", "grad_slice", "requires_grad", "name")
 
     def __init__(self, data, requires_grad: bool = False, name: str = ""):
         arr = np.asarray(data)
@@ -45,6 +45,7 @@ class Tensor:
             arr = arr.astype(np.float32)
         self.data = arr
         self.grad: Optional[np.ndarray] = None
+        self.grad_slice: Optional[np.ndarray] = None
         self.requires_grad = requires_grad
         self.name = name
 
@@ -103,14 +104,17 @@ def _sum_to(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _accum(t: Tensor, g: np.ndarray, own: bool = False):
-    """Add `g` into t.grad, summed over the axes `t` was broadcast along; a first
-    touch adopts `g` if `own` (no one else holds it), else copies it. Not a
-    method, so backward closures do not hold their tape in a reference cycle."""
+    """Add `g` into t.grad, summed over the axes `t` was broadcast along; a first touch
+    copies `g` into t.grad_slice if set (keeping a -0.0), else adopts `g` if `own` (no
+    one else holds it), else copies it. Not a method, so closures hold no tape cycle."""
     if not t.requires_grad:
         return
     if g.shape != t.shape:
         g, own = _sum_to(g, t.shape), True
-    if t.grad is None:
+    if t.grad is None and t.grad_slice is not None:
+        np.copyto(t.grad_slice, g)
+        t.grad = t.grad_slice
+    elif t.grad is None:
         t.grad = g.astype(t.data.dtype, copy=not own)
     else:
         t.grad += g
@@ -156,8 +160,8 @@ def _softmax_masked(x: np.ndarray, mask) -> np.ndarray:
     x = np.where(mask, x, -np.inf)
     row_max = x.max(axis=-1, keepdims=True)
     ex = np.exp(x - np.where(np.isfinite(row_max), row_max, 0.0))  # masked: exp(-inf) = 0
-    denom = ex.sum(axis=-1, keepdims=True)
-    return np.divide(ex, denom, out=np.zeros_like(ex), where=denom > 0)
+    denom = ex.sum(axis=-1, keepdims=True)  # NaN if a NaN score is unmasked
+    return np.divide(ex, denom, out=np.zeros_like(ex), where=mask.any(axis=-1, keepdims=True))
 
 
 def _softmax_grad(out: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -321,7 +325,8 @@ class ComputeGraph:
 
         One rows x cols mask serves every matrix of a batch. Masked positions
         get weight 0. Rows whose mask is all False come out all-zero rather
-        than NaN. Row maxima are subtracted before exp for stability.
+        than NaN; a NaN among a row's unmasked scores makes the row NaN, so
+        check_finite sees it. Row maxima are subtracted before exp for stability.
         """
         out_data = _softmax_masked(a.data, mask)
 

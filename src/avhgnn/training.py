@@ -1,14 +1,14 @@
 """Training: focal loss, Adam with warmup + one-step decay, checkpoints.
 
 Graphs of a minibatch with the same node counts are stacked and run as one
-forward and backward on one tape. Adam holds parameters and moments as three
-flat blocks, the checkpoint's payload, and updates them in chunks from the
-gathered gradients averaged over the minibatch; a resume adopts the loaded
-blocks as they are. Batch composition at
-iteration t is a pure function of (seed, t) - concatenated per-epoch
-permutations - so a resume replays the identical stream, and a history row
-holds only its own iteration's scores (TrainConfig.validates(t)). Single-
-threaded on purpose: same seed means bitwise-identical curves and resumes."""
+forward and backward on one tape, freed before the step. Adam holds parameters
+and moments as three flat blocks, the checkpoint's payload, and updates them in
+chunks from a fourth, the gradients that backward accumulates in place, averaged
+over the minibatch and cleared after the step; a resume adopts the loaded blocks
+as they are. Batch composition at iteration t is a pure function of (seed, t) -
+concatenated per-epoch permutations - so a resume replays the identical stream,
+and a history row holds only its own iteration's scores (TrainConfig.validates(t)).
+Single-threaded on purpose: same seed means bitwise-identical curves and resumes."""
 
 from __future__ import annotations
 
@@ -136,7 +136,8 @@ class Adam:
     `blocks` is (parameters, m, v), the checkpoint payload in `named_params`
     order, adopted as given and advanced in place; by default the parameters
     are packed and m and v zeroed. Each `p.data` becomes a view of
-    `blocks[0]`, so a second Adam on the same parameters re-homes them."""
+    `blocks[0]` and each `p.grad_slice` one of the gradient buffer `grad`, which
+    backward fills; so a second Adam on the same parameters re-homes them."""
 
     def __init__(self, named_params, blocks=None):
         self.step_count = 0
@@ -147,20 +148,22 @@ class Adam:
             blocks = (data, np.zeros_like(data), np.zeros_like(data))
         self.blocks = tuple(blocks)
         shapes = [p.data.shape for _, p in self._params]
-        for (_, p), view in zip(self._params, _split(self.blocks[0], shapes)):
-            p.data = view
-        self._grad = np.empty_like(self.blocks[0])
-        self._grads = _split(self._grad, shapes)
-        self._scratch = tuple(np.empty(min(self._grad.size, CHUNK), self._grad.dtype)
+        self.grad = np.empty_like(self.blocks[0])
+        self._grads = _split(self.grad, shapes)
+        for (_, p), view, grad in zip(self._params, _split(self.blocks[0], shapes), self._grads):
+            p.data, p.grad_slice = view, grad
+        self._scratch = tuple(np.empty(min(self.grad.size, CHUNK), self.grad.dtype)
                               for _ in range(2))
 
     def step(self, lr: float, grad_scale: float = 1.0):
-        """Gather every `grad` (None counts as zeros) into one buffer, scale and
-        check it once, then update in place CHUNK values at a time."""
+        """Copy into the gradient buffer each `grad` set by hand (None as zeros), scale
+        and check it once, then update in place CHUNK values at a time. Scaling is in
+        place: a `grad` backward left in the buffer reads scaled; train() clears it."""
         self.step_count += 1
-        grad = self._grad
-        np.concatenate([np.zeros_like(p.data) if p.grad is None else p.grad
-                        for _, p in self._params], axis=None, out=grad)
+        grad = self.grad
+        for (_, p), view in zip(self._params, self._grads):
+            if p.grad is not view:
+                view[...] = 0 if p.grad is None else p.grad
         grad *= grad_scale
         if not np.isfinite(grad).all():
             bad = next(name for (name, _), g in zip(self._params, self._grads)
@@ -352,6 +355,8 @@ def load_checkpoint(path) -> Checkpoint:
 
 @dataclass
 class TrainResult:
+    """A finished run; its parameter-sized arrays are the optimizer's blocks and grad."""
+
     model: HgnnModel
     optimizer: Adam
     rng: np.random.Generator
@@ -385,6 +390,15 @@ def _check_dataset(items, cfg: TrainConfig):
                 f"learned pooling needs uniform node counts; item {item.item_id!r} "
                 f"has ({g.n_audio}, {g.n_video}), first item ({n_a}, {n_v})")
     return d_a, d_v, n_a, n_v, n_classes
+
+
+def _group_loss(model: HgnnModel, items, group, gamma: float) -> float:
+    """One same-shape group's loss, backpropagated on a tape that dies on return."""
+    g = ComputeGraph()
+    result = model.forward(g, stack_graphs([items[i].graph for i in group]))
+    loss = focal_loss(g, result.probs, [items[i].labels for i in group], gamma)
+    g.backward(loss)
+    return loss.item()
 
 
 def train(items, cfg: TrainConfig, val_items=None, resume: Checkpoint | None = None,
@@ -421,19 +435,15 @@ def train(items, cfg: TrainConfig, val_items=None, resume: Checkpoint | None = N
     ev = evaluate(model, val_items) if val_items and start == cfg.max_iters else None
     for t in range(start + 1, cfg.max_iters + 1):
         lr = lr_at(t, cfg)
-        model.zero_grad()
         batch = batch_indices(cfg.seed, len(items), cfg.batch_size, t)
         groups: dict[tuple, list[int]] = {}  # one tape per node-count shape
         for i in batch:
             groups.setdefault((items[i].graph.n_audio, items[i].graph.n_video), []).append(i)
         total = 0.0
         for group in groups.values():
-            g = ComputeGraph()
-            result = model.forward(g, stack_graphs([items[i].graph for i in group]))
-            loss = focal_loss(g, result.probs, [items[i].labels for i in group], cfg.gamma)
-            g.backward(loss)
-            total += loss.item()
+            total += _group_loss(model, items, group, cfg.gamma)
         optimizer.step(lr, grad_scale=np.float32(1.0 / len(batch)))
+        model.zero_grad()
 
         ev = evaluate(model, val_items) if val_items and cfg.validates(t) else None
         row = {"iteration": t, "loss": total / len(batch), "lr": lr,

@@ -461,6 +461,14 @@ class TestModelForward:
                 pytest.raises(NumericError, match=r"op 0 \(gcn\)"):
             model.forward(ComputeGraph(), graph)
 
+    def test_nan_attention_vector_names_the_attention_op(self):
+        # A NaN score once gave an all-zero attention row and finite probs.
+        model = tiny_model(dtype=np.float32)
+        model.layers[0].fusion.att_audio.data[3, 0] = np.nan
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(NumericError, match=r"op 1 \(gat_attention\)"):
+            model.forward(ComputeGraph(), tiny_graph(dtype=np.float32))
+
     def test_attention_collected_per_layer(self):
         model = tiny_model(layers=3)
         result = model.forward(ComputeGraph(), tiny_graph())

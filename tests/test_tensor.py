@@ -76,6 +76,15 @@ class TestForward:
         out = g.row_softmax_masked(Tensor([[5.0, 7.0]]), np.array([[False, False]]))
         np.testing.assert_array_equal(out.data, [[0.0, 0.0]])
 
+    def test_row_softmax_nan_score_propagates_to_its_row_only(self):
+        mask = np.ones((2, 3), bool)
+        clean = ComputeGraph().row_softmax_masked(Tensor([[0.1, 0.2, 0.3]]), mask[:1]).data
+        with np.errstate(invalid="ignore"):
+            out = ComputeGraph().row_softmax_masked(
+                Tensor([[0.5, np.nan, 1.0], [0.1, 0.2, 0.3]]), mask).data
+        assert np.isnan(out[0]).all()
+        assert out[1].tobytes() == clean[0].tobytes()
+
     def test_sigmoid_derivative_at_zero(self):
         g = ComputeGraph()
         x = Tensor([[0.0]], requires_grad=True)

@@ -1,7 +1,9 @@
 """Loss, schedule, optimizer, loop determinism, checkpoint round-trips."""
 
 import builtins
+import gc
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -169,8 +171,10 @@ class TestAdam:
     def test_bitwise_equal_to_textbook_formula_in_float32(self):
         # The in-place update must round exactly as the textbook expression
         # does, for parameters of different sizes sharing the scratch buffers.
+        # "real" gets its gradient from a backward, so it is a view of the
+        # optimizer's buffer; "big" and "small" are set by hand.
         rng = np.random.default_rng(7)
-        shapes = {"big": (6, 5), "small": (2, 3), "unused": (4, 4)}
+        shapes = {"big": (6, 5), "small": (2, 3), "real": (3, 2), "unused": (4, 4)}
         params = {name: Tensor(rng.normal(0, 1, shape).astype(np.float32),
                                requires_grad=True, name=name)
                   for name, shape in shapes.items()}
@@ -182,9 +186,17 @@ class TestAdam:
         for t, lr in enumerate([0.001, 0.004, 0.0025, 0.0005], start=1):
             for name in ("big", "small"):
                 params[name].grad = rng.normal(0, 1, shapes[name]).astype(np.float32)
+            params["real"].zero_grad()
+            g = ComputeGraph()
+            x, w = (Tensor(rng.normal(0, 1, shape).astype(np.float32)) for shape in
+                    ((4, 3), (4, 2)))
+            g.backward(g.sum_all(g.mul(g.matmul(x, params["real"]), w)))
+            assert np.shares_memory(params["real"].grad, opt.grad)
+            grads = {name: None if p.grad is None else p.grad.copy()
+                     for name, p in params.items()}
             opt.step(lr)
             for name in shapes:
-                grad = params[name].grad
+                grad = grads[name]
                 if grad is None:
                     grad = np.zeros(shapes[name], np.float32)
                 m[name] = b1 * m[name] + (1 - b1) * grad
@@ -197,6 +209,20 @@ class TestAdam:
             for block, want in zip(opt.blocks[1:], (m, v)):
                 np.testing.assert_array_equal(block, np.concatenate(list(want.values()), None))
         assert params["unused"].grad is None
+
+    def test_first_touch_copies_into_the_buffer_and_keeps_a_negative_zero(self):
+        # A zero fill plus an add would give +0.0 where the gradient is -0.0.
+        p = Tensor(np.ones((1, 3), np.float32), requires_grad=True, name="w")
+        opt = Adam([("w", p)])
+        first = Tensor(np.array([[-0.0, 1.5, -2.0]], np.float32))
+        g = ComputeGraph()
+        g.backward(g.sum_all(g.mul(p, first)))
+        assert p.grad is p.grad_slice and np.shares_memory(p.grad, opt.grad)
+        assert np.signbit(opt.grad[0]) and opt.grad.tobytes() == first.data.tobytes()
+        g = ComputeGraph()
+        g.backward(g.sum_all(g.mul(p, Tensor(np.ones((1, 3), np.float32)))))
+        assert p.grad is p.grad_slice  # the second touch adds in place
+        np.testing.assert_array_equal(opt.grad, [1.0, 2.5, -1.0])
 
     def test_nan_gradient_aborts_with_parameter_name(self):
         p = Tensor(np.ones((1, 1), dtype=np.float32), requires_grad=True,
@@ -254,6 +280,69 @@ class TestAdam:
             for block, want in zip(opt.blocks[1:], (m, v)):
                 np.testing.assert_array_equal(block, np.concatenate(list(want.values()), None))
         assert params["unused"].grad is None
+
+
+class TestMemory:
+    """A step sees no live tape, and a finished run holds no gradient."""
+
+    def test_train_returns_without_gradients(self):
+        result = train(make_items(4), small_config(max_iters=3))
+        assert all(p.grad is None for _, p in result.model.named_params())
+
+    def test_every_tape_of_an_iteration_is_freed_before_the_step(self, monkeypatch):
+        tapes, checked = [], []
+
+        class RecordingGraph(ComputeGraph):
+            def __init__(self):
+                super().__init__()
+                tapes.append(weakref.ref(self))
+
+        step = Adam.step
+
+        def checking_step(self, *args, **kwargs):
+            assert tapes and all(ref() is None for ref in tapes)
+            checked.append(len(tapes))
+            return step(self, *args, **kwargs)
+
+        monkeypatch.setattr(training, "ComputeGraph", RecordingGraph)
+        monkeypatch.setattr(Adam, "step", checking_step)
+        items = make_items(3) + make_items(3, n_audio=5, n_video=6, seed=3)
+        gc.disable()  # freed by reference counting alone, not by a collection
+        try:
+            train(items, small_config(max_iters=3, batch_size=6))
+        finally:
+            gc.enable()
+        assert checked == [2, 4, 6]  # two same-shape groups per iteration
+
+    def test_backward_accumulates_into_the_optimizers_buffer(self):
+        cfg = small_config()
+        items = make_items(2)
+        model = training.HgnnModel(training.model_config_for(cfg, 5, 6, 3, 4, 2),
+                                   training.Rng(0))
+        opt = Adam(model.named_params())
+        g = ComputeGraph()
+        probs = model.forward(g, stack_graphs([item.graph for item in items])).probs
+        g.backward(focal_loss(g, probs, [item.labels for item in items], cfg.gamma))
+        named = model.named_params()
+        assert all(np.shares_memory(p.grad, opt.grad) for _, p in named)
+        assert b"".join(p.grad.tobytes() for _, p in named) == opt.grad.tobytes()
+
+    def test_a_held_result_costs_four_parameter_sized_arrays(self):
+        # Parameters, m, v and the gradient buffer, plus Adam's fixed scratch
+        # (two CHUNK-value arrays); measured 18 KB beyond that. Held gradients
+        # apart from the buffer would add a fifth array.
+        items = make_items(4, d_audio=128, d_video=1024)
+        cfg = small_config(hidden=128, num_layers=2, max_iters=2)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = train(items, cfg)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        param_bytes = result.optimizer.blocks[0].nbytes  # 1.3 MB
+        scratch = sum(buf.nbytes for buf in result.optimizer._scratch)
+        assert held < 4 * param_bytes + scratch + 64 * 1024, (held, param_bytes)
 
 
 class TestSplitAndBatches:
@@ -545,8 +634,8 @@ class TestCheckpoint:
 
     def test_restore_adopts_the_payload(self, tmp_path):
         # The optimizer's blocks are the checkpoint's, not copies of them, so
-        # a restore holds one copy of the training state, plus the gathered
-        # gradient (a third of the payload) and Adam's 0.5 MB of scratch.
+        # a restore holds one copy of the training state, plus the gradient
+        # buffer (a third of the payload) and Adam's 0.5 MB of scratch.
         path, _, payload = self._saved_model(tmp_path, hidden=384, dim=384)  # 10.6 MB
         tracemalloc.start()
         try:
