@@ -153,7 +153,11 @@ def _leaky_scale(x: np.ndarray, slope: float) -> np.ndarray:
 
 
 def _softmax_masked(x: np.ndarray, mask) -> np.ndarray:
-    """Softmax over the unmasked entries of each row (see `row_softmax_masked`)."""
+    """Softmax over the unmasked entries of each row, less the row's max for stability.
+
+    One rows x cols mask serves every matrix of a batch. Masked entries get 0, a row
+    whose mask is all False is all 0 rather than NaN, and a NaN among a row's unmasked
+    entries makes the row NaN, so check_finite sees it."""
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != x.shape[-2:]:
         raise ShapeError(f"mask shape {mask.shape} != tensor shape {x.shape[-2:]}")
@@ -223,17 +227,6 @@ class ComputeGraph:
 
         return self._emit(a.data + b.data, backward)
 
-    def mul(self, a: Tensor, b: Tensor) -> Tensor:
-        """Hadamard product."""
-        if a.shape != b.shape:
-            raise ShapeError(f"mul shapes differ: {a.shape} * {b.shape}")
-
-        def backward(g):
-            _accum(a, g * b.data)
-            _accum(b, g * a.data)
-
-        return self._emit(a.data * b.data, backward)
-
     # -- fused layers: one record each, bitwise the chain of ops it replaces; backward
     # adds its inputs' gradients in the order the chain's rules would add them.
 
@@ -256,9 +249,9 @@ class ComputeGraph:
 
     def gat_attention(self, audio: Tensor, video: Tensor, w_msg: Tensor, att_audio: Tensor,
                       att_video: Tensor, mask, slope: float) -> Tensor:
-        """Masked single-head attention of audio rows over video rows:
-        row_softmax_masked(leaky_relu(audio @ att_audio
-        + transpose(video @ (w_msg @ att_video)), slope), mask)."""
+        """Masked single-head attention of audio rows over video rows: the masked
+        softmax (`_softmax_masked`) of leaky_relu(audio @ att_audio
+        + transpose(video @ (w_msg @ att_video)), slope)."""
         ins = (audio, video, w_msg, att_audio, att_video)
         if (video.cols, w_msg.cols, audio.cols, att_audio.cols, att_video.cols) != (
                 w_msg.rows, att_video.rows, att_audio.rows, 1, 1):
@@ -282,22 +275,6 @@ class ComputeGraph:
 
     # -- activations ----------------------------------------------------------
 
-    def relu(self, a: Tensor) -> Tensor:
-        mask = a.data > 0
-
-        def backward(g):
-            _accum(a, g * mask)
-
-        return self._emit(a.data * mask, backward)
-
-    def leaky_relu(self, a: Tensor, slope: float = 0.2) -> Tensor:
-        scale = _leaky_scale(a.data, slope)
-
-        def backward(g):
-            _accum(a, g * scale)
-
-        return self._emit(a.data * scale, backward)
-
     def sigmoid(self, a: Tensor) -> Tensor:
         e = np.exp(-np.abs(a.data))  # never overflows
         out_data = np.where(a.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
@@ -320,29 +297,7 @@ class ComputeGraph:
 
         return self._emit(np.concatenate([a.data, b.data], axis=-1), backward)
 
-    def row_softmax_masked(self, a: Tensor, mask: np.ndarray) -> Tensor:
-        """Softmax over the unmasked entries of each row.
-
-        One rows x cols mask serves every matrix of a batch. Masked positions
-        get weight 0. Rows whose mask is all False come out all-zero rather
-        than NaN; a NaN among a row's unmasked scores makes the row NaN, so
-        check_finite sees it. Row maxima are subtracted before exp for stability.
-        """
-        out_data = _softmax_masked(a.data, mask)
-
-        def backward(g):
-            _accum(a, _softmax_grad(out_data, g))
-
-        return self._emit(out_data, backward)
-
     # -- reductions -----------------------------------------------------------
-
-    def sum_all(self, a: Tensor) -> Tensor:
-        def backward(g):
-            _accum(a, np.full_like(a.data, g[0, 0]))
-
-        total = np.asarray(a.data.sum(dtype=a.data.dtype)).reshape(1, 1)
-        return self._emit(total, backward)
 
     def col_max(self, a: Tensor) -> Tensor:
         """Columnwise max over the rows; the gradient routes to the first argmax."""

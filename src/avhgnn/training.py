@@ -4,10 +4,12 @@ Graphs of a minibatch with the same node counts are stacked and run as one
 forward and backward on one tape, freed before the step. Adam holds parameters
 and moments as three flat blocks, the checkpoint's payload, and updates them in
 chunks from a fourth, the gradients that backward accumulates in place, averaged
-over the minibatch and cleared after the step; a resume adopts the loaded blocks
-as they are. Batch composition at iteration t is a pure function of (seed, t) -
-concatenated per-epoch permutations - so a resume replays the identical stream,
-and a history row holds only its own iteration's scores (TrainConfig.validates(t)).
+over the minibatch and cleared after the step. A checkpoint load reads only the
+parameter block; a resume reads the moments as it builds Adam, which adopts the
+three blocks as they are. Batch composition at iteration t is a pure function of
+(seed, t) - concatenated per-epoch permutations - so a resume replays the
+identical stream, and a history row holds only its own iteration's scores
+(TrainConfig.validates(t)).
 Single-threaded on purpose: same seed means bitwise-identical curves and resumes."""
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import os
 import struct
 from contextlib import contextmanager
@@ -32,6 +35,7 @@ from .tensor import ComputeGraph, NumericError, Rng, Tensor
 
 CHECKPOINT_MAGIC = b"HGCK"
 CHECKPOINT_VERSION = 1
+_IDENTITY = operator.attrgetter("st_dev", "st_ino", "st_size", "st_mtime_ns")
 
 PROB_CLAMP = 1e-7
 CHUNK = 1 << 16  # values per Adam pass: 64K ran a paper-scale step fastest
@@ -238,9 +242,10 @@ def batch_indices(seed: int, n_items: int, batch_size: int, t: int) -> list[int]
 
 @dataclass
 class Checkpoint(Record):
-    """A loaded header and the three payload blocks. The blocks are the training
-    state, not a copy of it: `build_model` makes the parameters views of block 0
-    and `build_optimizer` adopts all three, so a resume advances them in place."""
+    """A loaded header and the parameter block. The block is the training state,
+    not a copy of it: `build_model` makes the parameters views of it, and
+    `build_optimizer` reads the two moment blocks and adopts all three, so a
+    resume advances them in place. A model alone never reads the moments."""
 
     train_config: TrainConfig
     model_config: ModelConfig
@@ -248,11 +253,13 @@ class Checkpoint(Record):
     adam_step: int
     rng_state: dict
     params: list          # the header's (name, rows, cols), in declared order
-    blocks: tuple         # flat f32 parameters, first and second moments
+    param_block: np.ndarray  # flat f32 parameters
+    path: str             # absolute, for build_optimizer's read of the moments
+    identity: tuple       # the file's _IDENTITY at load
 
     def build_model(self) -> HgnnModel:
-        """The model over views of block 0, built with no random draw."""
-        views = _split(self.blocks[0], [(rows, cols) for _, rows, cols in self.params])
+        """The model over views of the parameter block, built with no random draw."""
+        views = _split(self.param_block, [(rows, cols) for _, rows, cols in self.params])
         model = HgnnModel(self.model_config, iter(views))
         expected = [(name, *p.data.shape) for name, p in model.named_params()]
         if self.params != expected:
@@ -263,7 +270,15 @@ class Checkpoint(Record):
         return model
 
     def build_optimizer(self, model: HgnnModel) -> Adam:
-        opt = Adam(model.named_params(), self.blocks)
+        """Adam adopting the parameter block and the moments, read from the file now;
+        a file that is no longer the one loaded is a ConfigError."""
+        moments = (np.empty_like(self.param_block), np.empty_like(self.param_block))
+        with open(self.path, "rb") as f:  # the moments are the file's last two blocks
+            f.seek(self.identity[2] - 2 * self.param_block.nbytes)
+            if (_IDENTITY(os.fstat(f.fileno())) != self.identity
+                    or sum(map(f.readinto, moments)) != 2 * self.param_block.nbytes):
+                raise ConfigError("checkpoint changed since it was loaded")
+        opt = Adam(model.named_params(), (self.param_block, *moments))
         opt.step_count = self.adam_step
         return opt
 
@@ -313,7 +328,7 @@ def atomic_open(path, mode: str):
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint: its header, and each payload block into one array."""
+    """Read a checkpoint's header and parameter block; build_optimizer reads the moments."""
     with open(path, "rb") as f:
         head = f.read(12)
         if head[:4] != CHECKPOINT_MAGIC:
@@ -325,9 +340,12 @@ def load_checkpoint(path) -> Checkpoint:
             raise ConfigError(f"unsupported checkpoint version {version}")
         try:
             header = json.loads(f.read(header_len).decode("utf-8"))
-            specs = [(s["name"], int(s["rows"]), int(s["cols"])) for s in header["params"]]
-            if any(min(rows, cols) < 1 for _, rows, cols in specs):
-                raise ValueError(f"parameter shapes must be >= 1, got {specs}")
+            specs = [(s["name"], s["rows"], s["cols"]) for s in header["params"]]
+            for name, *dims in specs:
+                for key, n in zip(("rows", "cols"), dims):
+                    if type(n) is not int or n < 1:
+                        raise ValueError(f"parameter {name!r} has {key} {n!r}; "
+                                         "shapes must be >= 1, as non-bool integers")
             train_config = TrainConfig.from_dict(header["train_config"])
             model_config = ModelConfig.from_dict(header["model_config"])
             iteration, adam_step = header["iteration"], header["adam_step"]
@@ -337,17 +355,19 @@ def load_checkpoint(path) -> Checkpoint:
             raise ConfigError(f"malformed checkpoint header: {exc!r}") from exc
         total = sum(rows * cols for _, rows, cols in specs)
         expected = 12 + header_len + 3 * 4 * total
-        size = os.fstat(f.fileno()).st_size
+        identity = _IDENTITY(os.fstat(f.fileno()))
+        size = identity[2]
         if size < expected:
             raise ConfigError(f"checkpoint truncated: need {expected} bytes, have {size}")
         if size > expected:
             raise ConfigError(f"checkpoint has {size - expected} bytes after its last tensor")
-        blocks = [np.empty(total, "<f4") for _ in range(3)]
-        if sum(map(f.readinto, blocks)) != 3 * 4 * total:
+        param_block = np.empty(total, "<f4")
+        if f.readinto(param_block) != 4 * total:
             raise ConfigError("checkpoint changed while it was read")
     return Checkpoint(
         train_config=train_config, model_config=model_config, iteration=iteration,
-        adam_step=adam_step, rng_state=rng_state, params=specs, blocks=tuple(blocks))
+        adam_step=adam_step, rng_state=rng_state, params=specs, param_block=param_block,
+        path=os.path.abspath(path), identity=identity)
 
 
 # -- training loop ----------------------------------------------------------------

@@ -16,7 +16,7 @@ from avhgnn.layers import HgnnModel, ModelConfig
 from avhgnn.metrics import evaluate
 from avhgnn.tensor import Rng
 from avhgnn.training import TrainConfig, run_seeds
-from test_training import _FailOnSecondWrite
+from test_training import _FailOnSecondWrite, bad_rows, edit_first_param
 
 
 def run(capsys, *argv):
@@ -219,6 +219,26 @@ class TestTrain:
         assert ((resumed / "checkpoint.hgck").read_bytes()
                 == (full / "checkpoint.hgck").read_bytes())
 
+    def test_resume_from_a_file_changed_after_load_is_config_error(self, capsys, tmp_path,
+                                                                   monkeypatch):
+        manifest = gen_dataset(capsys, tmp_path, n_items=16, n_audio=4, n_video=6,
+                               d_audio=5, d_video=7, seed=2)
+        ckpt = tmp_path / "run" / "checkpoint.hgck"
+        code, _, _ = run(capsys, "train", "--config", str(write_config(tmp_path, max_iters=2)),
+                         "--data", str(manifest), "--out", str(ckpt.parent))
+        assert code == EXIT_OK
+
+        def truncating_load(*args):  # the moments are read after the dataset loads
+            with ckpt.open("r+b") as f:
+                f.truncate(ckpt.stat().st_size - 4)
+            return load_dataset(*args)
+
+        monkeypatch.setattr(cli, "load_dataset", truncating_load)
+        code, _, err = run(capsys, "train", "--resume", str(ckpt), "--data", str(manifest),
+                           "--out", str(tmp_path / "resumed"), "--max-iters", "4")
+        assert code == EXIT_DATA
+        assert "checkpoint changed since it was loaded" in err
+
     def test_resume_on_another_class_count_is_config_error(self, capsys, tmp_path):
         four = gen_dataset(capsys, tmp_path, name="four", n_items=16, n_audio=4,
                            n_video=6, d_audio=5, d_video=7, seed=2)
@@ -382,6 +402,30 @@ class TestEval:
         _, out2, _ = run(capsys, "eval", "--checkpoint", str(ckpt),
                          "--data", str(manifest))
         assert out1 == out2
+
+    def test_eval_and_dump_attention_never_read_the_moments(self, capsys, tmp_path):
+        manifest = gen_dataset(capsys, tmp_path, n_items=16, n_audio=4, n_video=6,
+                               d_audio=5, d_video=7, seed=5)
+        cfg = write_config(tmp_path, max_iters=10, num_layers=2)
+        ckpt = tmp_path / "run" / "checkpoint.hgck"
+        code, _, _ = run(capsys, "train", "--config", str(cfg), "--data", str(manifest),
+                         "--out", str(ckpt.parent))
+        assert code == EXIT_OK
+        n_params = training.load_checkpoint(ckpt).param_block.size
+
+        def outputs():
+            _, scores, _ = run(capsys, "eval", "--checkpoint", str(ckpt),
+                               "--data", str(manifest))
+            _, csv, _ = run(capsys, "dump-attention", "--checkpoint", str(ckpt),
+                            "--data", str(manifest), "--item", "synth-0000")
+            return scores, csv
+
+        before = outputs()
+        with ckpt.open("r+b") as f:  # both moment blocks become NaN, in place
+            f.seek(-2 * 4 * n_params, 2)
+            f.write(np.full(2 * n_params, np.nan, "<f4").tobytes())
+        assert outputs() == before
+        assert json.loads(before[0])["map"] >= 0 and before[1].count("\n") == 1 + 2 * 4
 
     def test_missing_checkpoint(self, capsys, tmp_path):
         code, _, err = run(capsys, "eval", "--checkpoint",
@@ -624,6 +668,17 @@ class TestMalformedInput:
                            "--data", str(tmp_path / "absent.json"))
         assert code == EXIT_DATA
         assert message in err
+
+    @bad_rows
+    def test_param_shape_must_be_a_positive_integer(self, capsys, tmp_path, rows):
+        header, payload = _listing(lambda params: params)
+        path = tmp_path / "bad.hgck"
+        path.write_bytes(b"HGCK" + struct.pack("<II", 1, len(header)) + header + payload)
+        edit_first_param(path, "rows", rows)
+        code, _, err = run(capsys, "eval", "--checkpoint", str(path),
+                           "--data", str(tmp_path / "absent.json"))
+        assert code == EXIT_DATA
+        assert "parameter 'layer0.audio.weight' has rows " in err
 
 
     @pytest.mark.parametrize("spec, message", [

@@ -12,6 +12,7 @@ from avhgnn.layers import (FUSION_MODES, GAT_LEAKY_SLOPE, MODALITIES, POOLING_MO
 from avhgnn.tensor import ComputeGraph, NumericError, Rng, ShapeError, Tensor
 from avhgnn.training import focal_loss
 from conftest import assert_grad_close, numeric_gradient
+from reference_ops import ReferenceGraph
 
 TINY_RULES = EdgeRules(audio=EdgeRule(1, 1), video=EdgeRule(1, 1), cross=EdgeRule(1, 1))
 
@@ -199,7 +200,7 @@ class TestGatFusion:
         out, alpha = layer.forward(g, video, mask, audio)
         assert len(g) == 3  # gat_attention, aggregate, projection
 
-        g = ComputeGraph()
+        g = ReferenceGraph()
         score_v = g.matmul(video, g.matmul(layer.w_msg, layer.att_video))
         score_a = g.matmul(audio, layer.att_audio)
         ones_row = Tensor(np.ones((1, 6), dtype=np.float32))
@@ -234,7 +235,7 @@ class TestGatFusion:
         for fusion in (layer.forward, partial(project_then_aggregate, layer)):
             for leaf in leaves:
                 leaf.zero_grad()
-            g = ComputeGraph()
+            g = ReferenceGraph()
             out, alpha = fusion(g, video, mask, audio)
             g.backward(g.add(g.sum_all(g.mul(out, mix_out)),
                              g.sum_all(g.mul(alpha, mix_alpha))))
@@ -278,9 +279,9 @@ class TestGatFusion:
             out, _ = layer.forward(g, video, mask, audio)
             return g.sum_all(g.mul(out, Tensor(weight)))
 
-        g = ComputeGraph()
+        g = ReferenceGraph()
         g.backward(build(g))
-        numeric = numeric_gradient(lambda: build(ComputeGraph()).item(),
+        numeric = numeric_gradient(lambda: build(ReferenceGraph()).item(),
                                    [p.data for p in params])
         for p, num in zip(params, numeric):
             assert_grad_close(p.grad, num)

