@@ -232,17 +232,17 @@ class ComputeGraph:
 
     def gcn(self, adj: Tensor, feats: Tensor, weight: Tensor) -> Tensor:
         """relu(adj @ (feats @ weight)), a graph convolution over a constant 2-D
-        adjacency; backward keeps only the ReLU mask."""
+        adjacency; backward recomputes the ReLU mask from the output, as out > 0
+        iff the pre-activation > 0 (-0.0, 0 and NaN give False both ways)."""
         if adj.requires_grad or adj.data.ndim != 2:
             raise ShapeError(f"gcn adjacency {adj.shape} must be a constant 2-D matrix")
         if feats.cols != weight.rows or adj.cols != feats.rows:
             raise ShapeError(f"gcn dims differ: {adj.shape} x {feats.shape} x {weight.shape}")
         out_data = _product(adj.data, _mm(feats.data, weight.data))
-        mask = out_data > 0
-        np.multiply(out_data, mask, out=out_data)
+        np.multiply(out_data, out_data > 0, out=out_data)
 
         def backward(g):
-            np.multiply(g, mask, out=g)  # backward() hands each rule a g it alone holds
+            np.multiply(g, out_data > 0, out=g)  # backward() hands each rule a g it alone holds
             _mm_backward(_product(adj.data.swapaxes(-1, -2), g), feats, weight)
 
         return self._emit(out_data, backward)

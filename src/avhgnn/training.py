@@ -4,12 +4,13 @@ Graphs of a minibatch with the same node counts are stacked and run as one
 forward and backward on one tape, freed before the step. Adam holds parameters
 and moments as three flat blocks, the checkpoint's payload, and updates them in
 chunks from a fourth, the gradients that backward accumulates in place, averaged
-over the minibatch and cleared after the step. A checkpoint load reads only the
-parameter block; a resume reads the moments as it builds Adam, which adopts the
-three blocks as they are. Batch composition at iteration t is a pure function of
-(seed, t) - concatenated per-epoch permutations - so a resume replays the
-identical stream, and a history row holds only its own iteration's scores
-(TrainConfig.validates(t)).
+over the minibatch and cleared after the step. train() frees that fourth as it
+returns, so a finished run holds the three blocks alone. A checkpoint load reads
+only the parameter block; a resume reads the moments as it builds Adam, which
+adopts the three blocks as they are. Batch composition at iteration t is a pure
+function of (seed, t) - concatenated per-epoch permutations - so a resume
+replays the identical stream, and a history row holds only its own iteration's
+scores (TrainConfig.validates(t)).
 Single-threaded on purpose: same seed means bitwise-identical curves and resumes."""
 
 from __future__ import annotations
@@ -141,7 +142,8 @@ class Adam:
     order, adopted as given and advanced in place; by default the parameters
     are packed and m and v zeroed. Each `p.data` becomes a view of
     `blocks[0]` and each `p.grad_slice` one of the gradient buffer `grad`, which
-    backward fills; so a second Adam on the same parameters re-homes them."""
+    backward fills; so a second Adam on the same parameters re-homes them.
+    `release()` frees `grad` and the scratch, keeping the blocks."""
 
     def __init__(self, named_params, blocks=None):
         self.step_count = 0
@@ -159,10 +161,19 @@ class Adam:
         self._scratch = tuple(np.empty(min(self.grad.size, CHUNK), self.grad.dtype)
                               for _ in range(2))
 
+    def release(self):
+        """Free the gradient buffer, the parameters' grads and views of it, and the
+        scratch; step() then raises."""
+        for _, p in self._params:
+            p.grad = p.grad_slice = None
+        self.grad = self._grads = self._scratch = None
+
     def step(self, lr: float, grad_scale: float = 1.0):
         """Copy into the gradient buffer each `grad` set by hand (None as zeros), scale
         and check it once, then update in place CHUNK values at a time. Scaling is in
         place: a `grad` backward left in the buffer reads scaled; train() clears it."""
+        if self.grad is None:
+            raise RuntimeError("a released Adam holds no gradient buffer and cannot step")
         self.step_count += 1
         grad = self.grad
         for (_, p), view in zip(self._params, self._grads):
@@ -375,7 +386,7 @@ def load_checkpoint(path) -> Checkpoint:
 
 @dataclass
 class TrainResult:
-    """A finished run; its parameter-sized arrays are the optimizer's blocks and grad."""
+    """A finished run; its parameter-sized arrays are its released optimizer's blocks."""
 
     model: HgnnModel
     optimizer: Adam
@@ -473,6 +484,7 @@ def train(items, cfg: TrainConfig, val_items=None, resume: Checkpoint | None = N
         if progress is not None:
             progress(row)
 
+    optimizer.release()
     return TrainResult(model=model, optimizer=optimizer, rng=rng, config=cfg,
                        history=history, final_iteration=cfg.max_iters, final_eval=ev)
 

@@ -1,0 +1,79 @@
+"""The benchmark's workloads (bench/workloads.py) run on tiny inputs.
+
+The bench drives the library through its public calls: `train` and the
+fields of its `TrainResult`, `save_checkpoint` with positional arguments,
+`load_checkpoint`, `build_model` and a per-item `evaluate`. Running each
+workload's make_inputs, setup, two ops and finish here makes a library
+change that breaks one of those calls fail the tests, not the next bench run.
+"""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+TINY = dict(mode="fusion_required", n_items=16, d_audio=5, d_video=6, n_classes=2)
+
+
+def _run(workload, workdir):
+    workload.make_inputs(workdir, seed=1)
+    state = workload.setup()
+    first, last = workload.op(state)
+    second, last = workload.op(state)
+    workload.finish(state, last)
+    return state, first, second, last
+
+
+def test_the_declared_workloads_are_the_benchmarks(workloads):
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
+    assert sorted(w["name"] for w in declared) == sorted(workloads.WORKLOADS)
+
+
+def test_train_workload(workloads, tmp_path):
+    config = dict(lr=0.005, warmup_iters=2, hidden=8, num_layers=1, batch_size=4,
+                  max_iters=4, eval_every=2, pooling="learned", fusion="gat",
+                  modality="both")
+    workload = workloads.TrainWorkload("tiny-train", probe="interp",
+                                       spec=dict(TINY, n_audio=4, n_video=6),
+                                       config=config, map_floor=None)
+    (train_items, val_items), first, second, result = _run(workload, tmp_path)
+    assert len(train_items) + len(val_items) == 16 and val_items
+    for op in (first, second):
+        assert op.graphs == 4 * 4 and op.seconds > 0
+        assert len(op.steps_s) == 1  # iteration 3: 1 is never counted, 2 and 4 validate
+        assert np.isfinite(op.quality["final_loss"])
+    assert first.quality == {**second.quality,
+                             "time_to_target_s": first.quality["time_to_target_s"]}
+    assert result.final_iteration == 4 and result.optimizer.step_count == 4
+    assert (tmp_path / "trained.hgck").is_file()
+
+
+def test_eval_workload(workloads, tmp_path):
+    workload = workloads.EvalWorkload(
+        "tiny-eval", probe="blas", lengths=((2, 5), (4, 10)), spec=TINY,
+        model=dict(hidden=8, num_layers=2, fusion="gat", pooling="mean"))
+    (model, items), first, second, result = _run(workload, tmp_path)
+    assert result is None and len(items) == 32
+    assert {(it.graph.n_audio, it.graph.n_video) for it in items} == {(2, 5), (4, 10)}
+    for op in (first, second):
+        assert op.graphs == 32 and len(op.steps_s) == 32
+    assert first.quality == second.quality and np.isfinite(first.quality["map"])

@@ -509,6 +509,33 @@ class TestFusedOpsBitwise:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("batch", [(), (3,)])
+    def test_gcn_mask_from_its_output_on_signed_zeros_and_nan(self, dtype, batch):
+        # Length-1 contractions are broadcasts, so the pre-activations are exactly
+        # adj[i] * weight[j]: negatives, +0, -0.0 and NaN. Each column's weight
+        # gradient sums adj[i] times the masked upstream, so a mask that passed a
+        # zero or a NaN entry would change it.
+        adj = np.array([[2.0], [-1.0], [0.5], [-3.0]])
+        weight = np.array([[1.5, -0.0, 0.0, np.nan, -2.0]])
+        arrays = [a.astype(dtype) for a in (adj, np.ones(batch + (1, 1)), weight)]
+        pre = arrays[0] * arrays[2]
+        assert (pre < 0).any() and np.isnan(pre).any()
+        assert (np.signbit(pre) & (pre == 0)).any() and (~np.signbit(pre) & (pre == 0)).any()
+        upstream = np.random.default_rng(7).normal(0, 1, batch + (4, 5)).astype(dtype)
+        trainable = [False, True, True]
+        fused = self._run(ComputeGraph.gcn, arrays, trainable, upstream)
+        self._assert_same(fused, self._run(_gcn_chain, arrays, trainable, upstream), 3)
+        assert np.isfinite(fused[0][3]).all()  # the weight gradient
+
+    def test_gcn_record_holds_no_mask(self):
+        rng = np.random.default_rng(0)
+        g = ComputeGraph()
+        g.gcn(Tensor(rng.random((4, 4))), Tensor(rng.normal(0, 1, (4, 3))),
+              Tensor(rng.normal(0, 1, (3, 5)), requires_grad=True))
+        held = [cell.cell_contents for cell in g._records[-1][1].__closure__]
+        assert not any(isinstance(x, np.ndarray) and x.dtype == bool for x in held)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [(), (3,)])
     @pytest.mark.parametrize("frozen", [False, True])
     @pytest.mark.parametrize("n_audio", [4, 1])
     def test_gat_attention_and_message(self, dtype, batch, frozen, n_audio):

@@ -287,7 +287,7 @@ class TestAdam:
 
 
 class TestMemory:
-    """A step sees no live tape, and a finished run holds no gradient."""
+    """A step sees no live tape, and a finished run holds no gradient buffer."""
 
     def test_train_returns_without_gradients(self):
         result = train(make_items(4), small_config(max_iters=3))
@@ -318,7 +318,9 @@ class TestMemory:
             gc.enable()
         assert checked == [2, 4, 6]  # two same-shape groups per iteration
 
-    def test_backward_accumulates_into_the_optimizers_buffer(self):
+    @staticmethod
+    def _backward_into_a_new_adam():
+        """A small model and its Adam, after one backward and no step."""
         cfg = small_config()
         items = make_items(2)
         model = training.HgnnModel(training.model_config_for(cfg, 5, 6, 3, 4, 2),
@@ -327,14 +329,18 @@ class TestMemory:
         g = ComputeGraph()
         probs = model.forward(g, stack_graphs([item.graph for item in items])).probs
         g.backward(focal_loss(g, probs, [item.labels for item in items], cfg.gamma))
+        return model, opt
+
+    def test_backward_accumulates_into_the_optimizers_buffer(self):
+        model, opt = self._backward_into_a_new_adam()
         named = model.named_params()
         assert all(np.shares_memory(p.grad, opt.grad) for _, p in named)
         assert b"".join(p.grad.tobytes() for _, p in named) == opt.grad.tobytes()
 
-    def test_a_held_result_costs_four_parameter_sized_arrays(self):
-        # Parameters, m, v and the gradient buffer, plus Adam's fixed scratch
-        # (two CHUNK-value arrays); measured 18 KB beyond that. Held gradients
-        # apart from the buffer would add a fifth array.
+    def test_a_held_result_costs_three_parameter_sized_arrays(self):
+        # Parameters, m and v: train() frees the gradient buffer and Adam's
+        # scratch as it returns. Measured 3.01x the parameter bytes, 16 KB beyond
+        # the three blocks; a held buffer or scratch would add 1.3 MB or 0.5 MB.
         items = make_items(4, d_audio=128, d_video=1024)
         cfg = small_config(hidden=128, num_layers=2, max_iters=2)
         tracemalloc.start()
@@ -345,8 +351,73 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         param_bytes = result.optimizer.blocks[0].nbytes  # 1.3 MB
-        scratch = sum(buf.nbytes for buf in result.optimizer._scratch)
-        assert held < 4 * param_bytes + scratch + 64 * 1024, (held, param_bytes)
+        assert held < 3 * param_bytes + 64 * 1024, (held, param_bytes)
+
+    def test_gradient_buffer_and_scratch_die_when_train_returns(self, monkeypatch):
+        refs = []
+        release = Adam.release
+
+        def recording_release(self):
+            refs.extend(map(weakref.ref, [self.grad, *self._grads, *self._scratch]))
+            release(self)
+
+        monkeypatch.setattr(Adam, "release", recording_release)
+        gc.disable()  # freed by reference counting alone, not by a collection
+        try:
+            result = train(make_items(4), small_config(max_iters=3))
+            assert refs and all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
+        opt = result.optimizer
+        assert opt.grad is None and opt._grads is None and opt._scratch is None
+        assert all(p.grad_slice is None for _, p in result.model.named_params())
+        assert len(opt.blocks) == 3 and opt.step_count == 3
+
+    def test_a_released_result_saves_the_bytes_of_an_unreleased_one(self, tmp_path,
+                                                                    monkeypatch):
+        items, cfg = make_items(4), small_config(max_iters=4)
+        released = tmp_path / "released.hgck"
+        train(items, cfg).save(released)
+        monkeypatch.setattr(Adam, "release", lambda self: None)
+        held = train(items, cfg)
+        assert held.optimizer.grad is not None
+        held.save(tmp_path / "held.hgck")
+        assert released.read_bytes() == (tmp_path / "held.hgck").read_bytes()
+
+    def test_a_released_optimizer_cannot_step(self):
+        result = train(make_items(4), small_config(max_iters=2))
+        before = [block.tobytes() for block in result.optimizer.blocks]
+        with pytest.raises(RuntimeError, match="released"):
+            result.optimizer.step(0.1)
+        assert result.optimizer.step_count == 2
+        assert [block.tobytes() for block in result.optimizer.blocks] == before
+
+    def test_release_drops_the_gradients_backward_left_in_the_buffer(self):
+        model, opt = self._backward_into_a_new_adam()
+        ref = weakref.ref(opt.grad)
+        gc.disable()
+        try:
+            opt.release()
+            assert ref() is None
+        finally:
+            gc.enable()
+        assert all(p.grad is None and p.grad_slice is None for _, p in model.named_params())
+
+    def test_an_adam_built_directly_or_from_a_checkpoint_keeps_its_buffer(self, tmp_path):
+        cfg = small_config()
+        model = training.HgnnModel(training.model_config_for(cfg, 5, 6, 3, 4, 2),
+                                   training.Rng(0))
+        path = tmp_path / "ck.hgck"
+        save_checkpoint(path, model, Adam(model.named_params()), 0, training.Rng(0), cfg)
+        ckpt = load_checkpoint(path)
+        restored = ckpt.build_model()
+        for opt, owner in ((Adam(model.named_params()), model),
+                           (ckpt.build_optimizer(restored), restored)):
+            assert opt.grad is not None and opt.grad.shape == opt.blocks[0].shape
+            assert all(np.shares_memory(p.grad_slice, opt.grad)
+                       for _, p in owner.named_params())
+            opt.step(0.1)
+            assert opt.step_count == 1
 
 
 class TestSplitAndBatches:
