@@ -51,8 +51,8 @@ class HeteroGraph:
     """One audio-visual clip as a two-modality graph (or B stacked clips).
 
     adj_aa / adj_vv are the normalized intra-modality adjacencies; adj_va
-    is the raw 0/1 video-to-audio mask with shape (n_audio, n_video), and
-    adj_va_mean that mask with each row divided by its sum. All four are
+    is the bool video-to-audio mask with shape (n_audio, n_video), and
+    adj_va_mean the 0/1 mask with each row divided by its sum. All four are
     read-only and shared per (n_audio, n_video, rules, dtype).
     """
 
@@ -141,7 +141,7 @@ def _shared_adjacencies(n_audio: int, n_video: int, rules: EdgeRules, dtype):
     adj_aa = normalize_adjacency(temporal_edges(n_audio, rules.audio), dtype=dtype)
     adj_vv = normalize_adjacency(temporal_edges(n_video, rules.video), dtype=dtype)
     adj_va = cross_modal_edges(n_audio, n_video, rules.cross)
-    adj_va_mean = mean_adjacency(adj_va, dtype=dtype)
+    adj_va_mean, adj_va = mean_adjacency(adj_va, dtype=dtype), adj_va > 0
     for arr in (adj_aa.data, adj_vv.data, adj_va, adj_va_mean.data):
         arr.flags.writeable = False
     return adj_aa, adj_vv, adj_va, adj_va_mean

@@ -101,9 +101,10 @@ class GatFusionLayer:
 
     def forward(self, g: ComputeGraph, video_feats: Tensor, mask_va: np.ndarray,
                 audio_feats: Tensor):
-        """Returns (message [n_audio x out_dim], attention [n_audio x n_video])."""
+        """Returns (message [n_audio x out_dim], attention [n_audio x n_video]) over
+        the bool mask mask_va [n_audio x n_video]."""
         alpha = g.gat_attention(audio_feats, video_feats, self.w_msg, self.att_audio,
-                                self.att_video, mask_va > 0, GAT_LEAKY_SLOPE)
+                                self.att_video, mask_va, GAT_LEAKY_SLOPE)
         return g.matmul(g.matmul(alpha, video_feats), self.w_msg), alpha
 
     def params(self):

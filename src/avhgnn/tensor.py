@@ -30,12 +30,13 @@ class NumericError(ArithmeticError):
 class Tensor:
     """A rows x cols (or B x rows x cols) float tensor, optionally tracked for gradients.
 
-    `grad` has `data`'s shape: backward() allocates it, or uses `grad_slice` (an
-    optimizer's view) if set. Tensors created by graph ops have requires_grad set,
-    so gradients flow through them to the leaves that require them.
+    `grad` has `data`'s shape: backward() adds into it, or allocates it if None.
+    An optimizer sets it to its view of a buffer filled with -0.0. Tensors created
+    by graph ops have requires_grad set, so gradients flow through them to the
+    leaves that require them.
     """
 
-    __slots__ = ("data", "grad", "grad_slice", "requires_grad", "name")
+    __slots__ = ("data", "grad", "requires_grad", "name")
 
     def __init__(self, data, requires_grad: bool = False, name: str = ""):
         arr = np.asarray(data)
@@ -45,7 +46,6 @@ class Tensor:
             arr = arr.astype(np.float32)
         self.data = arr
         self.grad: Optional[np.ndarray] = None
-        self.grad_slice: Optional[np.ndarray] = None
         self.requires_grad = requires_grad
         self.name = name
 
@@ -66,7 +66,9 @@ class Tensor:
         return self.data.dtype
 
     def zero_grad(self):
-        self.grad = None
+        """Refill a held gradient with -0.0 in place, so an optimizer keeps its view."""
+        if self.grad is not None:
+            self.grad.fill(-0.0)
 
     def item(self) -> float:
         if self.data.shape != (1, 1):
@@ -105,16 +107,13 @@ def _sum_to(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 def _accum(t: Tensor, g: np.ndarray, own: bool = False):
     """Add `g` into t.grad, summed over the axes `t` was broadcast along; a first touch
-    copies `g` into t.grad_slice if set (keeping a -0.0), else adopts `g` if `own` (no
-    one else holds it), else copies it. Not a method, so closures hold no tape cycle."""
+    adopts `g` if `own` (no one else holds it), else copies it. Not a method, so
+    closures hold no tape cycle."""
     if not t.requires_grad:
         return
     if g.shape != t.shape:
         g, own = _sum_to(g, t.shape), True
-    if t.grad is None and t.grad_slice is not None:
-        np.copyto(t.grad_slice, g)
-        t.grad = t.grad_slice
-    elif t.grad is None:
+    if t.grad is None:
         t.grad = g.astype(t.data.dtype, copy=not own)
     else:
         t.grad += g

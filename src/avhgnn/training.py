@@ -3,14 +3,14 @@
 Graphs of a minibatch with the same node counts are stacked and run as one
 forward and backward on one tape, freed before the step. Adam holds parameters
 and moments as three flat blocks, the checkpoint's payload, and updates them in
-chunks from a fourth, the gradients that backward accumulates in place, averaged
-over the minibatch and cleared after the step. train() frees that fourth as it
-returns, so a finished run holds the three blocks alone. A checkpoint load reads
-only the parameter block; a resume reads the moments as it builds Adam, which
-adopts the three blocks as they are. Batch composition at iteration t is a pure
-function of (seed, t) - concatenated per-epoch permutations - so a resume
-replays the identical stream, and a history row holds only its own iteration's
-scores (TrainConfig.validates(t)).
+chunks from a fourth, the gradients, which backward adds into a -0.0 fill (so a
+first add equals a copy); the step averages them over the minibatch and refills
+each chunk with -0.0. train() frees that fourth as it returns, so a finished run
+holds the three blocks alone. A checkpoint load reads only the parameter block;
+a resume reads the moments as it builds Adam, which adopts the three blocks as
+they are. Batch composition at iteration t is a pure function of (seed, t) -
+concatenated per-epoch permutations - so a resume replays the identical stream,
+and a history row holds only its own iteration's scores (TrainConfig.validates(t)).
 Single-threaded on purpose: same seed means bitwise-identical curves and resumes."""
 
 from __future__ import annotations
@@ -141,9 +141,9 @@ class Adam:
     `blocks` is (parameters, m, v), the checkpoint payload in `named_params`
     order, adopted as given and advanced in place; by default the parameters
     are packed and m and v zeroed. Each `p.data` becomes a view of
-    `blocks[0]` and each `p.grad_slice` one of the gradient buffer `grad`, which
-    backward fills; so a second Adam on the same parameters re-homes them.
-    `release()` frees `grad` and the scratch, keeping the blocks."""
+    `blocks[0]` and each `p.grad` one of the gradient buffer `grad`, filled with
+    -0.0, into which backward adds; so a second Adam on the same parameters
+    re-homes them. `release()` frees `grad` and the scratch, keeping the blocks."""
 
     def __init__(self, named_params, blocks=None):
         self.step_count = 0
@@ -154,35 +154,30 @@ class Adam:
             blocks = (data, np.zeros_like(data), np.zeros_like(data))
         self.blocks = tuple(blocks)
         shapes = [p.data.shape for _, p in self._params]
-        self.grad = np.empty_like(self.blocks[0])
-        self._grads = _split(self.grad, shapes)
-        for (_, p), view, grad in zip(self._params, _split(self.blocks[0], shapes), self._grads):
-            p.data, p.grad_slice = view, grad
+        self.grad = np.full_like(self.blocks[0], -0.0)
+        for (_, p), view, grad in zip(self._params, _split(self.blocks[0], shapes),
+                                      _split(self.grad, shapes)):
+            p.data, p.grad = view, grad
         self._scratch = tuple(np.empty(min(self.grad.size, CHUNK), self.grad.dtype)
                               for _ in range(2))
 
     def release(self):
-        """Free the gradient buffer, the parameters' grads and views of it, and the
+        """Free the gradient buffer, the parameters' grads (its views), and the
         scratch; step() then raises."""
         for _, p in self._params:
-            p.grad = p.grad_slice = None
-        self.grad = self._grads = self._scratch = None
+            p.grad = None
+        self.grad = self._scratch = None
 
     def step(self, lr: float, grad_scale: float = 1.0):
-        """Copy into the gradient buffer each `grad` set by hand (None as zeros), scale
-        and check it once, then update in place CHUNK values at a time. Scaling is in
-        place: a `grad` backward left in the buffer reads scaled; train() clears it."""
+        """Scale the gradient buffer in place and check it once, then update CHUNK
+        values at a time, refilling each chunk of the buffer with -0.0 after it."""
         if self.grad is None:
             raise RuntimeError("a released Adam holds no gradient buffer and cannot step")
         self.step_count += 1
         grad = self.grad
-        for (_, p), view in zip(self._params, self._grads):
-            if p.grad is not view:
-                view[...] = 0 if p.grad is None else p.grad
         grad *= grad_scale
         if not np.isfinite(grad).all():
-            bad = next(name for (name, _), g in zip(self._params, self._grads)
-                       if not np.isfinite(g).all())
+            bad = next(name for name, p in self._params if not np.isfinite(p.grad).all())
             raise NumericError(f"non-finite gradient for parameter {bad!r}")
         for lo in range(0, grad.size, CHUNK):
             p, m, v, g = (a[lo:lo + CHUNK] for a in self.blocks + (grad,))
@@ -198,6 +193,7 @@ class Adam:
             d += EPS
             s *= lr
             p -= np.divide(s, d, out=s)
+            g.fill(-0.0)
 
 
 # -- dataset split ---------------------------------------------------------------
@@ -474,7 +470,6 @@ def train(items, cfg: TrainConfig, val_items=None, resume: Checkpoint | None = N
         for group in groups.values():
             total += _group_loss(model, items, group, cfg.gamma)
         optimizer.step(lr, grad_scale=np.float32(1.0 / len(batch)))
-        model.zero_grad()
 
         ev = evaluate(model, val_items) if val_items and cfg.validates(t) else None
         row = {"iteration": t, "loss": total / len(batch), "lr": lr,

@@ -239,7 +239,8 @@ class TestGatFusion:
             out, alpha = fusion(g, video, mask, audio)
             g.backward(g.add(g.sum_all(g.mul(out, mix_out)),
                              g.sum_all(g.mul(alpha, mix_alpha))))
-            results.append([out.data, alpha.data] + [leaf.grad for leaf in leaves])
+            # copied: the next zero_grad refills each held gradient in place
+            results.append([out.data, alpha.data] + [leaf.grad.copy() for leaf in leaves])
         np.testing.assert_array_equal(results[0][1][..., 1, :], 0.0)
         for new, old in zip(*results):
             np.testing.assert_allclose(new, old, rtol=0, atol=1e-6)

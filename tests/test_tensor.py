@@ -6,6 +6,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avhgnn.tensor import (ComputeGraph, NumericError, Rng, ShapeError, Tensor,
                            xavier_init)
@@ -236,6 +238,49 @@ class TestBackward:
         expected = {"add": up + up, "matmul": up @ x.data.T + x.data.T @ up,
                     "mul": up * x.data + up * x.data}[op]
         assert x.grad.tobytes() == expected.tobytes()
+
+    # Sign, exponent-all-ones and quiet bits of each float width.
+    FLOAT_BITS = {np.float32: (np.uint32, 1 << 31, 0xFF << 23, 1 << 22),
+                  np.float64: (np.uint64, 1 << 63, 0x7FF << 52, 1 << 51)}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_an_add_into_negative_zero_is_a_copy_at_the_edges(self, dtype):
+        # IEEE 754 round to nearest: x + (-0) = x for every x, +-0 included; a
+        # +0.0 fill would turn -0.0 into +0.0. An optimizer's -0.0 gradient fill
+        # rests on this.
+        fi = np.finfo(dtype)
+        x = np.array([0.0, -0.0, np.inf, -np.inf, fi.max, -fi.max, fi.tiny, -fi.tiny,
+                      fi.smallest_subnormal, -fi.smallest_subnormal, fi.tiny / 3,
+                      np.nan, -np.nan, 1.5, -2.0**-20], dtype)
+        assert (np.full_like(x, -0.0) + x).tobytes() == x.tobytes()
+        assert (np.zeros_like(x) + x).tobytes() != x.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_an_add_into_negative_zero_is_a_copy(self, dtype, data):
+        # Any bit pattern but a signaling NaN, which every arithmetic op quiets
+        # (so no computed gradient holds one); a NaN's payload and sign survive.
+        uint, sign, exp, quiet = self.FLOAT_BITS[dtype]
+        bits = np.array(data.draw(st.lists(st.integers(0, 2 * sign - 1), min_size=1,
+                                           max_size=64)), uint)
+        nan = (bits & exp == exp) & (bits & (sign - 1 - exp) != 0)
+        bits[nan] |= uint(quiet)
+        x = bits.view(dtype)
+        assert (np.full_like(x, -0.0) + x).tobytes() == x.tobytes()
+
+    def test_zero_grad_refills_a_held_gradient_with_negative_zero_in_place(self):
+        w = Tensor([[2.0, -3.0]], requires_grad=True)
+        w.zero_grad()
+        assert w.grad is None  # nothing held: stays None, and backward allocates
+        g = ReferenceGraph()
+        g.backward(g.sum_all(g.mul(w, w)))
+        held = w.grad
+        w.zero_grad()
+        assert w.grad is held and np.signbit(held).all() and not held.any()
+        g = ReferenceGraph()
+        g.backward(g.sum_all(g.mul(w, Tensor([[-0.0, 1.0]]))))
+        assert w.grad is held and held.tobytes() == np.array([[-0.0, 1.0]]).tobytes()
 
     def test_leaf_without_requires_grad_gets_none(self):
         g = ReferenceGraph()

@@ -5,6 +5,8 @@ import gc
 import json
 import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -48,6 +50,28 @@ def make_items(n_items, num_classes=2, seed=0, n_audio=3, n_video=4,
         labels[0, i % num_classes] = 1.0
         items.append(LabeledGraph(item_id=f"item-{i}", graph=graph, labels=labels))
     return items
+
+
+# Trains 3 iterations at paper widths and prints the checkpoint's sha256 and the
+# process's thread count; argv[1] is the checkpoint path.
+_BLAS_CHILD = """
+import hashlib, sys
+import numpy as np
+from avhgnn.data import LabeledGraph
+from avhgnn.graph import EdgeRules, build_hetero_graph
+from avhgnn.training import TrainConfig, train
+rng, rules = np.random.default_rng(0), EdgeRules.default()
+items = [LabeledGraph(f"item-{i}", build_hetero_graph(
+    rng.normal(0, 1, (40, 128)).astype(np.float32),
+    rng.normal(0, 1, (100, 1024)).astype(np.float32), rules),
+    np.eye(4, dtype=np.float32)[[i % 4]]) for i in range(16)]
+cfg = TrainConfig(hidden=256, num_layers=2, batch_size=8, max_iters=3, seed=1,
+                  warmup_iters=1, rules=rules)
+train(items, cfg).save(sys.argv[1])
+status = open("/proc/self/status").read().split()
+print(hashlib.sha256(open(sys.argv[1], "rb").read()).hexdigest(),
+      status[status.index("Threads:") + 1])
+"""
 
 
 def small_config(**overrides):
@@ -142,8 +166,8 @@ class TestAdam:
         rng = np.random.default_rng(0)
         p = Tensor(np.zeros((3, 4), dtype=np.float32), requires_grad=True, name="w")
         grad = rng.normal(0, 1, (3, 4)).astype(np.float32)
-        p.grad = grad.copy()
         opt = Adam([("w", p)])
+        p.grad[...] = grad
         opt.step(lr=0.01)
         np.testing.assert_allclose(p.data, -0.01 * np.sign(grad), atol=1e-6)
 
@@ -151,7 +175,7 @@ class TestAdam:
         p = Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True, name="w")
         before = p.data.copy()
         opt = Adam([("w", p)])
-        opt.step(lr=0.5)  # grad is None
+        opt.step(lr=0.5)  # grad is the -0.0 fill
         np.testing.assert_array_equal(p.data, before)
 
     def test_matches_float64_reference_over_100_steps(self):
@@ -165,7 +189,7 @@ class TestAdam:
         lr, b1, b2, eps = 0.003, 0.9, 0.999, 1e-8
         for t in range(1, 101):
             grad = rng.normal(0, 1, (4, 5))
-            p.grad = grad.astype(np.float32)
+            p.grad[...] = grad.astype(np.float32)
             opt.step(lr)
             m = b1 * m + (1 - b1) * grad
             v = b2 * v + (1 - b2) * grad * grad
@@ -175,8 +199,9 @@ class TestAdam:
     def test_bitwise_equal_to_textbook_formula_in_float32(self):
         # The in-place update must round exactly as the textbook expression
         # does, for parameters of different sizes sharing the scratch buffers.
-        # "real" gets its gradient from a backward, so it is a view of the
-        # optimizer's buffer; "big" and "small" are set by hand.
+        # Every grad is a view of the optimizer's buffer: "real" gets its gradient
+        # from a backward, "big" and "small" are written into by hand, and
+        # "unused" keeps the -0.0 fill.
         rng = np.random.default_rng(7)
         shapes = {"big": (6, 5), "small": (2, 3), "real": (3, 2), "unused": (4, 4)}
         params = {name: Tensor(rng.normal(0, 1, shape).astype(np.float32),
@@ -189,20 +214,17 @@ class TestAdam:
         b1, b2, eps = 0.9, 0.999, 1e-8
         for t, lr in enumerate([0.001, 0.004, 0.0025, 0.0005], start=1):
             for name in ("big", "small"):
-                params[name].grad = rng.normal(0, 1, shapes[name]).astype(np.float32)
+                params[name].grad[...] = rng.normal(0, 1, shapes[name]).astype(np.float32)
             params["real"].zero_grad()
             g = ReferenceGraph()
             x, w = (Tensor(rng.normal(0, 1, shape).astype(np.float32)) for shape in
                     ((4, 3), (4, 2)))
             g.backward(g.sum_all(g.mul(g.matmul(x, params["real"]), w)))
             assert np.shares_memory(params["real"].grad, opt.grad)
-            grads = {name: None if p.grad is None else p.grad.copy()
-                     for name, p in params.items()}
+            grads = {name: p.grad.copy() for name, p in params.items()}
             opt.step(lr)
             for name in shapes:
                 grad = grads[name]
-                if grad is None:
-                    grad = np.zeros(shapes[name], np.float32)
                 m[name] = b1 * m[name] + (1 - b1) * grad
                 v[name] = b2 * v[name] + (1 - b2) * grad * grad
                 m_hat = m[name] / (1 - b1 ** t)
@@ -212,38 +234,42 @@ class TestAdam:
                 np.testing.assert_array_equal(params[name].data, ref[name])
             for block, want in zip(opt.blocks[1:], (m, v)):
                 np.testing.assert_array_equal(block, np.concatenate(list(want.values()), None))
-        assert params["unused"].grad is None
+        unused = params["unused"].grad
+        assert np.shares_memory(unused, opt.grad) and np.signbit(unused).all()
+        assert not unused.any()
 
     def test_first_touch_copies_into_the_buffer_and_keeps_a_negative_zero(self):
-        # A zero fill plus an add would give +0.0 where the gradient is -0.0.
+        # The first touch adds into the -0.0 fill, which equals a copy; a +0.0
+        # fill plus an add would give +0.0 where the gradient is -0.0.
         p = Tensor(np.ones((1, 3), np.float32), requires_grad=True, name="w")
         opt = Adam([("w", p)])
+        view = p.grad
         first = Tensor(np.array([[-0.0, 1.5, -2.0]], np.float32))
         g = ReferenceGraph()
         g.backward(g.sum_all(g.mul(p, first)))
-        assert p.grad is p.grad_slice and np.shares_memory(p.grad, opt.grad)
+        assert p.grad is view and np.shares_memory(p.grad, opt.grad)
         assert np.signbit(opt.grad[0]) and opt.grad.tobytes() == first.data.tobytes()
         g = ReferenceGraph()
         g.backward(g.sum_all(g.mul(p, Tensor(np.ones((1, 3), np.float32)))))
-        assert p.grad is p.grad_slice  # the second touch adds in place
+        assert p.grad is view  # the second touch adds in place
         np.testing.assert_array_equal(opt.grad, [1.0, 2.5, -1.0])
 
     def test_nan_gradient_aborts_with_parameter_name(self):
         p = Tensor(np.ones((1, 1), dtype=np.float32), requires_grad=True,
                    name="layer0.audio.weight")
-        p.grad = np.array([[np.nan]], dtype=np.float32)
         opt = Adam([("layer0.audio.weight", p)])
+        p.grad[...] = np.nan
         with pytest.raises(NumericError, match="layer0.audio.weight"):
             opt.step(0.01)
 
     def test_non_finite_gradient_names_the_first_bad_parameter(self):
         params = {name: Tensor(np.full((2, 3), k, np.float32), requires_grad=True, name=name)
                   for k, name in enumerate(("first", "second", "third"))}
+        opt = Adam(list(params.items()))
         for p in params.values():
-            p.grad = np.ones((2, 3), np.float32)
+            p.grad[...] = 1.0
         params["second"].grad[1, 2] = np.inf
         params["third"].grad[0, 0] = np.nan
-        opt = Adam(list(params.items()))
         with pytest.raises(NumericError, match="'second'") as err:
             opt.step(0.01, grad_scale=0.5)
         assert "first" not in str(err.value) and "third" not in str(err.value)
@@ -266,14 +292,14 @@ class TestAdam:
         opt = Adam(list(params.items()))
         b1, b2, eps, scale = 0.9, 0.999, 1e-8, 1 / 8
         for t, lr in enumerate([0.002, 0.0005, 0.003, 0.001], start=1):
-            for name in ("big", "small"):
-                params[name].grad = rng.normal(0, 3, shapes[name]).astype(np.float32)
+            grads = {name: rng.normal(0, 3, shapes[name]).astype(np.float32)
+                     for name in ("big", "small")}
+            for name, grad in grads.items():
+                params[name].grad[...] = grad
+            grads["unused"] = params["unused"].grad.copy()
             opt.step(lr, grad_scale=scale)
             for name in shapes:
-                grad = params[name].grad
-                if grad is None:
-                    grad = np.zeros(shapes[name], np.float32)
-                grad = grad * np.float32(scale)
+                grad = grads[name] * np.float32(scale)
                 m[name] = b1 * m[name] + (1 - b1) * grad
                 v[name] = b2 * v[name] + (1 - b2) * grad * grad
                 m_hat = m[name] / (1 - b1 ** t)
@@ -283,7 +309,9 @@ class TestAdam:
                 np.testing.assert_array_equal(params[name].data, ref[name])
             for block, want in zip(opt.blocks[1:], (m, v)):
                 np.testing.assert_array_equal(block, np.concatenate(list(want.values()), None))
-        assert params["unused"].grad is None
+        unused = params["unused"].grad
+        assert np.shares_memory(unused, opt.grad) and np.signbit(unused).all()
+        assert not unused.any()
 
 
 class TestMemory:
@@ -337,6 +365,34 @@ class TestMemory:
         assert all(np.shares_memory(p.grad, opt.grad) for _, p in named)
         assert b"".join(p.grad.tobytes() for _, p in named) == opt.grad.tobytes()
 
+    def test_a_step_refills_the_buffer_with_negative_zero_and_keeps_every_view(self):
+        # Each p.grad is its view of Adam.grad from construction on; a step leaves
+        # the buffer all -0.0, so the next backward's first add equals a copy.
+        cfg, items = small_config(), make_items(2)
+        model = training.HgnnModel(training.model_config_for(cfg, 5, 6, 3, 4, 2),
+                                   training.Rng(0))
+        opt = Adam(model.named_params())
+        views = [p.grad for _, p in model.named_params()]
+        assert np.signbit(opt.grad).all() and not opt.grad.any()
+        for t in (1, 2):  # as train() runs an iteration: tapes, then the step
+            training._group_loss(model, items, [0, 1], cfg.gamma)
+            assert opt.grad.any()
+            opt.step(0.01, grad_scale=np.float32(0.5))
+            assert np.signbit(opt.grad).all() and not opt.grad.any()
+            assert all(p.grad is view for (_, p), view in zip(model.named_params(), views))
+        assert opt.step_count == 2
+
+    def test_zero_grad_keeps_a_held_gradient_in_the_optimizers_buffer(self):
+        model, opt = self._backward_into_a_new_adam()
+        first = opt.grad.copy()
+        views = [p.grad for _, p in model.named_params()]
+        model.zero_grad()
+        assert all(p.grad is view for (_, p), view in zip(model.named_params(), views))
+        assert np.signbit(opt.grad).all() and not opt.grad.any()
+        training._group_loss(model, make_items(2), [0, 1], small_config().gamma)
+        assert all(p.grad is view for (_, p), view in zip(model.named_params(), views))
+        assert opt.grad.tobytes() == first.tobytes()  # the same backward, into the buffer
+
     def test_a_held_result_costs_three_parameter_sized_arrays(self):
         # Parameters, m and v: train() frees the gradient buffer and Adam's
         # scratch as it returns. Measured 3.01x the parameter bytes, 16 KB beyond
@@ -358,7 +414,8 @@ class TestMemory:
         release = Adam.release
 
         def recording_release(self):
-            refs.extend(map(weakref.ref, [self.grad, *self._grads, *self._scratch]))
+            refs.extend(map(weakref.ref, [self.grad, *(p.grad for _, p in self._params),
+                                          *self._scratch]))
             release(self)
 
         monkeypatch.setattr(Adam, "release", recording_release)
@@ -369,8 +426,8 @@ class TestMemory:
         finally:
             gc.enable()
         opt = result.optimizer
-        assert opt.grad is None and opt._grads is None and opt._scratch is None
-        assert all(p.grad_slice is None for _, p in result.model.named_params())
+        assert opt.grad is None and opt._scratch is None
+        assert all(p.grad is None for _, p in result.model.named_params())
         assert len(opt.blocks) == 3 and opt.step_count == 3
 
     def test_a_released_result_saves_the_bytes_of_an_unreleased_one(self, tmp_path,
@@ -401,7 +458,7 @@ class TestMemory:
             assert ref() is None
         finally:
             gc.enable()
-        assert all(p.grad is None and p.grad_slice is None for _, p in model.named_params())
+        assert all(p.grad is None for _, p in model.named_params())
 
     def test_an_adam_built_directly_or_from_a_checkpoint_keeps_its_buffer(self, tmp_path):
         cfg = small_config()
@@ -414,7 +471,7 @@ class TestMemory:
         for opt, owner in ((Adam(model.named_params()), model),
                            (ckpt.build_optimizer(restored), restored)):
             assert opt.grad is not None and opt.grad.shape == opt.blocks[0].shape
-            assert all(np.shares_memory(p.grad_slice, opt.grad)
+            assert all(np.shares_memory(p.grad, opt.grad)
                        for _, p in owner.named_params())
             opt.step(0.1)
             assert opt.step_count == 1
@@ -459,6 +516,23 @@ class TestTrainLoop:
         drops = sum(b < a for a, b in zip(after_warmup, after_warmup[1:]))
         assert drops / (len(after_warmup) - 1) >= 0.95
         assert after_warmup[-1] < after_warmup[0]
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="the child reads its thread count from /proc")
+    def test_checkpoint_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # OpenBLAS fixes its thread count as it loads, so each count runs in a child.
+        src = os.path.dirname(os.path.dirname(training.__file__))
+        out = {}
+        for n in (1, 2):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=str(n),
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get(
+                           "PYTHONPATH")])))
+            run = subprocess.run([sys.executable, "-c", _BLAS_CHILD, str(tmp_path / f"{n}.hgck")],
+                                 env=env, capture_output=True, text=True, timeout=300)
+            assert run.returncode == 0, run.stderr
+            out[n] = run.stdout.split()
+        assert int(out[2][1]) > 1, "the 2-thread child runs one thread: the setting did not take"
+        assert out[1][0] == out[2][0]
 
     def test_same_seed_bitwise_identical_curves(self):
         items = make_items(6)
