@@ -194,7 +194,7 @@ def read_json(path):
             return json.load(f)
     except OSError as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise DataFormatError(f"{path}: invalid JSON: {exc}") from exc
 
 

@@ -54,27 +54,27 @@ class ModelConfig(Record):
     modality: str = MODALITY_BOTH
 
 
-def _param(init, rows: int, cols: int, dtype, name: str, fill=None) -> Tensor:
-    """A learnable rows x cols tensor. From a Generator: a Xavier draw, or the
-    constant `fill` with no draw. From an iterator: its next array as it is,
-    with no copy and no draw; an array of another shape, or none, gives a
-    read-only zero placeholder, which the caller's shape check rejects."""
+def _param(init, rows: int, cols: int, name: str, fill=None) -> Tensor:
+    """A learnable rows x cols tensor. From a Generator: a float32 Xavier draw, or
+    the constant `fill` with no draw. From an iterator: its next array as it is, in
+    its own dtype, with no copy and no draw; an array of another shape, or none,
+    gives a read-only zero placeholder, which the caller's shape check rejects."""
     if isinstance(init, np.random.Generator):
         if fill is None:
-            return xavier_init(rows, cols, init, dtype=dtype, name=name)
-        data = np.full((rows, cols), fill, dtype=dtype)
+            return xavier_init(rows, cols, init, name=name)
+        data = np.full((rows, cols), fill, dtype=np.float32)
     else:
         data = next(init, None)
         if data is None or data.shape != (rows, cols):
-            data = np.broadcast_to(np.zeros((), dtype), (rows, cols))
+            data = np.broadcast_to(np.float32(0), (rows, cols))
     return Tensor(data, requires_grad=True, name=name)
 
 
 class GcnLayer:
     """One graph convolution: ReLU(A_norm @ H @ W)."""
 
-    def __init__(self, in_dim: int, out_dim: int, init, dtype=np.float32, name="gcn"):
-        self.weight = _param(init, in_dim, out_dim, dtype, f"{name}.weight")
+    def __init__(self, in_dim: int, out_dim: int, init, name="gcn"):
+        self.weight = _param(init, in_dim, out_dim, f"{name}.weight")
 
     def forward(self, g: ComputeGraph, feats: Tensor, adj_norm: Tensor) -> Tensor:
         return g.gcn(adj_norm, feats, self.weight)
@@ -93,11 +93,10 @@ class GatFusionLayer:
     differ, so the audio endpoint scores its raw features with its own vector.
     """
 
-    def __init__(self, audio_dim: int, video_dim: int, out_dim: int, init,
-                 dtype=np.float32, name="fusion"):
-        self.w_msg = _param(init, video_dim, out_dim, dtype, f"{name}.w_msg")
-        self.att_audio = _param(init, audio_dim, 1, dtype, f"{name}.att_audio")
-        self.att_video = _param(init, out_dim, 1, dtype, f"{name}.att_video")
+    def __init__(self, audio_dim: int, video_dim: int, out_dim: int, init, name="fusion"):
+        self.w_msg = _param(init, video_dim, out_dim, f"{name}.w_msg")
+        self.att_audio = _param(init, audio_dim, 1, f"{name}.att_audio")
+        self.att_video = _param(init, out_dim, 1, f"{name}.att_video")
 
     def forward(self, g: ComputeGraph, video_feats: Tensor, mask_va: np.ndarray,
                 audio_feats: Tensor):
@@ -115,19 +114,19 @@ class HeteroLayer:
     """One stacked update step over both modalities."""
 
     def __init__(self, audio_in: int, video_in: int, out_dim: int, init,
-                 fusion: str, modality: str, dtype=np.float32, name="layer"):
+                 fusion: str, modality: str, name="layer"):
         self.audio_gcn = None
         self.video_gcn = None
         self.fusion = None
         if modality in (MODALITY_BOTH, MODALITY_AUDIO):
-            self.audio_gcn = GcnLayer(audio_in, out_dim, init, dtype, name=f"{name}.audio")
+            self.audio_gcn = GcnLayer(audio_in, out_dim, init, name=f"{name}.audio")
         if modality in (MODALITY_BOTH, MODALITY_VIDEO):
-            self.video_gcn = GcnLayer(video_in, out_dim, init, dtype, name=f"{name}.video")
+            self.video_gcn = GcnLayer(video_in, out_dim, init, name=f"{name}.video")
         if modality == MODALITY_BOTH and fusion == FUSION_GAT:
-            self.fusion = GatFusionLayer(audio_in, video_in, out_dim, init, dtype,
+            self.fusion = GatFusionLayer(audio_in, video_in, out_dim, init,
                                          name=f"{name}.fusion")
         elif modality == MODALITY_BOTH and fusion == FUSION_GCN:
-            self.fusion = GcnLayer(video_in, out_dim, init, dtype, name=f"{name}.fusion")
+            self.fusion = GcnLayer(video_in, out_dim, init, name=f"{name}.fusion")
 
     def forward(self, g: ComputeGraph, graph: HeteroGraph, h_a, h_v):
         """Returns (h_audio', h_video', attention or None)."""
@@ -163,10 +162,12 @@ class ForwardResult:
 class HgnnModel:
     """The full classifier: stacked hetero layers, pooling, sigmoid head.
 
-    `init` is `Rng(seed)`, for a fresh init, or an iterator over the parameters'
-    arrays in `named_params` order, which the model then holds as they are."""
+    `init` is `Rng(seed)`, for a fresh float32 init, or an iterator over the
+    parameters' arrays in `named_params` order, which the model then holds as
+    they are. The model's dtype is its parameters': float64 arrays give a
+    float64 model."""
 
-    def __init__(self, config: ModelConfig, init, dtype=np.float32):
+    def __init__(self, config: ModelConfig, init):
         self.config = config
         cfg = config
         self.layers = []
@@ -174,8 +175,7 @@ class HgnnModel:
         for i in range(cfg.num_layers):
             self.layers.append(HeteroLayer(
                 audio_in, video_in, cfg.hidden, init,
-                fusion=cfg.fusion, modality=cfg.modality, dtype=dtype,
-                name=f"layer{i}"))
+                fusion=cfg.fusion, modality=cfg.modality, name=f"layer{i}"))
             audio_in = video_in = cfg.hidden
 
         self.pool_audio = None
@@ -183,15 +183,15 @@ class HgnnModel:
         if cfg.pooling == "learned":
             # Uniform start: learned pooling begins exactly at mean pooling.
             if cfg.modality in (MODALITY_BOTH, MODALITY_AUDIO):
-                self.pool_audio = _param(init, cfg.n_audio, 1, dtype, "pool.audio",
+                self.pool_audio = _param(init, cfg.n_audio, 1, "pool.audio",
                                          fill=1.0 / cfg.n_audio)
             if cfg.modality in (MODALITY_BOTH, MODALITY_VIDEO):
-                self.pool_video = _param(init, cfg.n_video, 1, dtype, "pool.video",
+                self.pool_video = _param(init, cfg.n_video, 1, "pool.video",
                                          fill=1.0 / cfg.n_video)
 
         head_in = cfg.hidden * (2 if cfg.modality == MODALITY_BOTH else 1)
-        self.cls_weight = _param(init, head_in, cfg.num_classes, dtype, "classifier.weight")
-        self.cls_bias = _param(init, 1, cfg.num_classes, dtype, "classifier.bias", fill=0.0)
+        self.cls_weight = _param(init, head_in, cfg.num_classes, "classifier.weight")
+        self.cls_bias = _param(init, 1, cfg.num_classes, "classifier.bias", fill=0.0)
 
     # -- parameters -----------------------------------------------------------
 
@@ -209,10 +209,6 @@ class HgnnModel:
 
     def count_params(self) -> int:
         return sum(p.data.size for _, p in self.named_params())
-
-    def zero_grad(self):
-        for _, p in self.named_params():
-            p.zero_grad()
 
     # -- forward --------------------------------------------------------------
 

@@ -8,8 +8,9 @@ downstream (graph layers, pooling, the head) is built from the ops on
 ComputeGraph; a GCN, the GAT attention and the focal loss are one op
 each. Forward values are computed eagerly with numpy; each op appends a
 backward rule to the tape, and backward() replays the tape in reverse.
-float32 is the training dtype; float64 is used as a shadow mode by the
-gradient-check tests.
+Ops keep their operands' dtype: a model drawn from an `Rng` is float32, the
+training dtype; one built from float64 arrays runs in float64, which the
+gradient-check tests use as a shadow of a float32 model.
 """
 
 from __future__ import annotations
@@ -31,9 +32,10 @@ class Tensor:
     """A rows x cols (or B x rows x cols) float tensor, optionally tracked for gradients.
 
     `grad` has `data`'s shape: backward() adds into it, or allocates it if None.
-    An optimizer sets it to its view of a buffer filled with -0.0. Tensors created
-    by graph ops have requires_grad set, so gradients flow through them to the
-    leaves that require them.
+    An optimizer sets it to its view of a buffer filled with -0.0, and its step
+    refills that buffer; with no optimizer, setting it to None clears it. Tensors
+    created by graph ops have requires_grad set, so gradients flow through them to
+    the leaves that require them.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "name")
@@ -64,11 +66,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
-
-    def zero_grad(self):
-        """Refill a held gradient with -0.0 in place, so an optimizer keeps its view."""
-        if self.grad is not None:
-            self.grad.fill(-0.0)
 
     def item(self) -> float:
         if self.data.shape != (1, 1):

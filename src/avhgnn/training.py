@@ -11,7 +11,9 @@ a resume reads the moments as it builds Adam, which adopts the three blocks as
 they are. Batch composition at iteration t is a pure function of (seed, t) -
 concatenated per-epoch permutations - so a resume replays the identical stream,
 and a history row holds only its own iteration's scores (TrainConfig.validates(t)).
-Single-threaded on purpose: same seed means bitwise-identical curves and resumes."""
+For a fixed seed and thread count, curves and resumes are bitwise identical; the
+checkpoint bytes measure equal at 1 and 2 BLAS threads (the test
+test_checkpoint_bytes_do_not_depend_on_the_blas_thread_count)."""
 
 from __future__ import annotations
 
@@ -358,7 +360,7 @@ def load_checkpoint(path) -> Checkpoint:
             iteration, adam_step = header["iteration"], header["adam_step"]
             rng_state = header["rng_state"]
             Rng(0).bit_generator.state = rng_state
-        except (KeyError, TypeError, ValueError) as exc:  # ValueError covers bad JSON/UTF-8
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:  # bad or too-deep JSON
             raise ConfigError(f"malformed checkpoint header: {exc!r}") from exc
         total = sum(rows * cols for _, rows, cols in specs)
         expected = 12 + header_len + 3 * 4 * total

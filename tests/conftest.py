@@ -5,6 +5,8 @@ import re
 import numpy as np
 import pytest
 
+from avhgnn.tensor import Rng
+
 ACCEPTANCE_CRITERIA = {
     "a1": "gradient correctness: full-model analytic grads vs f64 central differences",
     "a2": "oracle equivalence: layers and graph ops vs brute-force references",
@@ -57,6 +59,16 @@ def numeric_gradient(fn, arrays, h=1e-5):
             gflat[i] = (f_plus - f_minus) / (2.0 * h)
         grads.append(grad)
     return grads
+
+
+def float64_shadow(build, seed=0):
+    """`build(init)` in float64: the one way the tests make a float64 model or
+    layer. Its parameters are the arrays of the float32 `build(Rng(seed))`, cast,
+    and given to `build` as an iterator, the path a checkpoint's model takes."""
+    source = build(Rng(seed))
+    params = ([p for _, p in source.named_params()] if hasattr(source, "named_params")
+              else source.params())
+    return build(iter([p.data.astype(np.float64) for p in params]))
 
 
 def assert_grad_close(analytic, numeric, rel=1e-4, abs_floor=1e-6):

@@ -6,6 +6,7 @@ models and take a few minutes combined.
 """
 
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from avhgnn.metrics import average_precision, evaluate, roc_auc
 from avhgnn.tensor import ComputeGraph, Rng, Tensor
 from avhgnn.training import (TrainConfig, focal_loss, load_checkpoint, lr_at,
                              save_checkpoint, split_dataset, train)
-from conftest import assert_grad_close, numeric_gradient
+from conftest import assert_grad_close, float64_shadow, numeric_gradient
 from test_graph import brute_force_temporal
 from test_layers import gat_oracle, gcn_oracle
 from test_metrics import ap_by_hand, auc_by_pairs
@@ -46,7 +47,7 @@ def test_a1_gradient_correctness_full_model():
     config = ModelConfig(d_audio=16, d_video=32, n_audio=3, n_video=3,
                          num_classes=2, hidden=8, num_layers=2,
                          fusion="gat", pooling="learned", modality="both")
-    model = HgnnModel(config, Rng(21), dtype=np.float64)
+    model = float64_shadow(partial(HgnnModel, config), 21)
     rng = np.random.default_rng(21)
     graph = build_hetero_graph(
         rng.normal(0, 1, (3, 16)), rng.normal(0, 1, (3, 32)),
@@ -57,7 +58,6 @@ def test_a1_gradient_correctness_full_model():
         g = ComputeGraph()
         return focal_loss(g, model.forward(g, graph).probs, targets, 2.0).item()
 
-    model.zero_grad()
     g = ComputeGraph()
     g.backward(focal_loss(g, model.forward(g, graph).probs, targets, 2.0))
 
@@ -99,13 +99,13 @@ def test_a2_oracle_equivalence_100_random_instances():
         assert np.abs(normalized - per_entry).max() <= 1e-6
 
         d_in, d_out = int(rng.integers(1, 9)), int(rng.integers(1, 9))
-        gcn = GcnLayer(d_in, d_out, Rng(trial), dtype=np.float64)
+        gcn = float64_shadow(partial(GcnLayer, d_in, d_out), trial)
         feats = rng.normal(0, 1, (n, d_in))
         out = gcn.forward(ComputeGraph(), Tensor(feats), Tensor(per_entry)).data
         assert np.abs(out - gcn_oracle(per_entry, feats, gcn.weight.data)).max() <= 1e-6
 
         d_a = int(rng.integers(1, 9))
-        gat = GatFusionLayer(d_a, d_in, d_out, Rng(trial + 1), dtype=np.float64)
+        gat = float64_shadow(partial(GatFusionLayer, d_a, d_in, d_out), trial + 1)
         video = rng.normal(0, 1, (m, d_in))
         audio = rng.normal(0, 1, (n, d_a))
         mask = (rng.random((n, m)) > 0.4).astype(float)

@@ -681,6 +681,31 @@ class TestMalformedInput:
         assert "parameter 'layer0.audio.weight' has rows " in err
 
 
+    @pytest.mark.parametrize("kind, message", [
+        ("config", "deep.json: invalid JSON: maximum recursion depth exceeded"),
+        ("manifest", "deep.json: invalid JSON: maximum recursion depth exceeded"),
+        ("checkpoint", "malformed checkpoint header: RecursionError("),
+    ], ids=["config", "manifest", "checkpoint"])
+    def test_deeply_nested_json_is_a_one_line_data_error(self, capsys, tmp_path, kind,
+                                                         message):
+        """JSON nested past the parser's recursion limit exits 2, not with a traceback."""
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200000 + "]" * 200000)
+        header, payload = _listing(lambda params: params)  # a loadable checkpoint
+        if kind == "checkpoint":
+            header, payload = b"[" * 100000, b""
+        ckpt = tmp_path / "model.hgck"
+        ckpt.write_bytes(b"HGCK" + struct.pack("<II", 1, len(header)) + header + payload)
+        if kind == "config":
+            argv = ["train", "--config", str(deep), "--data", str(tmp_path / "absent.json"),
+                    "--out", str(tmp_path / "o")]
+        else:
+            argv = ["eval", "--checkpoint", str(ckpt), "--data", str(deep)]
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_DATA
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
     @pytest.mark.parametrize("spec, message", [
         ({"n_audio": 1.5}, "n_audio must be an integer"),
         ({"d_audio": True}, "d_audio must be an integer"),

@@ -8,15 +8,17 @@ Print the table for some seeds with
 """
 
 import sys
+from functools import partial
 
 import numpy as np
 
 from avhgnn.data import LabeledGraph, SynthSpec, generate_synthetic, load_dataset
-from avhgnn.graph import build_hetero_graph, stack_graphs
+from avhgnn.graph import build_hetero_graph
 from avhgnn.layers import HgnnModel
-from avhgnn.tensor import ComputeGraph, Rng
-from avhgnn.training import (Adam, TrainConfig, batch_indices, focal_loss, lr_at,
+from avhgnn.tensor import Rng
+from avhgnn.training import (Adam, TrainConfig, _group_loss, batch_indices, lr_at,
                              model_config_for, split_dataset, train)
+from conftest import float64_shadow
 
 # The benchmark's desk-train task and model, trained for REPORT_AT[-1] iterations.
 DESK_SPEC = dict(mode="fusion_required", n_items=80, n_audio=10, n_video=25,
@@ -51,14 +53,11 @@ def desk_items(workdir, seed):
 
 
 def _step(model, opt, items, batch, cfg, lr, scale):
-    """One train() iteration on one same-shape minibatch; returns its mean loss."""
-    model.zero_grad()
-    g = ComputeGraph()
-    result = model.forward(g, stack_graphs([items[i].graph for i in batch]))
-    loss = focal_loss(g, result.probs, [items[i].labels for i in batch], cfg.gamma)
-    g.backward(loss)
+    """One train() iteration on one same-shape minibatch, by train()'s own group
+    loss and backward, then the step; returns its mean loss."""
+    total = _group_loss(model, items, batch, cfg.gamma)
     opt.step(lr, grad_scale=scale)
-    return loss.item() / len(batch)
+    return total / len(batch)
 
 
 def drift(cfg, items32, items64):
@@ -69,8 +68,7 @@ def drift(cfg, items32, items64):
     model_cfg = model_config_for(cfg, first.audio_feats.cols, first.video_feats.cols,
                                  first.n_audio, first.n_video, items32[0].labels.size)
     m32 = HgnnModel(model_cfg, Rng(cfg.seed))
-    m64 = HgnnModel(model_cfg, iter([p.data.astype(np.float64) for _, p in m32.named_params()]),
-                    dtype=np.float64)
+    m64 = float64_shadow(partial(HgnnModel, model_cfg), cfg.seed)
     opt32, opt64 = Adam(m32.named_params()), Adam(m64.named_params())
     report, losses = {}, []
     for t in range(1, REPORT_AT[-1] + 1):

@@ -11,7 +11,7 @@ from avhgnn.layers import (FUSION_MODES, GAT_LEAKY_SLOPE, MODALITIES, POOLING_MO
                            GatFusionLayer, GcnLayer, HgnnModel, ModelConfig)
 from avhgnn.tensor import ComputeGraph, NumericError, Rng, ShapeError, Tensor
 from avhgnn.training import focal_loss
-from conftest import assert_grad_close, numeric_gradient
+from conftest import assert_grad_close, float64_shadow, numeric_gradient
 from reference_ops import ReferenceGraph
 
 TINY_RULES = EdgeRules(audio=EdgeRule(1, 1), video=EdgeRule(1, 1), cross=EdgeRule(1, 1))
@@ -70,7 +70,7 @@ def random_graph(rng, n_audio, n_video, d_audio, d_video, dtype=np.float64):
 
 class TestGcnLayer:
     def test_single_node_identity_weight(self):
-        layer = GcnLayer(3, 3, Rng(0), dtype=np.float64)
+        layer = float64_shadow(partial(GcnLayer, 3, 3))
         layer.weight.data = np.eye(3)
         g = ComputeGraph()
         h = Tensor(np.array([[-1.0, 0.5, 2.0]]))
@@ -79,7 +79,7 @@ class TestGcnLayer:
 
     def test_two_node_path_hand_computation(self):
         # A = path graph, normalized entries all 1/2; H and W hand-set.
-        layer = GcnLayer(2, 1, Rng(0), dtype=np.float64)
+        layer = float64_shadow(partial(GcnLayer, 2, 1))
         layer.weight.data = np.array([[1.0], [-1.0]])
         adj = Tensor(np.full((2, 2), 0.5))
         h = Tensor(np.array([[2.0, 1.0], [0.0, 3.0]]))
@@ -92,7 +92,7 @@ class TestGcnLayer:
     def test_matches_loop_oracle(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 20))
-        layer = GcnLayer(6, 4, Rng(seed), dtype=np.float64)
+        layer = float64_shadow(partial(GcnLayer, 6, 4), seed)
         graph = build_hetero_graph(
             rng.normal(0, 1, (n, 6)), rng.normal(0, 1, (3, 5)),
             EdgeRules(audio=EdgeRule(2, 2), video=EdgeRule(1, 1), cross=EdgeRule(1, 1)))
@@ -110,7 +110,7 @@ class TestGcnLayer:
         weight = rng.integers(-2, 3, (d, 3)).astype(np.float64)
         adj = np.triu(rng.integers(0, 2, (n, n)), 1).astype(np.float64)
         adj = adj + adj.T + np.eye(n)  # integer entries, synthetic "normalized"
-        layer = GcnLayer(d, 3, Rng(0), dtype=np.float64)
+        layer = float64_shadow(partial(GcnLayer, d, 3))
         layer.weight.data = weight
         perm = rng.permutation(n)
         p_mat = np.eye(n)[perm]
@@ -124,7 +124,7 @@ class TestGcnLayer:
 
 class TestGatFusion:
     def _layer(self, seed, d_audio=3, d_video=4, d_out=5):
-        return GatFusionLayer(d_audio, d_video, d_out, Rng(seed), dtype=np.float64)
+        return float64_shadow(partial(GatFusionLayer, d_audio, d_video, d_out), seed)
 
     def test_single_neighbour_alpha_one(self):
         layer = self._layer(0)
@@ -221,7 +221,7 @@ class TestGatFusion:
         attention and every gradient, with d_video != out_dim and an audio
         node that has no video neighbour."""
         rng = np.random.default_rng(30)
-        layer = GatFusionLayer(3, 6, 4, Rng(7), dtype=np.float64)
+        layer = float64_shadow(partial(GatFusionLayer, 3, 6, 4), 7)
         lead = () if batch is None else (batch,)
         video = Tensor(rng.normal(0, 1, lead + (7, 6)), requires_grad=True)
         audio = Tensor(rng.normal(0, 1, lead + (5, 3)), requires_grad=True)
@@ -234,13 +234,12 @@ class TestGatFusion:
         results = []
         for fusion in (layer.forward, partial(project_then_aggregate, layer)):
             for leaf in leaves:
-                leaf.zero_grad()
+                leaf.grad = None
             g = ReferenceGraph()
             out, alpha = fusion(g, video, mask, audio)
             g.backward(g.add(g.sum_all(g.mul(out, mix_out)),
                              g.sum_all(g.mul(alpha, mix_alpha))))
-            # copied: the next zero_grad refills each held gradient in place
-            results.append([out.data, alpha.data] + [leaf.grad.copy() for leaf in leaves])
+            results.append([out.data, alpha.data] + [leaf.grad for leaf in leaves])
         np.testing.assert_array_equal(results[0][1][..., 1, :], 0.0)
         for new, old in zip(*results):
             np.testing.assert_allclose(new, old, rtol=0, atol=1e-6)
@@ -291,7 +290,7 @@ class TestGatFusion:
 class TestGcnFusion:
     def test_mean_aggregation_with_isolated_row(self):
         # a hand-built mask: every row of a built graph holds its anchor
-        layer = GcnLayer(2, 2, Rng(0), dtype=np.float64)
+        layer = float64_shadow(partial(GcnLayer, 2, 2))
         layer.weight.data = np.eye(2)
         video = Tensor(np.array([[2.0, -2.0], [4.0, 6.0]]))
         mask = np.array([[1.0, 1.0], [0.0, 0.0]])
@@ -299,12 +298,16 @@ class TestGcnFusion:
         np.testing.assert_allclose(out.data, [[3.0, 2.0], [0.0, 0.0]])
 
 
-def tiny_model(seed=0, fusion="gat", modality="both", pooling="learned",
-               hidden=4, layers=2, dtype=np.float64, num_classes=2):
-    config = ModelConfig(d_audio=5, d_video=7, n_audio=3, n_video=3,
-                         num_classes=num_classes, hidden=hidden, num_layers=layers,
-                         fusion=fusion, pooling=pooling, modality=modality)
-    return HgnnModel(config, Rng(seed), dtype=dtype)
+def tiny_config(fusion="gat", modality="both", pooling="learned", hidden=4, layers=2,
+                num_classes=2):
+    return ModelConfig(d_audio=5, d_video=7, n_audio=3, n_video=3,
+                       num_classes=num_classes, hidden=hidden, num_layers=layers,
+                       fusion=fusion, pooling=pooling, modality=modality)
+
+
+def tiny_model(seed=0, dtype=np.float64, **config):
+    build = partial(HgnnModel, tiny_config(**config))
+    return float64_shadow(build, seed) if dtype == np.float64 else build(Rng(seed))
 
 
 def tiny_graph(seed=0, dtype=np.float64, n_audio=3, n_video=3):
@@ -564,9 +567,51 @@ class TestCountParams:
         assert big > 2 * small  # superlinear growth
 
 
+class TestParameterDtype:
+    """A model's dtype is its parameters': float32 from an Rng, and from an
+    iterator whatever the arrays are."""
+
+    @pytest.mark.parametrize("build", [
+        partial(HgnnModel, tiny_config()), partial(GcnLayer, 5, 4),
+        partial(GatFusionLayer, 5, 7, 4)], ids=["model", "gcn", "gat"])
+    def test_a_fresh_draw_holds_float32_parameters(self, build):
+        fresh = build(Rng(0))
+        params = (fresh.params() if hasattr(fresh, "params")
+                  else [p for _, p in fresh.named_params()])
+        assert params and all(p.dtype == np.float32 for p in params)
+
+    def test_float64_arrays_are_held_as_given_and_run_in_float64(self):
+        rng = np.random.default_rng(6)
+        arrays = [rng.normal(0, 0.5, p.shape) for _, p in tiny_model().named_params()]
+        model = HgnnModel(tiny_config(), iter(arrays))
+        assert all(p.data is array for (_, p), array in zip(model.named_params(), arrays))
+        g = ComputeGraph()
+        result = model.forward(g, tiny_graph())
+        loss = focal_loss(g, result.probs, np.array([[1.0, 0.0]]), gamma=2.0)
+        g.backward(loss)
+        states = result.attention + result.audio_states + result.video_states
+        assert all(a.dtype == np.float64 for a in states + [result.probs.data, loss.data])
+        assert all(p.grad.dtype == np.float64 for _, p in model.named_params())
+
+    @pytest.mark.parametrize("fusion", FUSION_MODES)
+    def test_the_float64_shadow_scores_within_1e_6_of_its_float32_source(self, fusion):
+        build = partial(HgnnModel, tiny_config(fusion=fusion))
+        source, shadow = build(Rng(3)), float64_shadow(build, 3)
+        for (_, p32), (_, p64) in zip(source.named_params(), shadow.named_params()):
+            assert p64.dtype == np.float64
+            np.testing.assert_array_equal(p64.data, p32.data)
+        graph32 = tiny_graph(seed=3, dtype=np.float32)
+        graph64 = build_hetero_graph(graph32.audio_feats.data.astype(np.float64),
+                                     graph32.video_feats.data.astype(np.float64), TINY_RULES)
+        probs32 = source.forward(ComputeGraph(), graph32).probs.data
+        probs64 = shadow.forward(ComputeGraph(), graph64).probs.data
+        assert probs32.dtype == np.float32 and probs64.dtype == np.float64
+        np.testing.assert_allclose(probs32, probs64, rtol=0, atol=1e-6)
+
+
 class TestFullModelGradients:
     def test_every_parameter_matches_finite_differences(self):
-        model = tiny_model(seed=13, hidden=4, layers=2, dtype=np.float64)
+        model = tiny_model(seed=13, hidden=4, layers=2)
         graph = tiny_graph(seed=13)
         targets = np.array([[1.0, 0.0]])
 
@@ -575,7 +620,6 @@ class TestFullModelGradients:
             result = model.forward(g, graph)
             return focal_loss(g, result.probs, targets, gamma=2.0).item()
 
-        model.zero_grad()
         g = ComputeGraph()
         result = model.forward(g, graph)
         g.backward(focal_loss(g, result.probs, targets, gamma=2.0))
@@ -600,7 +644,8 @@ class TestBatchedForward:
             graphs = [tiny_graph(seed=int(s)) for s in rng.integers(0, 1000, batch)]
             labels = [(rng.random(2) > 0.5).astype(np.float64) for _ in graphs]
 
-            model.zero_grad()
+            for _, p in model.named_params():
+                p.grad = None
             per_graph = 0.0
             for graph, y in zip(graphs, labels):
                 g = ComputeGraph()
@@ -609,7 +654,8 @@ class TestBatchedForward:
                 per_graph += loss.item()
             expected = {name: p.grad.copy() for name, p in model.named_params()}
 
-            model.zero_grad()
+            for _, p in model.named_params():
+                p.grad = None
             g = ComputeGraph()
             result = model.forward(g, stack_graphs(graphs))
             assert result.probs.shape == (batch, 1, 2)

@@ -269,19 +269,6 @@ class TestBackward:
         x = bits.view(dtype)
         assert (np.full_like(x, -0.0) + x).tobytes() == x.tobytes()
 
-    def test_zero_grad_refills_a_held_gradient_with_negative_zero_in_place(self):
-        w = Tensor([[2.0, -3.0]], requires_grad=True)
-        w.zero_grad()
-        assert w.grad is None  # nothing held: stays None, and backward allocates
-        g = ReferenceGraph()
-        g.backward(g.sum_all(g.mul(w, w)))
-        held = w.grad
-        w.zero_grad()
-        assert w.grad is held and np.signbit(held).all() and not held.any()
-        g = ReferenceGraph()
-        g.backward(g.sum_all(g.mul(w, Tensor([[-0.0, 1.0]]))))
-        assert w.grad is held and held.tobytes() == np.array([[-0.0, 1.0]]).tobytes()
-
     def test_leaf_without_requires_grad_gets_none(self):
         g = ReferenceGraph()
         w = Tensor([[1.0, 2.0]], requires_grad=True)
@@ -300,7 +287,7 @@ class TestGradientOracle:
             return build(g).item()
 
         for leaf in leaves:
-            leaf.zero_grad()
+            leaf.grad = None
         g = ReferenceGraph()
         loss = build(g)
         g.backward(loss)
@@ -732,7 +719,7 @@ class TestFocalLossOp:
         probs = Tensor(rng64.uniform(0.05, 0.95, (1, 6)), requires_grad=True)
         y = np.array([[1.0, 0.0, 1.0, 1.0, 0.0, 0.0]])
         for gamma in (0.0, 0.5, 2.0):
-            probs.zero_grad()
+            probs.grad = None
 
             def scalar():
                 return ComputeGraph().focal_loss(probs, y, gamma, self.EPS).item()

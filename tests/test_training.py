@@ -215,7 +215,6 @@ class TestAdam:
         for t, lr in enumerate([0.001, 0.004, 0.0025, 0.0005], start=1):
             for name in ("big", "small"):
                 params[name].grad[...] = rng.normal(0, 1, shapes[name]).astype(np.float32)
-            params["real"].zero_grad()
             g = ReferenceGraph()
             x, w = (Tensor(rng.normal(0, 1, shape).astype(np.float32)) for shape in
                     ((4, 3), (4, 2)))
@@ -381,17 +380,6 @@ class TestMemory:
             assert np.signbit(opt.grad).all() and not opt.grad.any()
             assert all(p.grad is view for (_, p), view in zip(model.named_params(), views))
         assert opt.step_count == 2
-
-    def test_zero_grad_keeps_a_held_gradient_in_the_optimizers_buffer(self):
-        model, opt = self._backward_into_a_new_adam()
-        first = opt.grad.copy()
-        views = [p.grad for _, p in model.named_params()]
-        model.zero_grad()
-        assert all(p.grad is view for (_, p), view in zip(model.named_params(), views))
-        assert np.signbit(opt.grad).all() and not opt.grad.any()
-        training._group_loss(model, make_items(2), [0, 1], small_config().gamma)
-        assert all(p.grad is view for (_, p), view in zip(model.named_params(), views))
-        assert opt.grad.tobytes() == first.tobytes()  # the same backward, into the buffer
 
     def test_a_held_result_costs_three_parameter_sized_arrays(self):
         # Parameters, m and v: train() frees the gradient buffer and Adam's
