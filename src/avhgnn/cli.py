@@ -21,7 +21,7 @@ from .graph import EdgeRule, EdgeRules, cross_modal_edges, temporal_edges
 from .layers import FUSION_GAT, FUSION_MODES, MODALITIES, MODALITY_BOTH, POOLING_MODES
 from .metrics import evaluate
 from .tensor import ComputeGraph, NumericError, ShapeError
-from .training import (ConfigError, TrainConfig, atomic_open, load_checkpoint,
+from .training import (ConfigError, TrainConfig, atomic_open, check_items, load_checkpoint,
                        run_seeds, seed_configs, split_dataset, train, write_history_csv)
 
 EXIT_OK = 0
@@ -186,10 +186,7 @@ def _cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     model = ckpt.build_model()
     items = load_dataset(args.data, ckpt.train_config.rules)
-    n_classes = items[0].labels.shape[-1]
-    if n_classes != ckpt.model_config.num_classes:
-        raise ConfigError(f"the dataset has {n_classes} classes, the checkpoint's "
-                          f"num_classes is {ckpt.model_config.num_classes}")
+    check_items(ckpt.model_config, items)
     result = evaluate(model, items)
     payload = result.to_dict()
     payload["config"] = ckpt.train_config.to_dict()

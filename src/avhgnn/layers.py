@@ -36,7 +36,8 @@ GAT_LEAKY_SLOPE = 0.2
 
 @dataclass
 class ModelConfig(Record):
-    """Shape and architecture knobs for HgnnModel."""
+    """Shape and architecture knobs for HgnnModel; `check` decides which graphs
+    and labels a model of this config can score and train on."""
 
     FLOORS = dict.fromkeys(("d_audio", "d_video", "n_audio", "n_video", "num_classes",
                             "hidden", "num_layers"), 1)
@@ -52,6 +53,25 @@ class ModelConfig(Record):
     fusion: str = FUSION_GAT
     pooling: str = "learned"
     modality: str = MODALITY_BOTH
+
+    def check(self, graph: HeteroGraph, labels=None):
+        """Raise ShapeError unless the widths of the modalities in use match, the
+        node counts too under learned pooling, and `labels`, if given, hold one
+        value per class. Attribute compares only, on the forward's hot path."""
+        if self.modality != MODALITY_VIDEO and graph.audio_feats.cols != self.d_audio:
+            raise ShapeError(f"graph audio dim {graph.audio_feats.cols} != model {self.d_audio}")
+        if self.modality != MODALITY_AUDIO and graph.video_feats.cols != self.d_video:
+            raise ShapeError(f"graph video dim {graph.video_feats.cols} != model {self.d_video}")
+        if self.pooling == "learned":
+            if self.modality != MODALITY_VIDEO and graph.n_audio != self.n_audio:
+                raise ShapeError(
+                    f"learned pooling expects {self.n_audio} audio nodes, got {graph.n_audio}")
+            if self.modality != MODALITY_AUDIO and graph.n_video != self.n_video:
+                raise ShapeError(
+                    f"learned pooling expects {self.n_video} video nodes, got {graph.n_video}")
+        if labels is not None and np.size(labels) != self.num_classes:
+            raise ShapeError(f"labels have {np.size(labels)} classes != model "
+                             f"num_classes {self.num_classes}")
 
 
 def _param(init, rows: int, cols: int, name: str, fill=None) -> Tensor:
@@ -195,36 +215,16 @@ class HgnnModel:
 
     # -- parameters -----------------------------------------------------------
 
-    def named_params(self) -> list[tuple[str, Tensor]]:
+    def params(self) -> list[Tensor]:
         """All learnables in a fixed declaration order (checkpoint layout)."""
-        params = []
-        for layer in self.layers:
-            params.extend(layer.params())
-        if self.pool_audio is not None:
-            params.append(self.pool_audio)
-        if self.pool_video is not None:
-            params.append(self.pool_video)
-        params.extend([self.cls_weight, self.cls_bias])
-        return [(p.name, p) for p in params]
+        pools = [p for p in (self.pool_audio, self.pool_video) if p is not None]
+        return ([p for layer in self.layers for p in layer.params()]
+                + pools + [self.cls_weight, self.cls_bias])
 
-    def count_params(self) -> int:
-        return sum(p.data.size for _, p in self.named_params())
+    def named_params(self) -> list[tuple[str, Tensor]]:
+        return [(p.name, p) for p in self.params()]
 
     # -- forward --------------------------------------------------------------
-
-    def _check_graph(self, graph: HeteroGraph):
-        cfg = self.config
-        if cfg.modality != MODALITY_VIDEO and graph.audio_feats.cols != cfg.d_audio:
-            raise ShapeError(f"graph audio dim {graph.audio_feats.cols} != model {cfg.d_audio}")
-        if cfg.modality != MODALITY_AUDIO and graph.video_feats.cols != cfg.d_video:
-            raise ShapeError(f"graph video dim {graph.video_feats.cols} != model {cfg.d_video}")
-        if cfg.pooling == "learned":
-            if self.pool_audio is not None and graph.n_audio != cfg.n_audio:
-                raise ShapeError(
-                    f"learned pooling expects {cfg.n_audio} audio nodes, got {graph.n_audio}")
-            if self.pool_video is not None and graph.n_video != cfg.n_video:
-                raise ShapeError(
-                    f"learned pooling expects {cfg.n_video} video nodes, got {graph.n_video}")
 
     def _pool(self, g: ComputeGraph, h: Tensor, weights) -> Tensor:
         """Per graph, the column max or a weighted row sum (mean: 1/n, sum: 1)."""
@@ -237,9 +237,10 @@ class HgnnModel:
         return g.matmul(Tensor(np.full((1, h.rows), weight, dtype=h.dtype)), h)
 
     def forward(self, g: ComputeGraph, graph: HeteroGraph) -> ForwardResult:
-        """Scores one graph, or B stacked graphs (outputs then lead with axis B)."""
-        self._check_graph(graph)
+        """Scores one graph, or B stacked graphs (outputs then lead with axis B);
+        a graph that `ModelConfig.check` rejects raises ShapeError first."""
         cfg = self.config
+        cfg.check(graph)
         result = ForwardResult(probs=None, logits=None)
 
         h_a = graph.audio_feats if cfg.modality != MODALITY_VIDEO else None

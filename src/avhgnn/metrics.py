@@ -8,7 +8,6 @@ macro means and flagged rather than poisoning them.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -73,9 +72,6 @@ class EvalResult:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    def to_json(self, indent=2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
 
 def score_matrix(model, items) -> tuple[np.ndarray, np.ndarray]:

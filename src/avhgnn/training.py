@@ -11,6 +11,10 @@ a resume reads the moments as it builds Adam, which adopts the three blocks as
 they are. Batch composition at iteration t is a pure function of (seed, t) -
 concatenated per-epoch permutations - so a resume replays the identical stream,
 and a history row holds only its own iteration's scores (TrainConfig.validates(t)).
+The model config is the checkpoint's on a resume, else built from the first item;
+every train and validation item passes its `ModelConfig.check` before iteration 1,
+so an item the model cannot score or train on is a ConfigError naming it, not a
+failure at the first validation.
 For a fixed seed and thread count, curves and resumes are bitwise identical; the
 checkpoint bytes measure equal at 1 and 2 BLAS threads (the test
 test_checkpoint_bytes_do_not_depend_on_the_blas_thread_count)."""
@@ -34,7 +38,7 @@ from .config import ConfigError, Record
 from .graph import EdgeRules, stack_graphs
 from .layers import HgnnModel, ModelConfig
 from .metrics import EvalResult, evaluate
-from .tensor import ComputeGraph, NumericError, Rng, Tensor
+from .tensor import ComputeGraph, NumericError, Rng, ShapeError, Tensor
 
 CHECKPOINT_MAGIC = b"HGCK"
 CHECKPOINT_VERSION = 1
@@ -85,12 +89,22 @@ class TrainConfig(Record):
         return t > 0 and (t % self.eval_every == 0 or t == self.max_iters)
 
 
+ARCHITECTURE = ("hidden", "num_layers", "fusion", "pooling", "modality")  # set by TrainConfig
+
+
 def model_config_for(cfg: TrainConfig, d_audio: int, d_video: int,
                      n_audio: int, n_video: int, num_classes: int) -> ModelConfig:
-    return ModelConfig(
-        d_audio=d_audio, d_video=d_video, n_audio=n_audio, n_video=n_video,
-        num_classes=num_classes, hidden=cfg.hidden, num_layers=cfg.num_layers,
-        fusion=cfg.fusion, pooling=cfg.pooling, modality=cfg.modality)
+    return ModelConfig(d_audio=d_audio, d_video=d_video, n_audio=n_audio, n_video=n_video,
+                       num_classes=num_classes, **{k: getattr(cfg, k) for k in ARCHITECTURE})
+
+
+def check_items(model_cfg: ModelConfig, items):
+    """A ConfigError naming the first item that `model_cfg.check` rejects."""
+    for item in items:
+        try:
+            model_cfg.check(item.graph, item.labels)
+        except ShapeError as exc:
+            raise ConfigError(f"item {item.item_id!r}: {exc}") from None
 
 
 # -- loss ----------------------------------------------------------------------
@@ -399,28 +413,6 @@ class TrainResult:
                         self.final_iteration, self.rng, self.config)
 
 
-def _check_dataset(items, cfg: TrainConfig):
-    if not items:
-        raise ConfigError("empty dataset")
-    first = items[0]
-    d_a, d_v = first.graph.audio_feats.cols, first.graph.video_feats.cols
-    n_a, n_v = first.graph.n_audio, first.graph.n_video
-    n_classes = np.asarray(first.labels).size
-    for item in items:
-        g = item.graph
-        if g.audio_feats.cols != d_a or g.video_feats.cols != d_v:
-            raise ConfigError(
-                f"item {item.item_id!r} feature dims ({g.audio_feats.cols}, "
-                f"{g.video_feats.cols}) differ from first item ({d_a}, {d_v})")
-        if np.asarray(item.labels).size != n_classes:
-            raise ConfigError(f"item {item.item_id!r} has inconsistent label width")
-        if cfg.pooling == "learned" and (g.n_audio != n_a or g.n_video != n_v):
-            raise ConfigError(
-                f"learned pooling needs uniform node counts; item {item.item_id!r} "
-                f"has ({g.n_audio}, {g.n_video}), first item ({n_a}, {n_v})")
-    return d_a, d_v, n_a, n_v, n_classes
-
-
 def _group_loss(model: HgnnModel, items, group, gamma: float) -> float:
     """One same-shape group's loss, backpropagated on a tape that dies on return."""
     g = ComputeGraph()
@@ -436,25 +428,32 @@ def train(items, cfg: TrainConfig, val_items=None, resume: Checkpoint | None = N
 
     A row scores val_items only where cfg.validates(t), nan elsewhere.
     `resume` continues a run bitwise-identically from its saved iteration,
-    advancing its blocks in place; the model config of cfg and the dataset
-    must equal the checkpoint's.
+    advancing its blocks in place; cfg's ARCHITECTURE must equal the checkpoint's.
     `progress(row)` is called once per iteration with the history row.
     """
-    model_cfg = model_config_for(cfg, *_check_dataset(items, cfg))
-    rng = Rng(cfg.seed)
+    if not items:
+        raise ConfigError("empty dataset")
     if resume is not None:
-        for name, new in model_cfg.to_dict().items():
-            old = getattr(resume.model_config, name)
-            if new != old and (cfg.pooling == "learned" or name not in ("n_audio", "n_video")):
+        model_cfg = resume.model_config
+        for name in ARCHITECTURE:
+            new, old = getattr(cfg, name), getattr(model_cfg, name)
+            if new != old:
                 raise ConfigError(f"{name} {new!r} differs from the checkpoint's {old!r}; "
                                   "a resume keeps the model")
+        if resume.iteration > cfg.max_iters:
+            raise ConfigError(f"max_iters {cfg.max_iters} is below the checkpoint's "
+                              f"iteration {resume.iteration}")
+    else:
+        first = items[0].graph
+        model_cfg = model_config_for(cfg, first.audio_feats.cols, first.video_feats.cols,
+                                     first.n_audio, first.n_video, np.size(items[0].labels))
+    check_items(model_cfg, itertools.chain(items, val_items or ()))
+    rng = Rng(cfg.seed)
+    if resume is not None:
         model = resume.build_model()
         optimizer = resume.build_optimizer(model)
         rng.bit_generator.state = resume.rng_state
         start = resume.iteration
-        if start > cfg.max_iters:
-            raise ConfigError(f"max_iters {cfg.max_iters} is below the checkpoint's "
-                              f"iteration {start}")
     else:
         model = HgnnModel(model_cfg, rng)
         optimizer = Adam(model.named_params())

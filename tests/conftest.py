@@ -66,9 +66,7 @@ def float64_shadow(build, seed=0):
     layer. Its parameters are the arrays of the float32 `build(Rng(seed))`, cast,
     and given to `build` as an iterator, the path a checkpoint's model takes."""
     source = build(Rng(seed))
-    params = ([p for _, p in source.named_params()] if hasattr(source, "named_params")
-              else source.params())
-    return build(iter([p.data.astype(np.float64) for p in params]))
+    return build(iter([p.data.astype(np.float64) for p in source.params()]))
 
 
 def assert_grad_close(analytic, numeric, rel=1e-4, abs_floor=1e-6):

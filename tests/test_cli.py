@@ -2,6 +2,7 @@
 
 import builtins
 import json
+import re
 import struct
 from pathlib import Path
 
@@ -11,11 +12,12 @@ import pytest
 from avhgnn import cli, training
 from avhgnn.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from avhgnn.cli import attention_summary
-from avhgnn.data import FeatureContainer, load_dataset, write_container
+from avhgnn.data import (DatasetManifest, FeatureContainer, ManifestItem, load_dataset,
+                         read_manifest, write_container, write_manifest)
 from avhgnn.layers import HgnnModel, ModelConfig
 from avhgnn.metrics import evaluate
 from avhgnn.tensor import Rng
-from avhgnn.training import TrainConfig, run_seeds
+from avhgnn.training import TrainConfig, run_seeds, split_dataset
 from test_training import _FailOnSecondWrite, bad_rows, edit_first_param
 
 
@@ -239,21 +241,6 @@ class TestTrain:
         assert code == EXIT_DATA
         assert "checkpoint changed since it was loaded" in err
 
-    def test_resume_on_another_class_count_is_config_error(self, capsys, tmp_path):
-        four = gen_dataset(capsys, tmp_path, name="four", n_items=16, n_audio=4,
-                           n_video=6, d_audio=5, d_video=7, seed=2)
-        two = gen_dataset(capsys, tmp_path, name="two", n_items=16, n_classes=2,
-                          n_audio=4, n_video=6, d_audio=5, d_video=7, seed=2)
-        code, _, _ = run(capsys, "train", "--config", str(write_config(tmp_path, max_iters=2)),
-                         "--data", str(four), "--out", str(tmp_path / "part"))
-        assert code == EXIT_OK
-        code, _, err = run(capsys, "train", "--resume", str(tmp_path / "part" / "checkpoint.hgck"),
-                           "--data", str(two), "--out", str(tmp_path / "resumed"),
-                           "--max-iters", "4")
-        assert code == EXIT_DATA
-        assert "num_classes 2 differs from the checkpoint's 4" in err
-        assert not (tmp_path / "resumed" / "checkpoint.hgck").exists()
-
     @pytest.mark.parametrize("flags, message", [
         (("--hidden", "64"), "hidden 64 differs"),
         (("--num-layers", "2"), "num_layers 2 differs"),
@@ -433,28 +420,94 @@ class TestEval:
                            "--data", str(tmp_path / "m.json"))
         assert code == EXIT_DATA
 
-    def test_dimension_mismatch_names_dims(self, capsys, tmp_path):
-        ckpt, _ = self._train(capsys, tmp_path)
-        other = gen_dataset(capsys, tmp_path, name="wide", n_items=8,
-                            n_audio=4, n_video=6, d_audio=9, d_video=7, seed=8,
-                            mode="audio_only_solvable")
-        code, _, err = run(capsys, "eval", "--checkpoint", str(ckpt),
-                           "--data", str(other))
-        assert code == EXIT_DATA
-        assert "9" in err and "5" in err  # both widths named
+def _items_of(manifest, prefix=""):
+    """A generated manifest's items, ids prefixed, containers addressed from its parent."""
+    return [ManifestItem(prefix + it.item_id, f"{manifest.parent.name}/{it.container_path}",
+                         it.labels) for it in read_manifest(manifest).items]
 
-    def test_class_count_mismatch_names_both_counts(self, capsys, tmp_path):
-        four = gen_dataset(capsys, tmp_path, name="four", n_items=16, n_audio=4,
-                           n_video=6, d_audio=5, d_video=7, seed=4)
-        two = gen_dataset(capsys, tmp_path, name="two", n_items=8, n_classes=2,
-                          n_audio=4, n_video=6, d_audio=5, d_video=7, seed=4)
-        code, _, _ = run(capsys, "train", "--config", str(write_config(tmp_path, max_iters=2)),
-                         "--data", str(four), "--out", str(tmp_path / "run"))
-        assert code == EXIT_OK
-        code, _, err = run(capsys, "eval", "--data", str(two),
-                           "--checkpoint", str(tmp_path / "run" / "checkpoint.hgck"))
+
+def _write_manifest(tmp_path, items, num_classes=4):
+    path = tmp_path / "mixed.json"
+    write_manifest(path, DatasetManifest(num_classes, [f"class_{c}" for c in range(num_classes)],
+                                         items))
+    return path
+
+
+class TestItemChecks:
+    """train, resume and eval check every item against the one model config before
+    any iteration or forward, and name the first item that fails."""
+
+    OTHER = {"width": {"d_audio": 9}, "nodes": {"n_audio": 5}, "classes": {"n_classes": 2}}
+    # A mixed manifest holds the base items, then the other ones; otherwise the data
+    # is the other dataset alone. A single manifest has one class count, so train
+    # cannot mix two (test_training covers it through the API).
+    CASES = [
+        ("train", "width", True,
+         r"item 'other-synth-0000': feature dims \(9, 7\) differ from first item \(5, 7\)"),
+        ("train", "nodes", True,
+         r"item 'other-synth-\d+': learned pooling expects 4 audio nodes, got 5"),
+        ("resume", "width", False, r"item 'synth-\d+': graph audio dim 9 != model 5"),
+        ("resume", "nodes", False,
+         r"item 'synth-\d+': learned pooling expects 4 audio nodes, got 5"),
+        ("resume", "classes", False,
+         r"item 'synth-\d+': labels have 2 classes != model num_classes 4"),
+        ("eval", "width", False, r"item 'synth-0000': graph audio dim 9 != model 5"),
+        ("eval", "nodes", True,
+         r"item 'other-synth-0000': learned pooling expects 4 audio nodes, got 5"),
+        ("eval", "classes", False,
+         r"item 'synth-0000': labels have 2 classes != model num_classes 4"),
+    ]
+
+    @pytest.mark.parametrize("entry, mismatch, mixed, message", CASES,
+                             ids=[f"{entry}-{mismatch}" for entry, mismatch, *_ in CASES])
+    def test_a_mismatched_item_exits_2_before_any_work(self, capsys, tmp_path, entry,
+                                                        mismatch, mixed, message):
+        shape = dict(n_audio=4, n_video=6, d_audio=5, d_video=7, mode="audio_only_solvable")
+        base = gen_dataset(capsys, tmp_path, name="base", n_items=16, seed=4, **shape)
+        other = gen_dataset(capsys, tmp_path, name="other", n_items=4, seed=8,
+                            **{**shape, **self.OTHER[mismatch]})
+        data = (_write_manifest(tmp_path, _items_of(base) + _items_of(other, "other-"))
+                if mixed else other)
+        cfg = write_config(tmp_path, pooling="learned", max_iters=2)
+        ckpt = tmp_path / "run" / "checkpoint.hgck"
+        if entry != "train":
+            code, _, _ = run(capsys, "train", "--config", str(cfg), "--data", str(base),
+                             "--out", str(ckpt.parent))
+            assert code == EXIT_OK
+        out_dir = tmp_path / "again"
+        argv = {"train": ("train", "--config", str(cfg), "--out", str(out_dir)),
+                "resume": ("train", "--resume", str(ckpt), "--out", str(out_dir),
+                           "--max-iters", "4"),
+                "eval": ("eval", "--checkpoint", str(ckpt))}[entry]
+        code, out, err = run(capsys, *argv, "--data", str(data))
         assert code == EXIT_DATA
-        assert "2 classes, the checkpoint's num_classes is 4" in err
+        assert re.search(message, err), err
+        assert " iter " not in out and not (out_dir / "checkpoint.hgck").exists()
+        if entry == "eval":
+            assert out == ""  # nothing scored
+
+    def test_a_longer_validation_item_exits_before_iteration_1(self, capsys, tmp_path):
+        short = gen_dataset(capsys, tmp_path, name="short", n_items=8, n_audio=10, seed=1,
+                            mode="audio_only_solvable")
+        long = gen_dataset(capsys, tmp_path, name="long", n_items=4, n_audio=12, seed=2,
+                           mode="audio_only_solvable")
+        # Six one-item label groups keep no validation item, so split_dataset's
+        # fallback holds out the last, longer one.
+        items = _items_of(short)[:6] + _items_of(long, "long-")[:1]
+        for item, labels in zip(items, [[0], [1], [2], [3], [0, 1], [0, 2], [0, 3]]):
+            item.labels = labels
+        manifest = _write_manifest(tmp_path, items)
+        cfg_path = write_config(tmp_path, pooling="learned", eval_every=5, max_iters=10)
+        cfg = TrainConfig.from_dict(json.loads(cfg_path.read_text()))
+        _, val = split_dataset(load_dataset(manifest, cfg.rules), cfg.val_fraction, cfg.seed)
+        assert [item.item_id for item in val] == ["long-synth-0000"]
+
+        code, out, err = run(capsys, "train", "--config", str(cfg_path),
+                             "--data", str(manifest), "--out", str(tmp_path / "run"))
+        assert code == EXIT_DATA
+        assert "item 'long-synth-0000': learned pooling expects 10 audio nodes, got 12" in err
+        assert " iter " not in out
+        assert not (tmp_path / "run" / "checkpoint.hgck").exists()
 
 
 class TestInspectGraph:

@@ -170,7 +170,7 @@ class TestEvaluate:
         import json
         labels = np.array([[1.0, 0.0], [0.0, 1.0]])
         result = evaluate_scores(labels.copy(), labels)
-        parsed = json.loads(result.to_json())
+        parsed = json.loads(json.dumps(result.to_dict(), indent=2))
         assert parsed["map"] == 1.0
         assert len(parsed["per_class_ap"]) == 2
 

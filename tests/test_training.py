@@ -551,6 +551,41 @@ class TestTrainLoop:
         with pytest.raises(ConfigError, match="tall-one"):
             train(items, small_config(pooling="learned"))
 
+    @staticmethod
+    def _items_with_an_odd_validation_item(**odd):
+        """Six items in one-item label groups, then `odd`, which split_dataset's
+        fallback puts in the validation set."""
+        items = make_items(6, num_classes=7) + make_items(1, seed=9, **odd)
+        items[-1].item_id = "odd"
+        assert split_dataset(items, 0.2, 1)[1] == items[-1:]
+        return items
+
+    ODD_ITEMS = pytest.mark.parametrize("odd, message", [
+        ({"num_classes": 7, "n_audio": 5}, "learned pooling expects 3 audio nodes, got 5"),
+        ({"num_classes": 3}, "labels have 3 classes != model num_classes 7"),
+    ], ids=["node-count", "label-width"])
+
+    @ODD_ITEMS
+    def test_a_bad_validation_item_is_rejected_before_iteration_1(self, odd, message):
+        items = self._items_with_an_odd_validation_item(**odd)
+        rows = []
+        with pytest.raises(ConfigError, match=f"item 'odd': {message}"):
+            train(items[:-1], small_config(pooling="learned"), val_items=items[-1:],
+                  progress=rows.append)
+        assert rows == []
+
+    @ODD_ITEMS
+    def test_run_seeds_rejects_a_bad_validation_item_before_iteration_1(self, odd, message):
+        items = self._items_with_an_odd_validation_item(**odd)
+        rows = []
+
+        def run(train_items, val_items, cfg):
+            return train(train_items, cfg, val_items=val_items, progress=rows.append).final_eval
+
+        with pytest.raises(ConfigError, match=f"item 'odd': {message}"):
+            run_seeds(items, small_config(pooling="learned"), [1, 2], run=run)
+        assert rows == []
+
 
     def test_mixed_lengths_train_one_tape_per_shape(self, monkeypatch):
         items = make_items(3) + make_items(3, n_audio=5, n_video=6, seed=3)
@@ -689,7 +724,8 @@ class TestCheckpoint:
                         progress=rows.append)
         assert rows == [] and resumed.history == []
         # Compared as JSON text: NaN != NaN.
-        assert resumed.final_eval.to_json() == original.final_eval.to_json()
+        assert (json.dumps(resumed.final_eval.to_dict(), indent=2)
+                == json.dumps(original.final_eval.to_dict(), indent=2))
         assert train(items[:6], cfg, resume=load_checkpoint(path)).final_eval is None
 
     def test_resume_validates_only_on_the_schedule(self, tmp_path, monkeypatch):
@@ -787,7 +823,7 @@ class TestCheckpoint:
                                    training.Rng(0))
         path = tmp_path / "ck.hgck"
         save_checkpoint(path, model, Adam(model.named_params()), 0, training.Rng(0), cfg)
-        return path, model, 3 * 4 * model.count_params()
+        return path, model, 3 * 4 * sum(p.data.size for _, p in model.named_params())
 
     def test_load_reads_only_the_parameter_block(self, tmp_path):
         # Measured peak: 0.39x the payload, the parameter block (a third) plus
