@@ -115,6 +115,8 @@ class ManifestItem(Record):
         if os.path.isabs(path) or ".." in path.split("/"):
             raise ConfigError(f"container_path {self.container_path!r} must be relative "
                               "and inside the manifest's directory")
+        if "\0" in path:
+            raise ConfigError(f"container_path {path!r} holds a NUL byte")
 
 
 @dataclass
@@ -321,7 +323,12 @@ def load_dataset(manifest_path, rules: EdgeRules) -> list[LabeledGraph]:
     # One buffer holds every payload. numpy asks for huge pages for an array
     # of 4 MiB or more, so a paper-scale load page-faults a few hundred times
     # rather than once per 4 KiB, whatever state malloc's heap was left in.
-    counts = [max(p.stat().st_size - 24, 0) // 4 if p.is_file() else 0 for p in paths]
+    counts = []
+    for p in paths:  # one stat each; read_container reports a path that fails
+        try:
+            counts.append(max(os.stat(p).st_size - 24, 0) // 4)
+        except OSError:
+            counts.append(0)
     buffer, offsets = np.empty(sum(counts), np.float32), np.cumsum([0] + counts)
     loaded, errors = [], []
     dims = None

@@ -3,8 +3,9 @@
 The stacked layer updates audio nodes from two flows (audio GCN plus a
 fused video message) and video nodes from one (video GCN); video never
 reads from audio. The attention fusion aggregates the attended video
-features, then projects them. The attention-free fusion is one more GCN, over
-the graph's row-normalized video-to-audio adjacency. Graph-level readout pools
+features, projects them, and adds them to the audio GCN's output in one
+tape op. The attention-free fusion is one more GCN, over the graph's
+row-normalized video-to-audio adjacency. Graph-level readout pools
 each modality's final node embeddings, by default with learnable
 per-position weights, and a sigmoid head scores each class independently.
 """
@@ -119,12 +120,13 @@ class GatFusionLayer:
         self.att_video = _param(init, out_dim, 1, f"{name}.att_video")
 
     def forward(self, g: ComputeGraph, video_feats: Tensor, mask_va: np.ndarray,
-                audio_feats: Tensor):
-        """Returns (message [n_audio x out_dim], attention [n_audio x n_video]) over
-        the bool mask mask_va [n_audio x n_video]."""
+                audio_feats: Tensor, residual: Tensor):
+        """Returns (residual + message [n_audio x out_dim], attention [n_audio x
+        n_video]) over the bool mask mask_va [n_audio x n_video]; one `attend` op
+        adds the message, so the tape keeps neither its aggregate nor projection."""
         alpha = g.gat_attention(audio_feats, video_feats, self.w_msg, self.att_audio,
                                 self.att_video, mask_va, GAT_LEAKY_SLOPE)
-        return g.matmul(g.matmul(alpha, video_feats), self.w_msg), alpha
+        return g.attend(residual, alpha, video_feats, self.w_msg), alpha
 
     def params(self):
         return [self.w_msg, self.att_audio, self.att_video]
@@ -157,8 +159,7 @@ class HeteroLayer:
             if isinstance(self.fusion, GcnLayer):
                 new_a = g.add(new_a, self.fusion.forward(g, h_v, graph.adj_va_mean))
             elif self.fusion is not None:
-                fused, alpha = self.fusion.forward(g, h_v, graph.adj_va, h_a)
-                new_a = g.add(new_a, fused)
+                new_a, alpha = self.fusion.forward(g, h_v, graph.adj_va, h_a, new_a)
         if self.video_gcn is not None:
             new_v = self.video_gcn.forward(g, h_v, graph.adj_vv)
         return new_a, new_v, alpha

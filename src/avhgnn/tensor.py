@@ -5,12 +5,13 @@ two axes, so every op serves one graph and B same-shape graphs alike. A
 batch times a shared 2-D operand (a weight) folds the batch into matrix
 rows: one GEMM forward and one per gradient backward. Everything
 downstream (graph layers, pooling, the head) is built from the ops on
-ComputeGraph; a GCN, the GAT attention and the focal loss are one op
-each. Forward values are computed eagerly with numpy; each op appends a
-backward rule to the tape, and backward() replays the tape in reverse.
-Ops keep their operands' dtype: a model drawn from an `Rng` is float32, the
-training dtype; one built from float64 arrays runs in float64, which the
-gradient-check tests use as a shadow of a float32 model.
+ComputeGraph; a GCN, the GAT attention, the GAT message with its residual
+add, and the focal loss are one op each. Forward values are computed
+eagerly with numpy; each op appends a backward rule to the tape, and
+backward() replays the tape in reverse. Ops keep their operands' dtype: a
+model drawn from an `Rng` is float32, the training dtype; one built from
+float64 arrays runs in float64, which the gradient-check tests use as a
+shadow of a float32 model.
 """
 
 from __future__ import annotations
@@ -268,6 +269,22 @@ class ComputeGraph:
             _mm_backward(att_v_node.grad, w_msg, att_video)
 
         return self._emit(alpha, backward)
+
+    def attend(self, base: Tensor, alpha: Tensor, video: Tensor, w_msg: Tensor) -> Tensor:
+        """base + (alpha @ video) @ w_msg. The record keeps no aggregate or projection:
+        backward recomputes the aggregate, which only w_msg's gradient reads."""
+        if video.shape[-2:] != (alpha.cols, w_msg.rows) or (
+                base.shape != alpha.shape[:-1] + (w_msg.cols,)):
+            raise ShapeError(f"attend dims differ: {base.shape} + {alpha.shape} x "
+                             f"{video.shape} x {w_msg.shape}")
+
+        def backward(g):  # the add's rule, then the projection's, then the aggregate's
+            _accum(base, g)
+            aggregate = Tensor(_mm(alpha.data, video.data), requires_grad=True)
+            _mm_backward(g, aggregate, w_msg)
+            _mm_backward(aggregate.grad, alpha, video)
+
+        return self._emit(base.data + _mm(_mm(alpha.data, video.data), w_msg.data), backward)
 
     # -- activations ----------------------------------------------------------
 

@@ -21,7 +21,7 @@ from avhgnn.training import (TrainConfig, focal_loss, load_checkpoint, lr_at,
                              save_checkpoint, split_dataset, train)
 from conftest import assert_grad_close, float64_shadow, numeric_gradient
 from test_graph import brute_force_temporal
-from test_layers import gat_oracle, gcn_oracle
+from test_layers import gat_message, gat_oracle, gcn_oracle
 from test_metrics import ap_by_hand, auc_by_pairs
 
 DESK_RULES = EdgeRules(audio=EdgeRule(6, 3), video=EdgeRule(4, 4), cross=EdgeRule(3, 1))
@@ -109,7 +109,7 @@ def test_a2_oracle_equivalence_100_random_instances():
         video = rng.normal(0, 1, (m, d_in))
         audio = rng.normal(0, 1, (n, d_a))
         mask = (rng.random((n, m)) > 0.4).astype(float)
-        fused, alpha = gat.forward(ComputeGraph(), Tensor(video), mask, Tensor(audio))
+        fused, alpha = gat_message(gat, ComputeGraph(), Tensor(video), mask, Tensor(audio))
         exp_out, exp_alpha = gat_oracle(video, mask, audio, gat.w_msg.data,
                                         gat.att_audio.data, gat.att_video.data)
         assert np.abs(fused.data - exp_out).max() <= 1e-6

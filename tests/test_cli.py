@@ -792,6 +792,8 @@ class TestMalformedInput:
          "manifest item 0: container_path '/tmp/synth-0000.hgav' must be relative"),
         ({"container_path": "../synth-0000.hgav"},
          "manifest item 0: container_path '../synth-0000.hgav' must be relative"),
+        ({"container_path": "synth\u00000000.hgav"},
+         r"manifest item 0: container_path 'synth\x000000.hgav' holds a NUL byte"),
     ])
     def test_bad_manifest(self, capsys, tmp_path, change, message):
         manifest = gen_dataset(capsys, tmp_path, n_items=4, n_audio=4, n_video=6,

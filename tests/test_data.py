@@ -1,6 +1,7 @@
 """Container format, manifests, synthetic generator guarantees."""
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -281,6 +282,36 @@ class TestLoadDataset:
         write_manifest(tmp_path / "manifest.json", manifest)
         with pytest.raises(DatasetError, match="ghost"):
             load_dataset(tmp_path / "manifest.json", RULES)
+
+    def test_each_container_is_statted_once(self, tmp_path, monkeypatch):
+        manifest = generate_synthetic(SynthSpec(n_items=4, n_classes=2, seed=0), tmp_path)
+        statted, stat = [], os.stat
+
+        def counting(path, *args, **kwargs):
+            statted.append(os.fspath(path))
+            return stat(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "stat", counting)
+        assert len(load_dataset(manifest, RULES)) == 4
+        assert sorted(p for p in statted if p.endswith(".hgav")) == sorted(
+            str(tmp_path / f"synth-{i:04d}.hgav") for i in range(4))
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_a_container_path_that_cannot_be_read_gives_read_containers_message(
+            self, tmp_path, kind):
+        (tmp_path / "dir.hgav").mkdir()
+        write_container(tmp_path / "good.hgav",
+                        FeatureContainer(np.ones((3, 4)), np.ones((3, 5))))
+        path = {"missing": "nowhere.hgav", "directory": "dir.hgav"}[kind]
+        write_manifest(tmp_path / "manifest.json", DatasetManifest(
+            num_classes=1, class_names=["x"],
+            items=[ManifestItem("good", "good.hgav", [0]), ManifestItem("bad", path, [0])]))
+        with pytest.raises(OSError) as direct:
+            read_container(tmp_path / path)
+        with pytest.raises(DatasetError) as loading:
+            load_dataset(tmp_path / "manifest.json", RULES)
+        assert str(loading.value).endswith(f"1 item(s) failed to load:\n  item 'bad': "
+                                           f"{direct.value}")
 
     def test_mixed_dims_names_item(self, tmp_path):
         write_container(tmp_path / "a.hgav",

@@ -5,6 +5,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from avhgnn import tensor
 from avhgnn.graph import (EdgeRule, EdgeRules, build_hetero_graph, cross_modal_edges,
                           mean_adjacency, stack_graphs)
 from avhgnn.layers import (FUSION_MODES, GAT_LEAKY_SLOPE, MODALITIES, POOLING_MODES,
@@ -48,6 +49,12 @@ def gat_oracle(video, mask, audio, w_msg, att_audio, att_video, slope=GAT_LEAKY_
         for a, j in zip(alpha, neigh):
             out[i] += a * msgs[j]
     return out, alphas
+
+
+def gat_message(layer, g, video, mask, audio):
+    """The fusion layer's message alone: its update of a zero residual."""
+    zero = Tensor(np.zeros(audio.shape[:-1] + (layer.w_msg.cols,), layer.w_msg.dtype))
+    return layer.forward(g, video, mask, audio, zero)
 
 
 def project_then_aggregate(layer, g, video, mask, audio):
@@ -131,7 +138,7 @@ class TestGatFusion:
         g = ComputeGraph()
         video = Tensor(np.array([[1.0, -2.0, 0.5, 3.0]]))
         audio = Tensor(np.array([[0.2, 0.4, -0.1]]))
-        out, alpha = layer.forward(g, video, np.array([[1.0]]), audio)
+        out, alpha = gat_message(layer, g, video, np.array([[1.0]]), audio)
         np.testing.assert_allclose(alpha.data, [[1.0]])
         np.testing.assert_allclose(out.data, video.data @ layer.w_msg.data)
 
@@ -141,7 +148,7 @@ class TestGatFusion:
         row = np.array([0.3, -1.0, 2.0, 0.7])
         video = Tensor(np.vstack([row, row]))
         audio = Tensor(np.array([[1.0, 0.0, -1.0]]))
-        _, alpha = layer.forward(g, video, np.array([[1.0, 1.0]]), audio)
+        _, alpha = gat_message(layer, g, video, np.array([[1.0, 1.0]]), audio)
         np.testing.assert_allclose(alpha.data, [[0.5, 0.5]])
 
     def test_no_neighbours_zero_message(self):
@@ -150,7 +157,7 @@ class TestGatFusion:
         video = Tensor(np.ones((2, 4)))
         audio = Tensor(np.ones((2, 3)))
         mask = np.array([[1.0, 0.0], [0.0, 0.0]])
-        out, alpha = layer.forward(g, video, mask, audio)
+        out, alpha = gat_message(layer, g, video, mask, audio)
         np.testing.assert_array_equal(out.data[1], np.zeros(5))
         np.testing.assert_array_equal(alpha.data[1], np.zeros(2))
 
@@ -158,8 +165,8 @@ class TestGatFusion:
     def test_mask_of_another_shape_is_shape_error(self, mask_shape):
         # The attention softmax checks the mask against the (audio, video) scores.
         with pytest.raises(ShapeError, match=r"mask shape .* != tensor shape \(3, 4\)"):
-            self._layer(3).forward(ComputeGraph(), Tensor(np.ones((4, 4))),
-                                   np.ones(mask_shape), Tensor(np.ones((3, 3))))
+            gat_message(self._layer(3), ComputeGraph(), Tensor(np.ones((4, 4))),
+                        np.ones(mask_shape), Tensor(np.ones((3, 3))))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_loop_oracle(self, seed):
@@ -170,7 +177,7 @@ class TestGatFusion:
         audio = Tensor(rng.normal(0, 1, (n_audio, 3)))
         mask = (rng.random((n_audio, n_video)) > 0.4).astype(float)
         g = ComputeGraph()
-        out, alpha = layer.forward(g, video, mask, audio)
+        out, alpha = gat_message(layer, g, video, mask, audio)
         exp_out, exp_alpha = gat_oracle(video.data, mask, audio.data,
                                         layer.w_msg.data, layer.att_audio.data,
                                         layer.att_video.data)
@@ -184,21 +191,22 @@ class TestGatFusion:
         audio = Tensor(rng.normal(0, 1, (4, 3)))
         mask = (rng.random((4, 6)) > 0.3).astype(float)
         mask[0] = 1.0
-        _, alpha = layer.forward(ComputeGraph(), video, mask, audio)
+        _, alpha = gat_message(layer, ComputeGraph(), video, mask, audio)
         live = mask.sum(axis=1) > 0
         np.testing.assert_allclose(alpha.data[live].sum(axis=1), 1.0, atol=1e-6)
 
     def test_broadcast_scores_bitwise_equal_ones_matmul(self):
         """The broadcast score sum equals the ones-matrix matmul formulation bit
-        for bit, and so do the attention and message built on it."""
+        for bit, and so do the attention and the residual plus message built on it."""
         rng = np.random.default_rng(11)
         layer = GatFusionLayer(3, 4, 5, Rng(6))  # float32, the training dtype
         video = Tensor(rng.normal(0, 1, (6, 4)).astype(np.float32))
         audio = Tensor(rng.normal(0, 1, (4, 3)).astype(np.float32))
         mask = (rng.random((4, 6)) > 0.3).astype(float)
+        residual = Tensor(rng.normal(0, 1, (4, 5)).astype(np.float32))
         g = ComputeGraph()
-        out, alpha = layer.forward(g, video, mask, audio)
-        assert len(g) == 3  # gat_attention, aggregate, projection
+        out, alpha = layer.forward(g, video, mask, audio, residual)
+        assert len(g) == 2  # gat_attention; attend: aggregate, projection, residual add
 
         g = ReferenceGraph()
         score_v = g.matmul(video, g.matmul(layer.w_msg, layer.att_video))
@@ -213,7 +221,7 @@ class TestGatFusion:
                                          mask > 0)
         assert alpha.data.tobytes() == old_alpha.data.tobytes()
         message = g.matmul(g.matmul(old_alpha, video), layer.w_msg)
-        assert out.data.tobytes() == message.data.tobytes()
+        assert out.data.tobytes() == g.add(residual, message).data.tobytes()
 
     @pytest.mark.parametrize("batch", [None, 1, 3, 8])
     def test_aggregate_then_project_equals_project_then_aggregate(self, batch):
@@ -232,7 +240,7 @@ class TestGatFusion:
         leaves = [layer.w_msg, layer.att_audio, layer.att_video, video, audio]
 
         results = []
-        for fusion in (layer.forward, partial(project_then_aggregate, layer)):
+        for fusion in (partial(gat_message, layer), partial(project_then_aggregate, layer)):
             for leaf in leaves:
                 leaf.grad = None
             g = ReferenceGraph()
@@ -247,7 +255,7 @@ class TestGatFusion:
     def test_no_video_node_is_projected(self, monkeypatch):
         """At paper-like shapes, w_msg multiplies one aggregated row per audio
         node, never the n_video video rows: 40 rows of the 1024 x 512 GEMM
-        per graph instead of 100."""
+        per graph instead of 100, the batch folded into those rows."""
         n_audio, n_video, batch = 40, 100, 2
         layer = GatFusionLayer(128, 1024, 512, Rng(0))
         rng = np.random.default_rng(0)
@@ -255,16 +263,16 @@ class TestGatFusion:
         audio = Tensor(rng.normal(0, 1, (batch, n_audio, 128)).astype(np.float32))
         mask = cross_modal_edges(n_audio, n_video, EdgeRule(3, 1))
         by_w_msg = []
-        matmul = ComputeGraph.matmul
+        product = tensor._product
 
-        def recording(g, a, b):
-            if b is layer.w_msg:
-                by_w_msg.append(a.shape)
-            return matmul(g, a, b)
+        def recording(x, y):
+            if y is layer.w_msg.data:
+                by_w_msg.append(x.shape)
+            return product(x, y)
 
-        monkeypatch.setattr(ComputeGraph, "matmul", recording)
-        layer.forward(ComputeGraph(), video, mask, audio)
-        assert by_w_msg == [(batch, n_audio, 1024)]
+        monkeypatch.setattr(tensor, "_product", recording)
+        gat_message(layer, ComputeGraph(), video, mask, audio)
+        assert by_w_msg == [(batch * n_audio, 1024)]
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(9)
@@ -273,10 +281,11 @@ class TestGatFusion:
         audio = Tensor(rng.normal(0, 1, (3, 3)), requires_grad=True)
         mask = (rng.random((3, 5)) > 0.3).astype(float)
         weight = rng.normal(0, 1, (3, 5))  # fixed mixing to make loss non-trivial
-        params = [layer.w_msg, layer.att_audio, layer.att_video, video, audio]
+        residual = Tensor(rng.normal(0, 1, (3, 5)), requires_grad=True)
+        params = [layer.w_msg, layer.att_audio, layer.att_video, video, audio, residual]
 
         def build(g):
-            out, _ = layer.forward(g, video, mask, audio)
+            out, _ = layer.forward(g, video, mask, audio, residual)
             return g.sum_all(g.mul(out, Tensor(weight)))
 
         g = ReferenceGraph()
@@ -450,11 +459,10 @@ class TestModelForward:
         graph = tiny_graph(dtype=np.float32)
         graph.video_feats.data[:] = 1e10  # 1e30 * 1e10 overflows float32
         # Op 0 is layer 0's audio GCN; op 1 is the fusion's gat_attention
-        # (scores reach about 1e37, still finite); op 2 aggregates the video
-        # nodes; op 3 is the fusion's message projection of the aggregate,
-        # where the first inf appears.
+        # (scores reach about 1e37, still finite); op 2 is the fusion's attend,
+        # whose projection of the aggregated video nodes makes the first inf.
         with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(NumericError, match=r"op 3 \(matmul\)"):
+                pytest.raises(NumericError, match=r"op 2 \(attend\)"):
             model.forward(ComputeGraph(), graph)
 
     def test_non_finite_first_gcn_names_the_fused_op(self):
@@ -689,12 +697,25 @@ class TestDeskTape:
         loss = focal_loss(g, model.forward(g, stack_graphs(graphs)).probs, labels, gamma=2.0)
         return model, g, loss
 
-    def test_forward_and_loss_record_21_ops(self):
-        # Per layer: audio gcn, gat_attention, aggregate, projection, add,
-        # video gcn (12); learned pooling 4, concat, head matmul and bias add,
-        # sigmoid, focal loss (9).
+    def test_forward_and_loss_record_17_ops(self):
+        # Per layer: audio gcn, gat_attention, attend (aggregate, projection
+        # and residual add), video gcn (8); learned pooling 4, concat, head
+        # matmul and bias add, sigmoid, focal loss (9).
         _, g, _ = self._step()
-        assert len(g) == 21
+        assert len(g) == 17
+
+    def test_the_tape_keeps_no_fusion_aggregate_or_projection(self):
+        # The bytes kept for backward: each record's output and every array its
+        # rule holds, each array once. An aggregate or projection held again
+        # would add 8 x 10 x 32 float32 values (10240 bytes) per layer for each.
+        _, g, _ = self._step()
+        kept = {}
+        for out, backward in g._records:
+            held = [cell.cell_contents for cell in backward.__closure__ or ()]
+            for x in [out.data] + held:
+                if isinstance(x, np.ndarray):
+                    kept[id(x)] = x.nbytes
+        assert sum(kept.values()) == 132464
 
     def test_no_two_parameter_gradients_share_memory(self):
         model, g, loss = self._step()

@@ -492,6 +492,10 @@ def _gcn_chain(g, adj, feats, weight):
     return g.relu(g.matmul(adj, g.matmul(feats, weight)))
 
 
+def _attend_chain(g, base, alpha, video, w_msg):
+    return g.add(base, g.matmul(g.matmul(alpha, video), w_msg))
+
+
 def _gat_chain(g, audio, video, w_msg, att_audio, att_video, mask, slope):
     score_v = g.matmul(video, g.matmul(w_msg, att_video))
     score_a = g.matmul(audio, att_audio)
@@ -500,7 +504,7 @@ def _gat_chain(g, audio, video, w_msg, att_audio, att_video, mask, slope):
 
 
 class TestFusedOpsBitwise:
-    """gcn and gat_attention give the bytes of the op chains they replace:
+    """gcn, gat_attention and attend give the bytes of the op chains they replace:
     the output and every input gradient, in f32 and f64, for one matrix and
     for a batch of 3, with trainable and with frozen features."""
 
@@ -593,6 +597,40 @@ class TestFusedOpsBitwise:
         self._assert_same(fused, chain, 7)
         if n_audio > 1:
             assert not fused[0][0][..., 0, :].any()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    @pytest.mark.parametrize("frozen", [False, True])
+    @pytest.mark.parametrize("n_video", [5, 1])  # 1: the aggregate is a broadcast
+    def test_attend(self, dtype, batch, frozen, n_video):
+        rng = np.random.default_rng(n_video + len(batch))
+        alpha = rng.random(batch + (4, n_video))
+        alpha[..., 0, :] = 0.0  # an audio node that attends to nothing
+        arrays = [a.astype(dtype) for a in (
+            rng.normal(0, 1, batch + (4, 3)), alpha, rng.normal(0, 2, batch + (n_video, 6)),
+            rng.normal(0, 1, (6, 3)))]
+        upstream = rng.normal(0, 1, batch + (4, 3)).astype(dtype)
+        trainable = [True, True, not frozen, True]
+        fused = self._run(ComputeGraph.attend, arrays, trainable, upstream)
+        self._assert_same(fused, self._run(_attend_chain, arrays, trainable, upstream), 3)
+        assert (fused[0][3] is None) == frozen
+
+    def test_attend_record_holds_only_its_inputs(self):
+        # Neither the aggregate alpha @ video (4 x 6) nor the projection (4 x 5).
+        rng = np.random.default_rng(0)
+        inputs = [Tensor(rng.normal(0, 1, shape), requires_grad=True)
+                  for shape in ((4, 5), (4, 3), (3, 6), (6, 5))]
+        g = ComputeGraph()
+        g.attend(*inputs)
+        held = [cell.cell_contents for cell in g._records[-1][1].__closure__]
+        assert all(any(x is t for t in inputs) for x in held)
+
+    def test_attend_dims_mismatch_is_shape_error(self):
+        shapes = ((4, 5), (4, 3), (3, 6), (6, 5))
+        for i, bad in enumerate(((4, 4), (4, 2), (3, 7), (6, 4))):
+            tensors = [Tensor(np.ones(bad if j == i else s)) for j, s in enumerate(shapes)]
+            with pytest.raises(ShapeError, match="attend dims differ"):
+                ComputeGraph().attend(*tensors)
 
     @pytest.mark.parametrize("adj", [Tensor(np.ones((2, 2)), requires_grad=True),
                                      Tensor(np.ones((3, 2, 2)))])

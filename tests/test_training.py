@@ -680,7 +680,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("fusion", ["gat", "gcn"])
     def test_fused_ops_and_adopted_gradients_write_the_chains_bytes(
             self, tmp_path, monkeypatch, fusion):
-        """Training through the fused gcn / gat_attention ops, with first-touch
+        """Training through the fused gcn / gat_attention / attend ops, with first-touch
         gradients adopted, writes the checkpoint of the elementary op chains
         with every first-touch gradient copied."""
         items = make_items(6)
@@ -700,12 +700,12 @@ class TestCheckpoint:
         def chain_gcn(self, g, feats, adj_norm):
             return g.relu(g.matmul(adj_norm, g.matmul(feats, self.weight)))
 
-        def chain_fusion(self, g, video, mask_va, audio):
+        def chain_fusion(self, g, video, mask_va, audio, residual):
             score_v = g.matmul(video, g.matmul(self.w_msg, self.att_video))
             scores = g.add(g.matmul(audio, self.att_audio), g.transpose(score_v))
             alpha = g.row_softmax_masked(g.leaky_relu(scores, layers.GAT_LEAKY_SLOPE),
                                          mask_va > 0)
-            return g.matmul(g.matmul(alpha, video), self.w_msg), alpha
+            return g.add(residual, g.matmul(g.matmul(alpha, video), self.w_msg)), alpha
 
         monkeypatch.setattr(tensor, "_accum", lambda t, g, own=False: accum(t, g))
         monkeypatch.setattr(training, "ComputeGraph", ReferenceGraph)
