@@ -10,15 +10,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+import typing
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
-from .data import (DataFormatError, DatasetError, SYNTH_MODES, SynthSpec,
-                   generate_synthetic, load_dataset, read_json)
+from .data import (DataFormatError, DatasetError, SynthSpec, generate_synthetic,
+                   load_dataset, read_json)
 from .graph import EdgeRule, EdgeRules, cross_modal_edges, temporal_edges
-from .layers import FUSION_GAT, FUSION_MODES, MODALITIES, MODALITY_BOTH, POOLING_MODES
+from .layers import GatFusionLayer
 from .metrics import evaluate
 from .tensor import ComputeGraph, NumericError, ShapeError
 from .training import (ConfigError, TrainConfig, atomic_open, check_items, load_checkpoint,
@@ -43,6 +44,25 @@ def _echo(label: str, payload: dict):
     print(f"{label}: {json.dumps(payload, sort_keys=True)}")
 
 
+def _add_fields(p, record, names, suffix=""):
+    """One flag per named field of `record`, `--name` plus `suffix`, with the
+    field's annotated type and its CHOICES."""
+    hints = typing.get_type_hints(record)
+    for name in names:
+        p.add_argument(f"--{name}{suffix}".replace("_", "-"), type=hints[name],
+                       choices=record.CHOICES.get(name))
+
+
+def _read_record(record, base, args, suffix=""):
+    """`record.from_dict` of the JSON value `base`, each field set to the value of
+    the flag named after it (see `_add_fields`) when that flag was given. A `base`
+    that is not an object is read as it is, so the reader rejects it."""
+    if isinstance(base, dict):
+        base = base | {f.name: value for f in fields(record)
+                       if (value := getattr(args, f.name + suffix, None)) is not None}
+    return record.from_dict(base)
+
+
 # -- gen-synth ----------------------------------------------------------------
 
 
@@ -50,19 +70,11 @@ def _add_gen_synth(sub):
     p = sub.add_parser("gen-synth", help="generate a synthetic dataset")
     p.add_argument("--spec", help="JSON file with SynthSpec fields")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--mode", choices=SYNTH_MODES)
-    p.add_argument("--n-items", type=int)
-    p.add_argument("--noise-sigma", type=float)
-    p.add_argument("--seed", type=int)
+    _add_fields(p, SynthSpec, ("mode", "n_items", "noise_sigma", "seed"))
 
 
 def _cmd_gen_synth(args) -> int:
-    spec_dict = read_json(args.spec) if args.spec else {}
-    for key, value in (("mode", args.mode), ("n_items", args.n_items),
-                       ("noise_sigma", args.noise_sigma), ("seed", args.seed)):
-        if value is not None:
-            spec_dict[key] = value
-    spec = SynthSpec.from_dict(spec_dict)
+    spec = _read_record(SynthSpec, read_json(args.spec) if args.spec else {}, args)
     manifest_path = generate_synthetic(spec, args.out)
     _echo("spec", spec.to_dict())
     print(f"wrote {spec.n_items} items ({spec.n_audio}x{spec.d_audio} audio, "
@@ -74,13 +86,6 @@ def _cmd_gen_synth(args) -> int:
 # -- train --------------------------------------------------------------------
 
 
-_TRAIN_OVERRIDES = [
-    ("lr", float), ("gamma", float), ("hidden", int), ("num_layers", int),
-    ("max_iters", int), ("batch_size", int), ("seed", int), ("eval_every", int),
-    ("warmup_iters", int), ("decay_at_iter", int),
-]
-
-
 def _add_train(sub):
     p = sub.add_parser("train", help="train a model on a manifest dataset")
     p.add_argument("--config", help="JSON file with TrainConfig fields")
@@ -88,22 +93,9 @@ def _add_train(sub):
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seeds", help="comma-separated seeds for a multi-seed run")
     p.add_argument("--resume", help="checkpoint to continue from")
-    p.add_argument("--pooling", choices=POOLING_MODES)
-    p.add_argument("--fusion", choices=FUSION_MODES)
-    p.add_argument("--modality", choices=MODALITIES)
-    for name, typ in _TRAIN_OVERRIDES:
-        p.add_argument(f"--{name.replace('_', '-')}", type=typ, dest=name)
-
-
-def _train_config(args, base: TrainConfig | None = None) -> TrainConfig:
-    if base is None:
-        cfg = TrainConfig.from_dict(read_json(args.config) if args.config else {})
-    else:
-        cfg = base
-    names = [name for name, _ in _TRAIN_OVERRIDES] + ["pooling", "fusion", "modality"]
-    overrides = {name: getattr(args, name) for name in names
-                 if getattr(args, name) is not None}
-    return replace(cfg, **overrides) if overrides else cfg
+    _add_fields(p, TrainConfig, ("pooling", "fusion", "modality", "lr", "gamma", "hidden",
+                                 "num_layers", "max_iters", "batch_size", "seed",
+                                 "eval_every", "warmup_iters", "decay_at_iter"))
 
 
 def _run_one_seed(items_train, items_val, cfg, out_dir: Path, tag: str,
@@ -135,14 +127,15 @@ def _cmd_train(args) -> int:
     seeds = _parse_seeds(args.seeds) if args.seeds is not None else None
     if seeds is not None and args.resume:
         raise ConfigError("--resume cannot be combined with --seeds")
+    ckpt = None
     if args.resume:
         if args.config:
             raise ConfigError("--resume cannot be combined with --config")
         ckpt = load_checkpoint(args.resume)
-        cfg = _train_config(args, base=ckpt.train_config)
+        cfg = _read_record(TrainConfig, ckpt.train_config.to_dict(), args)
+        ckpt.check_resume(cfg)  # a changed model or split exits before any file is written
     else:
-        ckpt = None
-        cfg = _train_config(args)
+        cfg = _read_record(TrainConfig, read_json(args.config) if args.config else {}, args)
     if seeds is not None:
         seed_configs(cfg, seeds)  # a bad seed list exits before any file is written
     _echo("config", cfg.to_dict())
@@ -203,23 +196,14 @@ def _add_inspect(sub):
     p.add_argument("--n-audio", type=int, required=True)
     p.add_argument("--n-video", type=int, required=True)
     for edge in ("audio", "video", "cross"):
-        p.add_argument(f"--span-{edge}", type=int)
-        p.add_argument(f"--dilation-{edge}", type=int)
+        _add_fields(p, EdgeRule, ("span", "dilation"), suffix=f"_{edge}")
 
 
 def _rules_from_args(args) -> EdgeRules:
-    if args.config:
-        rules = TrainConfig.from_dict(read_json(args.config)).rules
-    else:
-        rules = EdgeRules.default()
-    out = {}
-    for edge in ("audio", "video", "cross"):
-        base = getattr(rules, edge)
-        span = getattr(args, f"span_{edge}")
-        dilation = getattr(args, f"dilation_{edge}")
-        out[edge] = EdgeRule(span if span is not None else base.span,
-                             dilation if dilation is not None else base.dilation)
-    return EdgeRules(**out)
+    rules = TrainConfig.from_dict(read_json(args.config) if args.config else {}).rules
+    return EdgeRules(**{edge: _read_record(EdgeRule, getattr(rules, edge).to_dict(), args,
+                                           suffix=f"_{edge}")
+                        for edge in ("audio", "video", "cross")})
 
 
 def _undirected_pairs(adj: np.ndarray) -> list[list[int]]:
@@ -289,11 +273,10 @@ def attention_summary(attention_maps) -> list[tuple[int, int, float]]:
 
 def _cmd_dump_attention(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
-    fusion, modality = ckpt.model_config.fusion, ckpt.model_config.modality
-    if fusion != FUSION_GAT or modality != MODALITY_BOTH:
-        raise ConfigError(f"checkpoint was trained with fusion={fusion!r}, "
-                          f"modality={modality!r}: no attention to dump")
     model = ckpt.build_model()
+    if not isinstance(model.layers[0].fusion, GatFusionLayer):
+        raise ConfigError(f"checkpoint was trained with fusion={model.config.fusion!r}, "
+                          f"modality={model.config.modality!r}: no attention to dump")
     items = load_dataset(args.data, ckpt.train_config.rules)
     matches = [it for it in items if it.item_id == args.item]
     if not matches:

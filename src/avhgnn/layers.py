@@ -37,8 +37,9 @@ GAT_LEAKY_SLOPE = 0.2
 
 @dataclass
 class ModelConfig(Record):
-    """Shape and architecture knobs for HgnnModel; `check` decides which graphs
-    and labels a model of this config can score and train on."""
+    """Shape and architecture knobs for HgnnModel. `audio` and `video` say which
+    node sets the model reads; `check` decides which graphs and labels a model
+    of this config can score and train on."""
 
     FLOORS = dict.fromkeys(("d_audio", "d_video", "n_audio", "n_video", "num_classes",
                             "hidden", "num_layers"), 1)
@@ -55,19 +56,27 @@ class ModelConfig(Record):
     pooling: str = "learned"
     modality: str = MODALITY_BOTH
 
+    @property
+    def audio(self) -> bool:
+        return self.modality != MODALITY_VIDEO
+
+    @property
+    def video(self) -> bool:
+        return self.modality != MODALITY_AUDIO
+
     def check(self, graph: HeteroGraph, labels=None):
         """Raise ShapeError unless the widths of the modalities in use match, the
         node counts too under learned pooling, and `labels`, if given, hold one
         value per class. Attribute compares only, on the forward's hot path."""
-        if self.modality != MODALITY_VIDEO and graph.audio_feats.cols != self.d_audio:
+        if self.audio and graph.audio_feats.cols != self.d_audio:
             raise ShapeError(f"graph audio dim {graph.audio_feats.cols} != model {self.d_audio}")
-        if self.modality != MODALITY_AUDIO and graph.video_feats.cols != self.d_video:
+        if self.video and graph.video_feats.cols != self.d_video:
             raise ShapeError(f"graph video dim {graph.video_feats.cols} != model {self.d_video}")
         if self.pooling == "learned":
-            if self.modality != MODALITY_VIDEO and graph.n_audio != self.n_audio:
+            if self.audio and graph.n_audio != self.n_audio:
                 raise ShapeError(
                     f"learned pooling expects {self.n_audio} audio nodes, got {graph.n_audio}")
-            if self.modality != MODALITY_AUDIO and graph.n_video != self.n_video:
+            if self.video and graph.n_video != self.n_video:
                 raise ShapeError(
                     f"learned pooling expects {self.n_video} video nodes, got {graph.n_video}")
         if labels is not None and np.size(labels) != self.num_classes:
@@ -133,22 +142,21 @@ class GatFusionLayer:
 
 
 class HeteroLayer:
-    """One stacked update step over both modalities."""
+    """One stacked update step over the modalities `config` reads; a fusion only
+    when it reads both."""
 
-    def __init__(self, audio_in: int, video_in: int, out_dim: int, init,
-                 fusion: str, modality: str, name="layer"):
-        self.audio_gcn = None
-        self.video_gcn = None
-        self.fusion = None
-        if modality in (MODALITY_BOTH, MODALITY_AUDIO):
-            self.audio_gcn = GcnLayer(audio_in, out_dim, init, name=f"{name}.audio")
-        if modality in (MODALITY_BOTH, MODALITY_VIDEO):
-            self.video_gcn = GcnLayer(video_in, out_dim, init, name=f"{name}.video")
-        if modality == MODALITY_BOTH and fusion == FUSION_GAT:
-            self.fusion = GatFusionLayer(audio_in, video_in, out_dim, init,
-                                         name=f"{name}.fusion")
-        elif modality == MODALITY_BOTH and fusion == FUSION_GCN:
-            self.fusion = GcnLayer(video_in, out_dim, init, name=f"{name}.fusion")
+    def __init__(self, audio_in: int, video_in: int, config: ModelConfig, init, name="layer"):
+        out_dim = config.hidden
+        self.audio_gcn = self.video_gcn = self.fusion = None
+        if config.audio:
+            self.audio_gcn = GcnLayer(audio_in, out_dim, init, f"{name}.audio")
+        if config.video:
+            self.video_gcn = GcnLayer(video_in, out_dim, init, f"{name}.video")
+        fusion = config.fusion if config.audio and config.video else FUSION_NONE
+        if fusion == FUSION_GAT:
+            self.fusion = GatFusionLayer(audio_in, video_in, out_dim, init, f"{name}.fusion")
+        elif fusion == FUSION_GCN:
+            self.fusion = GcnLayer(video_in, out_dim, init, f"{name}.fusion")
 
     def forward(self, g: ComputeGraph, graph: HeteroGraph, h_a, h_v):
         """Returns (h_audio', h_video', attention or None)."""
@@ -194,23 +202,20 @@ class HgnnModel:
         self.layers = []
         audio_in, video_in = cfg.d_audio, cfg.d_video
         for i in range(cfg.num_layers):
-            self.layers.append(HeteroLayer(
-                audio_in, video_in, cfg.hidden, init,
-                fusion=cfg.fusion, modality=cfg.modality, name=f"layer{i}"))
+            self.layers.append(HeteroLayer(audio_in, video_in, cfg, init, name=f"layer{i}"))
             audio_in = video_in = cfg.hidden
 
-        self.pool_audio = None
-        self.pool_video = None
+        self.pool_audio = self.pool_video = None
         if cfg.pooling == "learned":
             # Uniform start: learned pooling begins exactly at mean pooling.
-            if cfg.modality in (MODALITY_BOTH, MODALITY_AUDIO):
+            if cfg.audio:
                 self.pool_audio = _param(init, cfg.n_audio, 1, "pool.audio",
                                          fill=1.0 / cfg.n_audio)
-            if cfg.modality in (MODALITY_BOTH, MODALITY_VIDEO):
+            if cfg.video:
                 self.pool_video = _param(init, cfg.n_video, 1, "pool.video",
                                          fill=1.0 / cfg.n_video)
 
-        head_in = cfg.hidden * (2 if cfg.modality == MODALITY_BOTH else 1)
+        head_in = cfg.hidden * (cfg.audio + cfg.video)
         self.cls_weight = _param(init, head_in, cfg.num_classes, "classifier.weight")
         self.cls_bias = _param(init, 1, cfg.num_classes, "classifier.bias", fill=0.0)
 
@@ -244,8 +249,8 @@ class HgnnModel:
         cfg.check(graph)
         result = ForwardResult(probs=None, logits=None)
 
-        h_a = graph.audio_feats if cfg.modality != MODALITY_VIDEO else None
-        h_v = graph.video_feats if cfg.modality != MODALITY_AUDIO else None
+        h_a = graph.audio_feats if cfg.audio else None
+        h_v = graph.video_feats if cfg.video else None
         for layer in self.layers:
             h_a, h_v, alpha = layer.forward(g, graph, h_a, h_v)
             if alpha is not None:
@@ -255,13 +260,9 @@ class HgnnModel:
             if h_v is not None:
                 result.video_states.append(h_v.data)
 
-        if cfg.modality == MODALITY_BOTH:
-            pooled = g.concat_cols(self._pool(g, h_a, self.pool_audio),
-                                   self._pool(g, h_v, self.pool_video))
-        elif cfg.modality == MODALITY_AUDIO:
-            pooled = self._pool(g, h_a, self.pool_audio)
-        else:
-            pooled = self._pool(g, h_v, self.pool_video)
+        parts = [self._pool(g, h, weights) for h, weights
+                 in ((h_a, self.pool_audio), (h_v, self.pool_video)) if h is not None]
+        pooled = g.concat_cols(*parts) if len(parts) == 2 else parts[0]
 
         result.logits = g.add(g.matmul(pooled, self.cls_weight), self.cls_bias)
         g.check_finite(result.logits)

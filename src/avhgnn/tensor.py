@@ -84,13 +84,12 @@ def Rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def xavier_init(rows: int, cols: int, rng: np.random.Generator, dtype=np.float32,
-                name: str = "") -> Tensor:
-    """Glorot-uniform init: values in [-b, b] with b = sqrt(6 / (rows + cols))."""
+def xavier_init(rows: int, cols: int, rng: np.random.Generator, name: str = "") -> Tensor:
+    """Glorot-uniform float32 init: values in [-b, b] with b = sqrt(6 / (rows + cols))."""
     if rows < 1 or cols < 1:
         raise ShapeError(f"xavier_init needs positive dims, got ({rows}, {cols})")
     bound = float(np.sqrt(6.0 / (rows + cols)))
-    data = rng.uniform(-bound, bound, (rows, cols)).astype(dtype)
+    data = rng.uniform(-bound, bound, (rows, cols)).astype(np.float32)
     return Tensor(data, requires_grad=True, name=name)
 
 

@@ -280,6 +280,19 @@ class Checkpoint(Record):
     path: str             # absolute, for build_optimizer's read of the moments
     identity: tuple       # the file's _IDENTITY at load
 
+    def check_resume(self, cfg: TrainConfig):
+        """ConfigError unless `cfg` keeps the model (ARCHITECTURE), the seed and
+        val_fraction (so the batches and the held-out split) and reaches `iteration`."""
+        for name in ARCHITECTURE + ("seed", "val_fraction"):
+            kept = self.model_config if name in ARCHITECTURE else self.train_config
+            new, old = getattr(cfg, name), getattr(kept, name)
+            if new != old:
+                raise ConfigError(f"{name} {new!r} differs from the checkpoint's {old!r}; "
+                                  "a resume keeps the model and the held-out split")
+        if self.iteration > cfg.max_iters:
+            raise ConfigError(f"max_iters {cfg.max_iters} is below the checkpoint's "
+                              f"iteration {self.iteration}")
+
     def build_model(self) -> HgnnModel:
         """The model over views of the parameter block, built with no random draw."""
         views = _split(self.param_block, [(rows, cols) for _, rows, cols in self.params])
@@ -428,21 +441,14 @@ def train(items, cfg: TrainConfig, val_items=None, resume: Checkpoint | None = N
 
     A row scores val_items only where cfg.validates(t), nan elsewhere.
     `resume` continues a run bitwise-identically from its saved iteration,
-    advancing its blocks in place; cfg's ARCHITECTURE must equal the checkpoint's.
+    advancing its blocks in place; `resume.check_resume(cfg)` must pass.
     `progress(row)` is called once per iteration with the history row.
     """
     if not items:
         raise ConfigError("empty dataset")
     if resume is not None:
+        resume.check_resume(cfg)
         model_cfg = resume.model_config
-        for name in ARCHITECTURE:
-            new, old = getattr(cfg, name), getattr(model_cfg, name)
-            if new != old:
-                raise ConfigError(f"{name} {new!r} differs from the checkpoint's {old!r}; "
-                                  "a resume keeps the model")
-        if resume.iteration > cfg.max_iters:
-            raise ConfigError(f"max_iters {cfg.max_iters} is below the checkpoint's "
-                              f"iteration {resume.iteration}")
     else:
         first = items[0].graph
         model_cfg = model_config_for(cfg, first.audio_feats.cols, first.video_feats.cols,

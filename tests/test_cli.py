@@ -4,6 +4,7 @@ import builtins
 import json
 import re
 import struct
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,9 @@ import pytest
 from avhgnn import cli, training
 from avhgnn.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from avhgnn.cli import attention_summary
-from avhgnn.data import (DatasetManifest, FeatureContainer, ManifestItem, load_dataset,
-                         read_manifest, write_container, write_manifest)
+from avhgnn.data import (DatasetManifest, FeatureContainer, ManifestItem, SynthSpec,
+                         load_dataset, read_manifest, write_container, write_manifest)
+from avhgnn.graph import EdgeRule
 from avhgnn.layers import HgnnModel, ModelConfig
 from avhgnn.metrics import evaluate
 from avhgnn.tensor import Rng
@@ -248,6 +250,7 @@ class TestTrain:
         (("--pooling", "max"), "pooling 'max' differs"),
         (("--modality", "audio_only"), "modality 'audio_only' differs"),
         (("--config", "CONFIG"), "--resume cannot be combined with --config"),
+        (("--seed", "9"), "seed 9 differs from the checkpoint's 0"),
     ])
     def test_resume_rejects_a_changed_model_or_config(self, capsys, tmp_path, flags,
                                                       message):
@@ -263,7 +266,7 @@ class TestTrain:
                            "--max-iters", "4", *flags)
         assert code == EXIT_DATA
         assert message in err
-        assert not (tmp_path / "resumed" / "checkpoint.hgck").exists()
+        assert not (tmp_path / "resumed").exists()  # not even effective_config.json
 
     def test_resume_below_the_checkpoint_iteration_is_config_error(self, capsys,
                                                                   tmp_path):
@@ -357,6 +360,16 @@ class TestTrain:
                            "--data", str(tmp_path / "nope.json"),
                            "--out", str(tmp_path / "o"))
         assert code == EXIT_DATA
+
+    def test_the_file_and_the_flags_are_checked_together(self, capsys, tmp_path):
+        """A file invalid alone loads once a flag sets the bad field."""
+        cfg = write_config(tmp_path, max_iters=0)
+        code, out, err = run(capsys, "train", "--config", str(cfg),
+                             "--data", str(tmp_path / "nope.json"),
+                             "--out", str(tmp_path / "o"), "--max-iters", "2")
+        assert code == EXIT_DATA
+        assert "nope.json" in err and "max_iters" not in err
+        assert json.loads(out.split("config: ", 1)[1].splitlines()[0])["max_iters"] == 2
 
 
 class TestEval:
@@ -665,6 +678,8 @@ class TestMalformedInput:
         ("train", {"lr": True}, (), "lr must be a finite number"),
         ("train", {}, ("--lr", "nan"), "lr must be a finite number"),
         ("train", {"lr": 10 ** 400}, (), "lr must be a finite number"),
+        ("train", {}, ("--max-iters", "0"),
+         "invalid train config: max_iters must be >= 1, got 0"),
     ])
     def test_bad_config(self, capsys, tmp_path, command, overrides, flags, message):
         if overrides is None:
@@ -776,6 +791,19 @@ class TestMalformedInput:
         assert message in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("spec", [[1, 2], "text", None])
+    def test_spec_that_is_not_an_object_with_a_flag(self, capsys, tmp_path, spec):
+        """A flag is merged into an object only; any other JSON value is the
+        reader's one-line error, not a traceback."""
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code, _, err = run(capsys, "gen-synth", "--spec", str(path),
+                           "--out", str(tmp_path / "o"), "--seed", "1")
+        assert code == EXIT_DATA
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "synth spec must be a JSON object" in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("change, message", [
         (None, "invalid JSON"),
         ({"version": "abc"}, "version must be an integer"),
@@ -825,6 +853,58 @@ class TestMalformedInput:
         assert "2 item(s) failed to load" in err
         assert "'synth-0003'" in err and "audio block has shape (0, 5)" in err
         assert "'synth-0005'" in err and "video block has shape (6, 0)" in err
+
+
+# The parent's flags of each subcommand, in help order.
+FLAGS = {
+    "gen-synth": ["--spec", "--out", "--mode", "--n-items", "--noise-sigma", "--seed"],
+    "train": ["--config", "--data", "--out", "--seeds", "--resume", "--pooling", "--fusion",
+              "--modality", "--lr", "--gamma", "--hidden", "--num-layers", "--max-iters",
+              "--batch-size", "--seed", "--eval-every", "--warmup-iters", "--decay-at-iter"],
+    "eval": ["--checkpoint", "--data"],
+    "inspect-graph": ["--config", "--n-audio", "--n-video", "--span-audio", "--dilation-audio",
+                      "--span-video", "--dilation-video", "--span-cross", "--dilation-cross"],
+    "dump-attention": ["--checkpoint", "--data", "--item", "--out"],
+}
+
+# Each subcommand whose flags set record fields: (record, flag dest suffixes, flag count).
+RECORD_FLAGS = {
+    "train": (TrainConfig, ("",), 13),
+    "gen-synth": (SynthSpec, ("",), 4),
+    "inspect-graph": (EdgeRule, ("_audio", "_video", "_cross"), 6),
+}
+
+
+def subcommand_parsers() -> dict:
+    return cli.build_parser()._subparsers._group_actions[0].choices
+
+
+class TestParser:
+    def test_each_subcommand_keeps_its_flags(self):
+        parsers = subcommand_parsers()
+        assert sorted(parsers) == sorted(FLAGS)
+        for command, parser in parsers.items():
+            flags = [a.option_strings[-1] for a in parser._actions]
+            assert flags == ["--help", *FLAGS[command]], command
+
+    @pytest.mark.parametrize("new_choice", [False, True])
+    def test_a_field_flag_takes_the_field_type_and_choices(self, monkeypatch, new_choice):
+        """With new_choice, every CHOICES entry gains a value first, which the
+        parser must then offer: the records, not the CLI, hold the choices."""
+        if new_choice:
+            for record in (TrainConfig, SynthSpec):
+                for name, values in list(record.CHOICES.items()):
+                    monkeypatch.setitem(record.CHOICES, name, (*values, "added"))
+        parsers = subcommand_parsers()
+        for command, (record, suffixes, count) in RECORD_FLAGS.items():
+            hints = typing.get_type_hints(record)
+            field_of = {name + suffix: name for name in hints for suffix in suffixes}
+            actions = [a for a in parsers[command]._actions if a.dest in field_of]
+            assert len(actions) == count, command
+            for action in actions:
+                name = field_of[action.dest]
+                assert action.type is hints[name], action.dest
+                assert action.choices == record.CHOICES.get(name), action.dest
 
 
 class TestUsage:

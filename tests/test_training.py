@@ -763,6 +763,21 @@ class TestCheckpoint:
                   progress=rows.append)
         assert rows == []
 
+    @pytest.mark.parametrize("change", [{"seed": 3}, {"val_fraction": 0.5}])
+    def test_resume_rejects_a_different_split(self, tmp_path, change):
+        """The seed and val_fraction pick the held-out items (and the seed the
+        batches), so a resume keeps both."""
+        items = make_items(4)
+        part = train(items, small_config(max_iters=2))
+        path = tmp_path / "ck.hgck"
+        part.save(path)
+        rows = []
+        name, value = next(iter(change.items()))
+        with pytest.raises(ConfigError, match=f"{name} {value} differs from the checkpoint's"):
+            train(items, small_config(max_iters=4, **change), resume=load_checkpoint(path),
+                  progress=rows.append)
+        assert rows == []
+
     def test_checkpoint_preserves_everything(self, tmp_path):
         items = make_items(4)
         result = train(items, small_config(max_iters=5))
