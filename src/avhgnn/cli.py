@@ -2,13 +2,14 @@
 
 Every subcommand echoes its effective configuration so a run can be
 reproduced from its output alone. Exit codes: 0 success, 1 usage,
-2 data or config problem, 3 numeric failure.
+2 data or config problem, 3 numeric failure, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import typing
 from dataclasses import asdict, fields
@@ -29,6 +30,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+EXIT_BROKEN_PIPE = 128 + 13  # as a shell reports a process killed by SIGPIPE
 
 
 class _Parser(argparse.ArgumentParser):
@@ -281,6 +283,7 @@ def _cmd_dump_attention(args) -> int:
     matches = [it for it in items if it.item_id == args.item]
     if not matches:
         raise DatasetError(f"item {args.item!r} not found in {args.data}")
+    check_items(ckpt.model_config, matches)
     g = ComputeGraph()
     result = model.forward(g, matches[0].graph)
     lines = ["layer,audio_node,attention"]
@@ -324,7 +327,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # the reader went away: exit as SIGPIPE would, silently
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (ConfigError, DataFormatError, DatasetError, ShapeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -39,7 +39,7 @@ class DataFormatError(ValueError):
 
 
 class DatasetError(ValueError):
-    """Dataset-level problem: missing files, inconsistent dims, bad labels."""
+    """Dataset-level problem: missing files, unreadable items, bad labels."""
 
 
 # -- feature containers ----------------------------------------------------------
@@ -117,6 +117,11 @@ class ManifestItem(Record):
                               "and inside the manifest's directory")
         if "\0" in path:
             raise ConfigError(f"container_path {path!r} holds a NUL byte")
+        try:
+            os.fsencode(path)
+        except UnicodeEncodeError as exc:
+            raise ConfigError(f"container_path {path!r} is not a file name this system "
+                              f"can encode: {exc.reason}") from None
 
 
 @dataclass
@@ -190,13 +195,14 @@ def write_manifest(path, manifest: DatasetManifest):
 
 def read_json(path):
     """The one JSON-file reader: an unreadable file is a DatasetError, bad JSON
-    a DataFormatError."""
+    a DataFormatError. The file is read as UTF-8, as RFC 8259 requires."""
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             return json.load(f)
     except OSError as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
+    # RecursionError: nested too deep; UnicodeDecodeError: not UTF-8
+    except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"{path}: invalid JSON: {exc}") from exc
 
 
@@ -310,11 +316,10 @@ class LabeledGraph:
 
 
 def load_dataset(manifest_path, rules: EdgeRules) -> list[LabeledGraph]:
-    """Build one labeled HeteroGraph per manifest item.
-
-    All per-item problems are collected and reported together; any problem
-    aborts the load (nothing trains on a partially broken dataset).
-    """
+    """Build one labeled HeteroGraph per manifest item, whatever its shapes: whether an
+    item fits a model is `ModelConfig.check`'s rule. All per-item problems are collected
+    and reported together; any problem aborts the load (nothing trains on a partially
+    broken dataset)."""
     manifest_path = Path(manifest_path)
     manifest = read_manifest(manifest_path)
     if not manifest.items:
@@ -331,20 +336,11 @@ def load_dataset(manifest_path, rules: EdgeRules) -> list[LabeledGraph]:
             counts.append(0)
     buffer, offsets = np.empty(sum(counts), np.float32), np.cumsum([0] + counts)
     loaded, errors = [], []
-    dims = None
     for i, it in enumerate(manifest.items):
         try:
             container = read_container(paths[i], out=buffer[offsets[i]:offsets[i + 1]])
         except (OSError, DataFormatError) as exc:
             errors.append(f"item {it.item_id!r}: {exc}")
-            continue
-        item_dims = (container.audio.shape[1], container.video.shape[1])
-        if dims is None:
-            dims = item_dims
-        elif item_dims != dims:
-            errors.append(
-                f"item {it.item_id!r}: feature dims {item_dims} differ from "
-                f"first item {dims}")
             continue
         labels = np.zeros((1, manifest.num_classes), dtype=np.float32)
         labels[0, it.labels] = 1.0

@@ -1,6 +1,6 @@
 """Training: focal loss, Adam with warmup + one-step decay, checkpoints.
 
-Graphs of a minibatch with the same node counts are stacked and run as one
+Graphs of a minibatch with the same feature shapes are stacked and run as one
 forward and backward on one tape, freed before the step. Adam holds parameters
 and moments as three flat blocks, the checkpoint's payload, and updates them in
 chunks from a fourth, the gradients, which backward adds into a -0.0 fill (so a
@@ -470,9 +470,10 @@ def train(items, cfg: TrainConfig, val_items=None, resume: Checkpoint | None = N
     for t in range(start + 1, cfg.max_iters + 1):
         lr = lr_at(t, cfg)
         batch = batch_indices(cfg.seed, len(items), cfg.batch_size, t)
-        groups: dict[tuple, list[int]] = {}  # one tape per node-count shape
+        groups: dict[tuple, list[int]] = {}  # one tape per feature shape
         for i in batch:
-            groups.setdefault((items[i].graph.n_audio, items[i].graph.n_video), []).append(i)
+            graph = items[i].graph
+            groups.setdefault(graph.audio_feats.shape + graph.video_feats.shape, []).append(i)
         total = 0.0
         for group in groups.values():
             total += _group_loss(model, items, group, cfg.gamma)

@@ -2,8 +2,11 @@
 
 import builtins
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
 import typing
 from pathlib import Path
 
@@ -447,16 +450,16 @@ def _write_manifest(tmp_path, items, num_classes=4):
 
 
 class TestItemChecks:
-    """train, resume and eval check every item against the one model config before
-    any iteration or forward, and name the first item that fails."""
+    """train, resume, eval and dump-attention check every item they use against the
+    one model config before any iteration or forward, and name the first item that
+    fails."""
 
     OTHER = {"width": {"d_audio": 9}, "nodes": {"n_audio": 5}, "classes": {"n_classes": 2}}
     # A mixed manifest holds the base items, then the other ones; otherwise the data
     # is the other dataset alone. A single manifest has one class count, so train
     # cannot mix two (test_training covers it through the API).
     CASES = [
-        ("train", "width", True,
-         r"item 'other-synth-0000': feature dims \(9, 7\) differ from first item \(5, 7\)"),
+        ("train", "width", True, r"item 'other-synth-0000': graph audio dim 9 != model 5"),
         ("train", "nodes", True,
          r"item 'other-synth-\d+': learned pooling expects 4 audio nodes, got 5"),
         ("resume", "width", False, r"item 'synth-\d+': graph audio dim 9 != model 5"),
@@ -469,6 +472,9 @@ class TestItemChecks:
          r"item 'other-synth-0000': learned pooling expects 4 audio nodes, got 5"),
         ("eval", "classes", False,
          r"item 'synth-0000': labels have 2 classes != model num_classes 4"),
+        ("dump-attention", "width", False, r"item 'synth-0000': graph audio dim 9 != model 5"),
+        ("dump-attention", "nodes", True,
+         r"item 'other-synth-0000': learned pooling expects 4 audio nodes, got 5"),
     ]
 
     @pytest.mark.parametrize("entry, mismatch, mixed, message", CASES,
@@ -491,13 +497,40 @@ class TestItemChecks:
         argv = {"train": ("train", "--config", str(cfg), "--out", str(out_dir)),
                 "resume": ("train", "--resume", str(ckpt), "--out", str(out_dir),
                            "--max-iters", "4"),
-                "eval": ("eval", "--checkpoint", str(ckpt))}[entry]
+                "eval": ("eval", "--checkpoint", str(ckpt)),
+                "dump-attention": ("dump-attention", "--checkpoint", str(ckpt), "--item",
+                                   "other-synth-0000" if mixed else "synth-0000")}[entry]
         code, out, err = run(capsys, *argv, "--data", str(data))
         assert code == EXIT_DATA
         assert re.search(message, err), err
         assert " iter " not in out and not (out_dir / "checkpoint.hgck").exists()
-        if entry == "eval":
+        if entry in ("eval", "dump-attention"):
             assert out == ""  # nothing scored
+
+    @pytest.mark.parametrize("modality, code, message", [
+        ("audio_only", EXIT_OK, None),
+        ("both", EXIT_DATA, "error: item 'other-synth-0000': graph video dim 9 != model 7\n"),
+    ], ids=["audio_only", "both"])
+    def test_only_a_modality_in_use_must_keep_one_width(self, capsys, tmp_path, modality,
+                                                        code, message):
+        shape = dict(n_audio=4, n_video=6, d_audio=5, mode="audio_only_solvable")
+        base = gen_dataset(capsys, tmp_path, name="base", n_items=16, seed=4, d_video=7,
+                           **shape)
+        other = gen_dataset(capsys, tmp_path, name="other", n_items=4, seed=8, d_video=9,
+                            **shape)
+        manifest = _write_manifest(tmp_path, _items_of(base) + _items_of(other, "other-"))
+        out_dir = tmp_path / "run"
+        got, out, err = run(capsys, "train", "--config", str(write_config(tmp_path)),
+                            "--data", str(manifest), "--out", str(out_dir),
+                            "--modality", modality, "--max-iters", "4")
+        assert got == code, err
+        if message is None:
+            losses = [float(row.split(",")[1]) for row in
+                      (out_dir / "history.csv").read_text().splitlines()[1:]]
+            assert len(losses) == 4 and np.isfinite(losses).all()
+        else:
+            assert err == message and " iter " not in out
+            assert not (out_dir / "checkpoint.hgck").exists()
 
     def test_a_longer_validation_item_exits_before_iteration_1(self, capsys, tmp_path):
         short = gen_dataset(capsys, tmp_path, name="short", n_items=8, n_audio=10, seed=1,
@@ -524,6 +557,23 @@ class TestItemChecks:
 
 
 class TestInspectGraph:
+    @pytest.mark.parametrize("n_audio", [3, 40], ids=["flushed-on-return", "written-in-print"])
+    def test_a_closed_stdout_exits_141_silently(self, n_audio):
+        """A reader that stops reading is not a data error: the exit is a SIGPIPE
+        death's 128 + 13, with nothing on stderr, as small output reaches the pipe at
+        the flush on return and large output in the print itself."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "avhgnn.cli", "inspect-graph", "--n-audio",
+                 str(n_audio), "--n-video", "100"],
+                stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+                env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, b"")
+
     def test_three_node_chain(self, capsys, tmp_path):
         code, out, _ = run(capsys, "inspect-graph", "--n-audio", "3",
                            "--n-video", "2", "--span-audio", "1",
@@ -774,6 +824,22 @@ class TestMalformedInput:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
 
+    @pytest.mark.parametrize("kind", ["config", "manifest", "spec"])
+    def test_a_json_file_that_is_not_utf8_is_a_one_line_data_error(self, capsys, tmp_path,
+                                                                    kind):
+        """RFC 8259 JSON is UTF-8; an 0xff byte exits 2, not with a decode traceback."""
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"seed": 1, "note": "\xff"}')
+        out = str(tmp_path / "o")
+        argv = {"config": ("train", "--config", str(bad), "--data",
+                           str(tmp_path / "absent.json"), "--out", out),
+                "manifest": ("train", "--data", str(bad), "--out", out),
+                "spec": ("gen-synth", "--spec", str(bad), "--out", out)}[kind]
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_DATA
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "bad.json: invalid JSON: 'utf-8' codec can't decode byte 0xff" in err
+
     @pytest.mark.parametrize("spec, message", [
         ({"n_audio": 1.5}, "n_audio must be an integer"),
         ({"d_audio": True}, "d_audio must be an integer"),
@@ -822,6 +888,9 @@ class TestMalformedInput:
          "manifest item 0: container_path '../synth-0000.hgav' must be relative"),
         ({"container_path": "synth\u00000000.hgav"},
          r"manifest item 0: container_path 'synth\x000000.hgav' holds a NUL byte"),
+        ({"container_path": "\ud800.hgav"},
+         r"manifest item 0: container_path '\ud800.hgav' is not a file name this system "
+         "can encode: surrogates not allowed"),
     ])
     def test_bad_manifest(self, capsys, tmp_path, change, message):
         manifest = gen_dataset(capsys, tmp_path, n_items=4, n_audio=4, n_video=6,

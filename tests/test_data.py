@@ -312,16 +312,3 @@ class TestLoadDataset:
             load_dataset(tmp_path / "manifest.json", RULES)
         assert str(loading.value).endswith(f"1 item(s) failed to load:\n  item 'bad': "
                                            f"{direct.value}")
-
-    def test_mixed_dims_names_item(self, tmp_path):
-        write_container(tmp_path / "a.hgav",
-                        FeatureContainer(np.ones((3, 4)), np.ones((3, 5))))
-        write_container(tmp_path / "b.hgav",
-                        FeatureContainer(np.ones((3, 6)), np.ones((3, 5))))
-        manifest = DatasetManifest(
-            num_classes=1, class_names=["x"],
-            items=[ManifestItem("a", "a.hgav", [0]),
-                   ManifestItem("b", "b.hgav", [0])])
-        write_manifest(tmp_path / "manifest.json", manifest)
-        with pytest.raises(DatasetError, match="'b'"):
-            load_dataset(tmp_path / "manifest.json", RULES)

@@ -545,6 +545,16 @@ class TestTrainLoop:
         with pytest.raises(ConfigError, match="odd-one"):
             train(items, small_config())
 
+    @pytest.mark.parametrize("modality, odd", [("audio_only", {"d_video": 9}),
+                                               ("video_only", {"d_audio": 9})])
+    def test_an_unused_modality_may_mix_widths(self, modality, odd):
+        """A minibatch is stacked by feature shape, so the width of a node set the
+        model does not read is never read."""
+        items = make_items(4) + make_items(4, seed=3, **odd)
+        result = train(items, small_config(modality=modality, max_iters=6, batch_size=8))
+        assert len(result.history) == 6
+        assert all(np.isfinite(row["loss"]) for row in result.history)
+
     def test_learned_pooling_requires_uniform_counts(self):
         items = make_items(2) + make_items(1, n_audio=5, seed=8)
         items[-1].item_id = "tall-one"
