@@ -73,6 +73,7 @@ def _add_gen_synth(sub):
     p.add_argument("--spec", help="JSON file with SynthSpec fields")
     p.add_argument("--out", required=True, help="output directory")
     _add_fields(p, SynthSpec, ("mode", "n_items", "noise_sigma", "seed"))
+    p.set_defaults(run=_cmd_gen_synth)
 
 
 def _cmd_gen_synth(args) -> int:
@@ -98,6 +99,7 @@ def _add_train(sub):
     _add_fields(p, TrainConfig, ("pooling", "fusion", "modality", "lr", "gamma", "hidden",
                                  "num_layers", "max_iters", "batch_size", "seed",
                                  "eval_every", "warmup_iters", "decay_at_iter"))
+    p.set_defaults(run=_cmd_train)
 
 
 def _run_one_seed(items_train, items_val, cfg, out_dir: Path, tag: str,
@@ -175,6 +177,7 @@ def _add_eval(sub):
     p = sub.add_parser("eval", help="evaluate a checkpoint on a manifest dataset")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
+    p.set_defaults(run=_cmd_eval)
 
 
 def _cmd_eval(args) -> int:
@@ -199,6 +202,7 @@ def _add_inspect(sub):
     p.add_argument("--n-video", type=int, required=True)
     for edge in ("audio", "video", "cross"):
         _add_fields(p, EdgeRule, ("span", "dilation"), suffix=f"_{edge}")
+    p.set_defaults(run=_cmd_inspect)
 
 
 def _rules_from_args(args) -> EdgeRules:
@@ -254,6 +258,7 @@ def _add_dump_attention(sub):
     p.add_argument("--data", required=True)
     p.add_argument("--item", required=True, help="item id from the manifest")
     p.add_argument("--out", help="CSV output path (default: stdout)")
+    p.set_defaults(run=_cmd_dump_attention)
 
 
 def attention_summary(attention_maps) -> list[tuple[int, int, float]]:
@@ -314,20 +319,11 @@ def build_parser() -> _Parser:
     return parser
 
 
-_COMMANDS = {
-    "gen-synth": _cmd_gen_synth,
-    "train": _cmd_train,
-    "eval": _cmd_eval,
-    "inspect-graph": _cmd_inspect,
-    "dump-attention": _cmd_dump_attention,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = _COMMANDS[args.command](args)
+        code = args.run(args)
         sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
         return code
     except BrokenPipeError:  # the reader went away: exit as SIGPIPE would, silently

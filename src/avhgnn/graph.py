@@ -5,11 +5,11 @@ links to neighbours at strides of `dilation`, up to `span` of them per
 direction. Across modalities, each audio node is anchored to the video
 node at the proportional position in time and linked to a dilated window
 around that anchor. Intra-modality adjacencies are symmetrically
-normalized with self-loops; the cross-modal adjacency is kept as a binary
-mask (for attention) and row-normalized (for the attention-free fusion's
-mean). Edges never depend on the clip, so all graphs with the same
-(n_audio, n_video, rules, dtype) share one read-only set of adjacency
-arrays, and such graphs stack into one minibatch graph.
+normalized with self-loops; the cross-modal adjacency is row-normalized,
+so the attention-free fusion averages over it and its nonzeros are the
+attention's mask. Edges never depend on the clip, so all graphs with the
+same (n_audio, n_video, rules, dtype) share one read-only array per
+relation, and such graphs stack into one minibatch graph.
 """
 
 from __future__ import annotations
@@ -50,22 +50,22 @@ class EdgeRules:
 class HeteroGraph:
     """One audio-visual clip as a two-modality graph (or B stacked clips).
 
-    adj_aa / adj_vv are the normalized intra-modality adjacencies; adj_va
-    is the bool video-to-audio mask with shape (n_audio, n_video), and
-    adj_va_mean the 0/1 mask with each row divided by its sum. All four are
-    read-only and shared per (n_audio, n_video, rules, dtype).
+    adj_aa / adj_vv are the normalized intra-modality adjacencies; adj_va,
+    shape (n_audio, n_video), is the 0/1 video-to-audio window with each row
+    divided by its sum: the attention-free fusion averages over it, and its
+    nonzeros are the attention's mask. All three are read-only arrays shared
+    per (n_audio, n_video, rules, dtype).
     """
 
     audio_feats: Tensor
     video_feats: Tensor
-    adj_aa: Tensor
-    adj_vv: Tensor
+    adj_aa: np.ndarray
+    adj_vv: np.ndarray
     adj_va: np.ndarray
-    adj_va_mean: Tensor
 
     def structure(self) -> tuple:
-        """The four shared adjacency arrays."""
-        return self.adj_aa.data, self.adj_vv.data, self.adj_va, self.adj_va_mean.data
+        """The three shared adjacency arrays."""
+        return self.adj_aa, self.adj_vv, self.adj_va
 
     @property
     def n_audio(self) -> int:
@@ -113,7 +113,7 @@ def cross_modal_edges(n_audio: int, n_video: int, rule: EdgeRule) -> np.ndarray:
     return _on_rule(np.arange(n_video)[None, :] - anchors[:, None], rule)
 
 
-def normalize_adjacency(adj: np.ndarray, dtype=np.float32) -> Tensor:
+def normalize_adjacency(adj: np.ndarray, dtype=np.float32) -> np.ndarray:
     """Symmetric normalization with self-loops: D~^-1/2 (A + I) D~^-1/2.
 
     D~ is the degree matrix of A + I, so isolated nodes come out with a
@@ -127,30 +127,29 @@ def normalize_adjacency(adj: np.ndarray, dtype=np.float32) -> Tensor:
     a_tilde = adj + np.eye(adj.shape[0])
     inv_sqrt_deg = 1.0 / np.sqrt(a_tilde.sum(axis=1))
     normalized = a_tilde * inv_sqrt_deg[:, None] * inv_sqrt_deg[None, :]
-    return Tensor(normalized.astype(dtype))
+    return normalized.astype(dtype)
 
 
-def mean_adjacency(mask: np.ndarray, dtype=np.float32) -> Tensor:
+def mean_adjacency(mask: np.ndarray, dtype=np.float32) -> np.ndarray:
     """A 0/1 mask with each row divided by its sum; a row with no neighbour stays zero."""
-    return Tensor((mask / np.maximum(mask.sum(axis=1, keepdims=True), 1.0)).astype(dtype))
+    return (mask / np.maximum(mask.sum(axis=1, keepdims=True), 1.0)).astype(dtype)
 
 
 @functools.lru_cache(maxsize=128)
 def _shared_adjacencies(n_audio: int, n_video: int, rules: EdgeRules, dtype):
-    """The four adjacencies for one shape and rule set, built once, read-only."""
-    adj_aa = normalize_adjacency(temporal_edges(n_audio, rules.audio), dtype=dtype)
-    adj_vv = normalize_adjacency(temporal_edges(n_video, rules.video), dtype=dtype)
-    adj_va = cross_modal_edges(n_audio, n_video, rules.cross)
-    adj_va_mean, adj_va = mean_adjacency(adj_va, dtype=dtype), adj_va > 0
-    for arr in (adj_aa.data, adj_vv.data, adj_va, adj_va_mean.data):
+    """The three adjacencies for one shape and rule set, built once, read-only."""
+    adjs = (normalize_adjacency(temporal_edges(n_audio, rules.audio), dtype=dtype),
+            normalize_adjacency(temporal_edges(n_video, rules.video), dtype=dtype),
+            mean_adjacency(cross_modal_edges(n_audio, n_video, rules.cross), dtype=dtype))
+    for arr in adjs:
         arr.flags.writeable = False
-    return adj_aa, adj_vv, adj_va, adj_va_mean
+    return adjs
 
 
-def build_hetero_graph(audio_feats, video_feats, rules: EdgeRules) -> HeteroGraph:
+def build_hetero_graph(audio_feats: np.ndarray, video_feats: np.ndarray,
+                       rules: EdgeRules) -> HeteroGraph:
     """Assemble a HeteroGraph from per-segment feature matrices."""
-    a = audio_feats if isinstance(audio_feats, Tensor) else Tensor(audio_feats)
-    v = video_feats if isinstance(video_feats, Tensor) else Tensor(video_feats)
+    a, v = Tensor(audio_feats), Tensor(video_feats)
     if a.rows < 1 or a.cols < 1 or v.rows < 1 or v.cols < 1:
         raise ShapeError("feature matrices must be non-empty")
     return HeteroGraph(a, v, *_shared_adjacencies(a.rows, v.rows, rules, a.dtype))
@@ -164,4 +163,4 @@ def stack_graphs(graphs) -> HeteroGraph:
         raise ShapeError("stack_graphs needs graphs that share one structure")
     return HeteroGraph(Tensor(np.stack([g.audio_feats.data for g in graphs])),
                        Tensor(np.stack([g.video_feats.data for g in graphs])),
-                       first.adj_aa, first.adj_vv, first.adj_va, first.adj_va_mean)
+                       *first.structure())

@@ -5,9 +5,10 @@ fused video message) and video nodes from one (video GCN); video never
 reads from audio. The attention fusion aggregates the attended video
 features, projects them, and adds them to the audio GCN's output in one
 tape op. The attention-free fusion is one more GCN, over the graph's
-row-normalized video-to-audio adjacency. Graph-level readout pools
-each modality's final node embeddings, by default with learnable
-per-position weights, and a sigmoid head scores each class independently.
+row-normalized video-to-audio adjacency, whose nonzeros are the attention's
+mask. Graph-level readout pools each modality's final node embeddings, by
+default with learnable per-position weights, and a sigmoid head scores each
+class independently.
 """
 
 from __future__ import annotations
@@ -106,7 +107,7 @@ class GcnLayer:
     def __init__(self, in_dim: int, out_dim: int, init, name="gcn"):
         self.weight = _param(init, in_dim, out_dim, f"{name}.weight")
 
-    def forward(self, g: ComputeGraph, feats: Tensor, adj_norm: Tensor) -> Tensor:
+    def forward(self, g: ComputeGraph, feats: Tensor, adj_norm: np.ndarray) -> Tensor:
         return g.gcn(adj_norm, feats, self.weight)
 
     def params(self):
@@ -131,7 +132,7 @@ class GatFusionLayer:
     def forward(self, g: ComputeGraph, video_feats: Tensor, mask_va: np.ndarray,
                 audio_feats: Tensor, residual: Tensor):
         """Returns (residual + message [n_audio x out_dim], attention [n_audio x
-        n_video]) over the bool mask mask_va [n_audio x n_video]; one `attend` op
+        n_video]) over the nonzeros of mask_va [n_audio x n_video]; one `attend` op
         adds the message, so the tape keeps neither its aggregate nor projection."""
         alpha = g.gat_attention(audio_feats, video_feats, self.w_msg, self.att_audio,
                                 self.att_video, mask_va, GAT_LEAKY_SLOPE)
@@ -165,7 +166,7 @@ class HeteroLayer:
         if self.audio_gcn is not None:
             new_a = self.audio_gcn.forward(g, h_a, graph.adj_aa)
             if isinstance(self.fusion, GcnLayer):
-                new_a = g.add(new_a, self.fusion.forward(g, h_v, graph.adj_va_mean))
+                new_a = g.add(new_a, self.fusion.forward(g, h_v, graph.adj_va))
             elif self.fusion is not None:
                 new_a, alpha = self.fusion.forward(g, h_v, graph.adj_va, h_a, new_a)
         if self.video_gcn is not None:

@@ -226,20 +226,21 @@ class ComputeGraph:
     # -- fused layers: one record each, bitwise the chain of ops it replaces; backward
     # adds its inputs' gradients in the order the chain's rules would add them.
 
-    def gcn(self, adj: Tensor, feats: Tensor, weight: Tensor) -> Tensor:
+    def gcn(self, adj: np.ndarray, feats: Tensor, weight: Tensor) -> Tensor:
         """relu(adj @ (feats @ weight)), a graph convolution over a constant 2-D
-        adjacency; backward recomputes the ReLU mask from the output, as out > 0
-        iff the pre-activation > 0 (-0.0, 0 and NaN give False both ways)."""
-        if adj.requires_grad or adj.data.ndim != 2:
-            raise ShapeError(f"gcn adjacency {adj.shape} must be a constant 2-D matrix")
-        if feats.cols != weight.rows or adj.cols != feats.rows:
+        adjacency array; backward recomputes the ReLU mask from the output, as
+        out > 0 iff the pre-activation > 0 (-0.0, 0 and NaN give False both ways)."""
+        if not isinstance(adj, np.ndarray) or adj.ndim != 2:
+            raise ShapeError(f"gcn adjacency must be a 2-D ndarray, got "
+                             f"{type(adj).__name__} of shape {getattr(adj, 'shape', None)}")
+        if feats.cols != weight.rows or adj.shape[1] != feats.rows:
             raise ShapeError(f"gcn dims differ: {adj.shape} x {feats.shape} x {weight.shape}")
-        out_data = _product(adj.data, _mm(feats.data, weight.data))
+        out_data = _product(adj, _mm(feats.data, weight.data))
         np.multiply(out_data, out_data > 0, out=out_data)
 
         def backward(g):
             np.multiply(g, out_data > 0, out=g)  # backward() hands each rule a g it alone holds
-            _mm_backward(_product(adj.data.swapaxes(-1, -2), g), feats, weight)
+            _mm_backward(_product(adj.T, g), feats, weight)
 
         return self._emit(out_data, backward)
 

@@ -295,8 +295,14 @@ class Checkpoint(Record):
 
     def build_model(self) -> HgnnModel:
         """The model over views of the parameter block, built with no random draw."""
+        if self.model_config.num_layers > len(self.params):  # each layer owns a parameter
+            raise ConfigError(f"model_config.num_layers {self.model_config.num_layers} is more "
+                              f"than the {len(self.params)} parameters the header lists")
         views = _split(self.param_block, [(rows, cols) for _, rows, cols in self.params])
-        model = HgnnModel(self.model_config, iter(views))
+        try:
+            model = HgnnModel(self.model_config, iter(views))
+        except ValueError as exc:  # a dimension too large for a numpy shape
+            raise ConfigError(f"checkpoint model config does not fit numpy: {exc}") from None
         expected = [(name, *p.data.shape) for name, p in model.named_params()]
         if self.params != expected:
             i, got, want = next((i, a, b) for i, (a, b) in enumerate(
@@ -387,8 +393,10 @@ def load_checkpoint(path) -> Checkpoint:
             iteration, adam_step = header["iteration"], header["adam_step"]
             rng_state = header["rng_state"]
             Rng(0).bit_generator.state = rng_state
-        except (KeyError, TypeError, ValueError, RecursionError) as exc:  # bad or too-deep JSON
-            raise ConfigError(f"malformed checkpoint header: {exc!r}") from exc
+        except (KeyError, TypeError, ValueError, OverflowError,  # bad or out-of-range values
+                RecursionError) as exc:  # too-deep JSON
+            detail = exc if isinstance(exc, ConfigError) else repr(exc)
+            raise ConfigError(f"malformed checkpoint header: {detail}") from exc
         total = sum(rows * cols for _, rows, cols in specs)
         expected = 12 + header_len + 3 * 4 * total
         identity = _IDENTITY(os.fstat(f.fileno()))

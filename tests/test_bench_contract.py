@@ -13,10 +13,13 @@ the tiny workloads under its Tracer makes a rename fail here too, not only a
 import importlib.util
 import json
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+from avhgnn.graph import EdgeRules, build_hetero_graph
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -125,3 +128,13 @@ def test_a_traced_run_calls_every_span_target(workloads, spans, tmp_path):
     assert not missing, f"never called: {sorted(missing)}"
     assert all(getattr(owner, attr) is original
                for (owner, attr), original in zip(patched, originals))
+
+
+def test_the_graph_count_reads_every_adjacency_array(spans):
+    """The traced run's adjacency bytes for one built graph are exactly the bytes of
+    the arrays its `structure()` holds, so a change to the graph's arrays shows here."""
+    graph = build_hetero_graph(np.zeros((10, 16), np.float32), np.zeros((25, 32), np.float32),
+                               EdgeRules.default())
+    counts = defaultdict(int)
+    spans._count_graph(counts, (), graph)
+    assert counts["adjacency_bytes"] == sum(a.nbytes for a in graph.structure())

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from avhgnn import cli, training
+from avhgnn import cli, layers, training
 from avhgnn.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from avhgnn.cli import attention_summary
 from avhgnn.data import (DatasetManifest, FeatureContainer, ManifestItem, SynthSpec,
@@ -774,6 +774,9 @@ class TestMalformedInput:
         pytest.param(_listing(lambda ps: ps[::-1]),
                      "parameter 0 is ('classifier.bias', 1, 4), the model's is "
                      "('layer0.audio.weight', 5, 8)", id="reordered-params"),
+        pytest.param(_header(train_config=TINY_TRAIN | {"eval_every": 0}),
+                     "error: malformed checkpoint header: invalid train config: "
+                     "eval_every must be >= 1, got 0\n", id="nested-config-error"),
     ])
     def test_bad_checkpoint(self, capsys, tmp_path, header, message):
         path = tmp_path / "bad.hgck"
@@ -786,6 +789,25 @@ class TestMalformedInput:
                            "--data", str(tmp_path / "absent.json"))
         assert code == EXIT_DATA
         assert message in err
+
+    def test_more_layers_than_listed_parameters_builds_no_layer(self, capsys, tmp_path,
+                                                                monkeypatch):
+        header, payload = _listing(lambda params: params)  # 7 parameters, 1 layer
+        header = json.loads(header)
+        header["model_config"]["num_layers"] = 50
+        header = json.dumps(header).encode()
+        path = tmp_path / "deep.hgck"
+        path.write_bytes(b"HGCK" + struct.pack("<II", 1, len(header)) + header + payload)
+        built = []
+        init = layers.HeteroLayer.__init__
+        monkeypatch.setattr(layers.HeteroLayer, "__init__",
+                            lambda self, *args, **kw: built.append(1) or init(self, *args, **kw))
+        code, _, err = run(capsys, "eval", "--checkpoint", str(path),
+                           "--data", str(tmp_path / "absent.json"))
+        assert code == EXIT_DATA
+        assert err == ("error: model_config.num_layers 50 is more than the 7 parameters "
+                       "the header lists\n")
+        assert built == []
 
     @bad_rows
     def test_param_shape_must_be_a_positive_integer(self, capsys, tmp_path, rows):

@@ -259,7 +259,6 @@ class TestLoadDataset:
             assert g.adj_aa is first.adj_aa
             assert g.adj_vv is first.adj_vv
             assert g.adj_va is first.adj_va
-            assert g.adj_va_mean is first.adj_va_mean
         assert len(structures) == 3
         assert len({id(g.adj_aa) for g in structures.values()}) == 3
         g = loaded[0].graph

@@ -167,23 +167,39 @@ class TestBuildHeteroGraph:
         assert g.adj_va.shape == (2, 2)
         # one undirected edge per modality, plus anchors +/- 1 clipped
         assert brute_force_temporal(2, 1, 1).sum() == 2
-        assert g.adj_va.sum() == 4  # both audio nodes see both video nodes
+        assert np.count_nonzero(g.adj_va) == 4  # both audio nodes see both video nodes
+        np.testing.assert_array_equal(g.adj_va, np.full((2, 2), 0.5))
 
     def test_paper_scale_audio_edge_count(self):
         rules = EdgeRules.default()  # audio (6,3), video (4,4), cross (3,1)
         g = build_hetero_graph(np.zeros((40, 8)), np.zeros((100, 8)), rules)
         brute = brute_force_temporal(40, 6, 3)
         # recover the raw 0/1 adjacency from the normalized one
-        rebuilt = (g.adj_aa.data > 0).astype(float) - np.eye(40)
+        rebuilt = (g.adj_aa > 0).astype(float) - np.eye(40)
         np.testing.assert_array_equal(rebuilt, brute)
         assert rebuilt.sum() / 2 == brute.sum() / 2
 
     def test_single_node_modalities(self):
         rules = EdgeRules.default()
         g = build_hetero_graph(np.ones((1, 4)), np.ones((1, 6)), rules)
-        np.testing.assert_array_equal(g.adj_aa.data, [[1.0]])
-        np.testing.assert_array_equal(g.adj_vv.data, [[1.0]])
+        np.testing.assert_array_equal(g.adj_aa, [[1.0]])
+        np.testing.assert_array_equal(g.adj_vv, [[1.0]])
         np.testing.assert_array_equal(g.adj_va, [[1.0]])
+
+    @pytest.mark.parametrize("cross", [EdgeRule(0, 1), EdgeRule(1, 1), EdgeRule(3, 1),
+                                       EdgeRule(2, 3), EdgeRule(6, 4)])
+    def test_cross_adjacency_nonzeros_are_the_window_and_each_row_averages(self, cross):
+        rules = EdgeRules(audio=EdgeRule(1, 1), video=EdgeRule(1, 1), cross=cross)
+        shapes = [(a, v) for a in range(1, 7) for v in range(1, 7)] + [(10, 25), (40, 100)]
+        for n_audio, n_video in shapes:
+            adj_va = build_hetero_graph(np.ones((n_audio, 2), np.float32),
+                                        np.ones((n_video, 2), np.float32), rules).adj_va
+            window = cross_modal_edges(n_audio, n_video, cross) > 0
+            assert adj_va.dtype == np.float32  # the features' dtype, which the mean reads
+            np.testing.assert_array_equal(np.asarray(adj_va, bool), window)
+            rows = window.any(axis=1)
+            np.testing.assert_allclose(adj_va[rows].sum(axis=1, dtype=np.float64), 1.0,
+                                       rtol=0, atol=n_video * np.finfo(np.float32).eps)
 
     def test_empty_features_rejected(self):
         with pytest.raises(ShapeError):

@@ -81,14 +81,14 @@ class TestGcnLayer:
         layer.weight.data = np.eye(3)
         g = ComputeGraph()
         h = Tensor(np.array([[-1.0, 0.5, 2.0]]))
-        out = layer.forward(g, h, Tensor(np.array([[1.0]])))
+        out = layer.forward(g, h, np.array([[1.0]]))
         np.testing.assert_array_equal(out.data, [[0.0, 0.5, 2.0]])
 
     def test_two_node_path_hand_computation(self):
         # A = path graph, normalized entries all 1/2; H and W hand-set.
         layer = float64_shadow(partial(GcnLayer, 2, 1))
         layer.weight.data = np.array([[1.0], [-1.0]])
-        adj = Tensor(np.full((2, 2), 0.5))
+        adj = np.full((2, 2), 0.5)
         h = Tensor(np.array([[2.0, 1.0], [0.0, 3.0]]))
         g = ComputeGraph()
         out = layer.forward(g, h, adj)
@@ -105,7 +105,7 @@ class TestGcnLayer:
             EdgeRules(audio=EdgeRule(2, 2), video=EdgeRule(1, 1), cross=EdgeRule(1, 1)))
         g = ComputeGraph()
         out = layer.forward(g, graph.audio_feats, graph.adj_aa)
-        expected = gcn_oracle(graph.adj_aa.data, graph.audio_feats.data,
+        expected = gcn_oracle(graph.adj_aa, graph.audio_feats.data,
                               layer.weight.data)
         np.testing.assert_allclose(out.data, expected, atol=1e-6)
 
@@ -122,10 +122,10 @@ class TestGcnLayer:
         perm = rng.permutation(n)
         p_mat = np.eye(n)[perm]
 
-        out = layer.forward(ComputeGraph(), Tensor(feats), Tensor(adj)).data
+        out = layer.forward(ComputeGraph(), Tensor(feats), adj).data
         out_perm = layer.forward(
             ComputeGraph(), Tensor(feats[perm]),
-            Tensor(p_mat @ adj @ p_mat.T)).data
+            p_mat @ adj @ p_mat.T).data
         np.testing.assert_array_equal(out_perm, out[perm])
 
 
@@ -334,7 +334,7 @@ class TestHeteroLayer:
         g = ComputeGraph()
         h_a, _, alpha = layer.forward(g, graph, graph.audio_feats, graph.video_feats)
         assert alpha is None
-        expected = gcn_oracle(graph.adj_aa.data, graph.audio_feats.data,
+        expected = gcn_oracle(graph.adj_aa, graph.audio_feats.data,
                               layer.audio_gcn.weight.data)
         np.testing.assert_allclose(h_a.data, expected, atol=1e-12)
 
@@ -345,7 +345,7 @@ class TestHeteroLayer:
         zero_video = Tensor(np.zeros_like(graph.video_feats.data))
         g = ComputeGraph()
         h_a, _, _ = layer.forward(g, graph, graph.audio_feats, zero_video)
-        audio_only = gcn_oracle(graph.adj_aa.data, graph.audio_feats.data,
+        audio_only = gcn_oracle(graph.adj_aa, graph.audio_feats.data,
                                 layer.audio_gcn.weight.data)
         np.testing.assert_allclose(h_a.data, audio_only, atol=1e-12)
 
@@ -355,14 +355,14 @@ class TestHeteroLayer:
         graph = tiny_graph(seed=3)
         g = ComputeGraph()
         h_a, h_v, _ = layer.forward(g, graph, graph.audio_feats, graph.video_feats)
-        exp_audio = gcn_oracle(graph.adj_aa.data, graph.audio_feats.data,
+        exp_audio = gcn_oracle(graph.adj_aa, graph.audio_feats.data,
                                layer.audio_gcn.weight.data)
         exp_fused, _ = gat_oracle(graph.video_feats.data, graph.adj_va,
                                   graph.audio_feats.data,
                                   layer.fusion.w_msg.data,
                                   layer.fusion.att_audio.data,
                                   layer.fusion.att_video.data)
-        exp_video = gcn_oracle(graph.adj_vv.data, graph.video_feats.data,
+        exp_video = gcn_oracle(graph.adj_vv, graph.video_feats.data,
                                layer.video_gcn.weight.data)
         np.testing.assert_allclose(h_a.data, exp_audio + exp_fused, atol=1e-6)
         np.testing.assert_allclose(h_v.data, exp_video, atol=1e-6)
@@ -377,7 +377,7 @@ class TestHeteroLayer:
         for i in range(graph.n_audio):  # each audio node averages its masked video nodes
             neigh = np.flatnonzero(graph.adj_va[i] > 0)
             mean_va[i, neigh] = 1.0 / neigh.size
-        expected = (gcn_oracle(graph.adj_aa.data, graph.audio_feats.data,
+        expected = (gcn_oracle(graph.adj_aa, graph.audio_feats.data,
                                layer.audio_gcn.weight.data)
                     + gcn_oracle(mean_va, graph.video_feats.data, layer.fusion.weight.data))
         np.testing.assert_allclose(result.audio_states[0], expected, rtol=0, atol=1e-12)
@@ -494,14 +494,14 @@ class TestModelForward:
         graph = tiny_graph(seed=12)
         result = model.forward(ComputeGraph(), graph)
 
-        audio = gcn_oracle(graph.adj_aa.data, graph.audio_feats.data,
+        audio = gcn_oracle(graph.adj_aa, graph.audio_feats.data,
                            model.layers[0].audio_gcn.weight.data)
         fused, _ = gat_oracle(graph.video_feats.data, graph.adj_va,
                               graph.audio_feats.data,
                               model.layers[0].fusion.w_msg.data,
                               model.layers[0].fusion.att_audio.data,
                               model.layers[0].fusion.att_video.data)
-        video = gcn_oracle(graph.adj_vv.data, graph.video_feats.data,
+        video = gcn_oracle(graph.adj_vv, graph.video_feats.data,
                            model.layers[0].video_gcn.weight.data)
         pooled = np.concatenate([(audio + fused).mean(axis=0),
                                  video.mean(axis=0)])[None, :]
@@ -708,12 +708,15 @@ class TestDeskTape:
         # The bytes kept for backward: each record's output and every array its
         # rule holds, each array once. An aggregate or projection held again
         # would add 8 x 10 x 32 float32 values (10240 bytes) per layer for each.
+        # The graph's adjacencies belong to the per-shape cache, not the tape.
         _, g, _ = self._step()
+        zeros = np.zeros((10, 16), np.float32), np.zeros((25, 32), np.float32)
+        shared = build_hetero_graph(*zeros, EdgeRules.default()).structure()
         kept = {}
         for out, backward in g._records:
             held = [cell.cell_contents for cell in backward.__closure__ or ()]
             for x in [out.data] + held:
-                if isinstance(x, np.ndarray):
+                if isinstance(x, np.ndarray) and not any(x is a for a in shared):
                     kept[id(x)] = x.nbytes
         assert sum(kept.values()) == 132464
 

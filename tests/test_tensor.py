@@ -386,9 +386,9 @@ class TestGradientOracle:
 
     @pytest.mark.parametrize("adj_shape, feats_shape", [((4, 4), (4, 3)), ((2, 4), (3, 4, 3))])
     def test_gcn(self, rng64, adj_shape, feats_shape):
-        adj = Tensor(rng64.uniform(0.0, 1.0, adj_shape))
+        adj = rng64.uniform(0.0, 1.0, adj_shape)
         feats, weight = _leaf(rng64, *feats_shape), _leaf(rng64, 3, 5)
-        up = Tensor(rng64.normal(0, 1, np.matmul(adj.data, feats.data @ weight.data).shape))
+        up = Tensor(rng64.normal(0, 1, np.matmul(adj, feats.data @ weight.data).shape))
         self._check(lambda g: g.sum_all(g.mul(g.gcn(adj, feats, weight), up)),
                     [feats, weight])
 
@@ -488,6 +488,10 @@ class TestRewrittenOpsBitwise:
                     lambda g, out, x: g * _leaky_scale_reference(x, 0.2))
 
 
+def _gcn_fused(g, adj, feats, weight):
+    return g.gcn(adj.data, feats, weight)  # the fused op takes its adjacency as an array
+
+
 def _gcn_chain(g, adj, feats, weight):
     return g.relu(g.matmul(adj, g.matmul(feats, weight)))
 
@@ -539,7 +543,7 @@ class TestFusedOpsBitwise:
         arrays = [a.astype(dtype) for a in (adj, feats, weight)]
         upstream = rng.normal(0, 1, batch + (n_out, 7)).astype(dtype)
         trainable = [False, not frozen, True]
-        fused = self._run(ComputeGraph.gcn, arrays, trainable, upstream)
+        fused = self._run(_gcn_fused, arrays, trainable, upstream)
         self._assert_same(fused, self._run(_gcn_chain, arrays, trainable, upstream), 3)
         assert (fused[0][2] is None) == frozen
 
@@ -558,14 +562,14 @@ class TestFusedOpsBitwise:
         assert (np.signbit(pre) & (pre == 0)).any() and (~np.signbit(pre) & (pre == 0)).any()
         upstream = np.random.default_rng(7).normal(0, 1, batch + (4, 5)).astype(dtype)
         trainable = [False, True, True]
-        fused = self._run(ComputeGraph.gcn, arrays, trainable, upstream)
+        fused = self._run(_gcn_fused, arrays, trainable, upstream)
         self._assert_same(fused, self._run(_gcn_chain, arrays, trainable, upstream), 3)
         assert np.isfinite(fused[0][3]).all()  # the weight gradient
 
     def test_gcn_record_holds_no_mask(self):
         rng = np.random.default_rng(0)
         g = ComputeGraph()
-        g.gcn(Tensor(rng.random((4, 4))), Tensor(rng.normal(0, 1, (4, 3))),
+        g.gcn(rng.random((4, 4)), Tensor(rng.normal(0, 1, (4, 3))),
               Tensor(rng.normal(0, 1, (3, 5)), requires_grad=True))
         held = [cell.cell_contents for cell in g._records[-1][1].__closure__]
         assert not any(isinstance(x, np.ndarray) and x.dtype == bool for x in held)
@@ -633,14 +637,14 @@ class TestFusedOpsBitwise:
                 ComputeGraph().attend(*tensors)
 
     @pytest.mark.parametrize("adj", [Tensor(np.ones((2, 2)), requires_grad=True),
-                                     Tensor(np.ones((3, 2, 2)))])
+                                     np.ones((3, 2, 2))])
     def test_gcn_adjacency_needing_a_gradient_or_batched_is_shape_error(self, adj):
-        with pytest.raises(ShapeError, match="constant 2-D"):
+        with pytest.raises(ShapeError, match="must be a 2-D ndarray"):
             ComputeGraph().gcn(adj, Tensor(np.ones((3, 2, 3))), Tensor(np.ones((3, 4))))
 
     def test_gcn_dims_mismatch_is_shape_error(self):
         with pytest.raises(ShapeError, match="gcn dims differ"):
-            ComputeGraph().gcn(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))),
+            ComputeGraph().gcn(np.ones((2, 3)), Tensor(np.ones((2, 3))),
                                Tensor(np.ones((3, 4))))
 
     def test_gat_attention_mask_of_another_shape_is_shape_error(self):

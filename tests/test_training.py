@@ -708,7 +708,7 @@ class TestCheckpoint:
         accum = tensor._accum
 
         def chain_gcn(self, g, feats, adj_norm):
-            return g.relu(g.matmul(adj_norm, g.matmul(feats, self.weight)))
+            return g.relu(g.matmul(Tensor(adj_norm), g.matmul(feats, self.weight)))
 
         def chain_fusion(self, g, video, mask_va, audio, residual):
             score_v = g.matmul(video, g.matmul(self.w_msg, self.att_video))
