@@ -2,7 +2,8 @@
 
 Every subcommand echoes its effective configuration so a run can be
 reproduced from its output alone. Exit codes: 0 success, 1 usage,
-2 data or config problem, 3 numeric failure, 141 stdout closed by its reader.
+2 data or config problem (a size too large to allocate included), 3 numeric
+failure, 141 stdout closed by its reader. JSON output is strict: null, never NaN.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _echo(label: str, payload: dict):
-    print(f"{label}: {json.dumps(payload, sort_keys=True)}")
+    print(f"{label}: {json.dumps(payload, sort_keys=True, allow_nan=False)}")
 
 
 def _add_fields(p, record, names, suffix=""):
@@ -146,7 +147,7 @@ def _cmd_train(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     with atomic_open(out_dir / "effective_config.json", "w") as f:
-        json.dump(cfg.to_dict(), f, indent=2)
+        json.dump(cfg.to_dict(), f, indent=2, allow_nan=False)
 
     items = load_dataset(args.data, cfg.rules)
     if seeds is not None:
@@ -157,7 +158,7 @@ def _cmd_train(args) -> int:
 
         aggregate = run_seeds(items, cfg, seeds, run=run_seed).to_dict()
         with atomic_open(out_dir / "aggregate.json", "w") as f:
-            json.dump(aggregate, f, indent=2)
+            json.dump(aggregate, f, indent=2, allow_nan=False)
         _echo("aggregate", aggregate)
         return EXIT_OK
 
@@ -188,7 +189,7 @@ def _cmd_eval(args) -> int:
     result = evaluate(model, items)
     payload = result.to_dict()
     payload["config"] = ckpt.train_config.to_dict()
-    print(json.dumps(payload, indent=2))
+    print(json.dumps(payload, indent=2, allow_nan=False))
     return EXIT_OK
 
 
@@ -244,7 +245,7 @@ def _cmd_inspect(args) -> int:
             "audio_cross": _degree_stats(adj_va.sum(axis=1)),
         },
     }
-    print(json.dumps(payload, indent=2))
+    print(json.dumps(payload, indent=2, allow_nan=False))
     return EXIT_OK
 
 
@@ -329,7 +330,8 @@ def main(argv=None) -> int:
     except BrokenPipeError:  # the reader went away: exit as SIGPIPE would, silently
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except (ConfigError, DataFormatError, DatasetError, ShapeError, OSError) as exc:
+    except (ConfigError, DataFormatError, DatasetError, ShapeError, OSError,
+            MemoryError) as exc:  # numpy's message names the size and shape it wanted
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as exc:

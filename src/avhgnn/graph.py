@@ -77,9 +77,11 @@ class HeteroGraph:
 
 
 def _on_rule(offsets: np.ndarray, rule: EdgeRule) -> np.ndarray:
-    """1.0 where an offset is dilation*k for some |k| <= span, else 0.0."""
-    k, r = np.divmod(offsets, rule.dilation)
-    return ((r == 0) & (np.abs(k) <= rule.span)).astype(np.float64)
+    """1.0 where an offset is dilation*k for some |k| <= span, else 0.0. No offset
+    reaches `offsets.size`, so dilation and span clamped to it give the same mask,
+    and a rule value too large for numpy's integers never reaches numpy."""
+    k, r = np.divmod(offsets, min(rule.dilation, offsets.size))
+    return ((r == 0) & (np.abs(k) <= min(rule.span, offsets.size))).astype(np.float64)
 
 
 def temporal_edges(n_nodes: int, rule: EdgeRule) -> np.ndarray:

@@ -87,17 +87,14 @@ class ModelConfig(Record):
 
 def _param(init, rows: int, cols: int, name: str, fill=None) -> Tensor:
     """A learnable rows x cols tensor. From a Generator: a float32 Xavier draw, or
-    the constant `fill` with no draw. From an iterator: its next array as it is, in
-    its own dtype, with no copy and no draw; an array of another shape, or none,
-    gives a read-only zero placeholder, which the caller's shape check rejects."""
-    if isinstance(init, np.random.Generator):
-        if fill is None:
-            return xavier_init(rows, cols, init, name=name)
-        data = np.full((rows, cols), fill, dtype=np.float32)
+    the constant `fill` with no draw. Otherwise `init(name, rows, cols)` returns
+    the array, which the tensor holds as it is, in its own dtype, with no copy."""
+    if not isinstance(init, np.random.Generator):
+        data = init(name, rows, cols)
+    elif fill is None:
+        return xavier_init(rows, cols, init, name=name)
     else:
-        data = next(init, None)
-        if data is None or data.shape != (rows, cols):
-            data = np.broadcast_to(np.float32(0), (rows, cols))
+        data = np.full((rows, cols), fill, dtype=np.float32)
     return Tensor(data, requires_grad=True, name=name)
 
 
@@ -192,10 +189,10 @@ class ForwardResult:
 class HgnnModel:
     """The full classifier: stacked hetero layers, pooling, sigmoid head.
 
-    `init` is `Rng(seed)`, for a fresh float32 init, or an iterator over the
-    parameters' arrays in `named_params` order, which the model then holds as
-    they are. The model's dtype is its parameters': float64 arrays give a
-    float64 model."""
+    `init` is `Rng(seed)`, for a fresh float32 init, or a function
+    `init(name, rows, cols)` called once per parameter in `named_params` order,
+    whose arrays the model then holds as they are. The model's dtype is its
+    parameters': float64 arrays give a float64 model."""
 
     def __init__(self, config: ModelConfig, init):
         self.config = config

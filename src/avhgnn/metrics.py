@@ -8,6 +8,7 @@ macro means and flagged rather than poisoning them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -71,7 +72,18 @@ class EvalResult:
     warnings: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields, a NaN mean as None (JSON null), as an excluded class is."""
+        return nan_to_null(asdict(self))
+
+
+def nan_to_null(value):
+    """`value` with each NaN in it, in its lists and dicts too, as None: strict JSON
+    (RFC 8259) has no NaN, and its null also marks an excluded class."""
+    if isinstance(value, dict):
+        return {k: nan_to_null(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [nan_to_null(v) for v in value]
+    return None if isinstance(value, float) and math.isnan(value) else value
 
 
 def score_matrix(model, items) -> tuple[np.ndarray, np.ndarray]:

@@ -37,7 +37,7 @@ import numpy as np
 from .config import ConfigError, Record
 from .graph import EdgeRules, stack_graphs
 from .layers import HgnnModel, ModelConfig
-from .metrics import EvalResult, evaluate
+from .metrics import EvalResult, evaluate, nan_to_null
 from .tensor import ComputeGraph, NumericError, Rng, ShapeError, Tensor
 
 CHECKPOINT_MAGIC = b"HGCK"
@@ -294,21 +294,21 @@ class Checkpoint(Record):
                               f"iteration {self.iteration}")
 
     def build_model(self) -> HgnnModel:
-        """The model over views of the parameter block, built with no random draw."""
-        if self.model_config.num_layers > len(self.params):  # each layer owns a parameter
-            raise ConfigError(f"model_config.num_layers {self.model_config.num_layers} is more "
-                              f"than the {len(self.params)} parameters the header lists")
+        """The model over views of the parameter block, built with no random draw; each
+        parameter it makes, and then the list's end, must be the header's next entry."""
         views = _split(self.param_block, [(rows, cols) for _, rows, cols in self.params])
-        try:
-            model = HgnnModel(self.model_config, iter(views))
-        except ValueError as exc:  # a dimension too large for a numpy shape
-            raise ConfigError(f"checkpoint model config does not fit numpy: {exc}") from None
-        expected = [(name, *p.data.shape) for name, p in model.named_params()]
-        if self.params != expected:
-            i, got, want = next((i, a, b) for i, (a, b) in enumerate(
-                itertools.zip_longest(self.params, expected)) if a != b)
-            raise ConfigError(f"checkpoint parameter {i} is {got}, the model's is {want}; "
-                              "the parameter list must match the model's exactly")
+        listed = enumerate(itertools.chain(zip(self.params, views), [(None, None)]))
+
+        def take(*want):
+            i, (got, view) = next(listed)
+            want = want or None
+            if got != want:
+                raise ConfigError(f"checkpoint parameter {i} is {got}, the model's is {want}; "
+                                  "the parameter list must match the model's exactly")
+            return view
+
+        model = HgnnModel(self.model_config, take)
+        take()  # the header lists no parameter past the model's
         return model
 
     def build_optimizer(self, model: HgnnModel) -> Adam:
@@ -529,7 +529,7 @@ class SeedSummary:
         return cls(list(seeds), maps, aucs, *_mean_std(maps), *_mean_std(aucs))
 
     def to_dict(self) -> dict:
-        return self.__dict__.copy()
+        return nan_to_null(vars(self))
 
 
 def _mean_std(values) -> tuple[float, float]:

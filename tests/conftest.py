@@ -64,9 +64,11 @@ def numeric_gradient(fn, arrays, h=1e-5):
 def float64_shadow(build, seed=0):
     """`build(init)` in float64: the one way the tests make a float64 model or
     layer. Its parameters are the arrays of the float32 `build(Rng(seed))`, cast,
-    and given to `build` as an iterator, the path a checkpoint's model takes."""
+    and handed to `build` one per `init(name, rows, cols)` call, the path a
+    checkpoint's model takes."""
     source = build(Rng(seed))
-    return build(iter([p.data.astype(np.float64) for p in source.params()]))
+    arrays = iter([p.data.astype(np.float64) for p in source.params()])
+    return build(lambda *_: next(arrays))
 
 
 def assert_grad_close(analytic, numeric, rel=1e-4, abs_floor=1e-6):

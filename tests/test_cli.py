@@ -23,13 +23,20 @@ from avhgnn.layers import HgnnModel, ModelConfig
 from avhgnn.metrics import evaluate
 from avhgnn.tensor import Rng
 from avhgnn.training import TrainConfig, run_seeds, split_dataset
-from test_training import _FailOnSecondWrite, bad_rows, edit_first_param
+from test_training import _FailOnSecondWrite, bad_rows, edit_first_param, edit_header
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def strict_json(text):
+    """`json.loads` that rejects NaN and Infinity: RFC 8259 JSON has no such tokens."""
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=reject)
 
 
 def gen_dataset(capsys, tmp_path, name="data", **spec):
@@ -132,12 +139,11 @@ class TestTrain:
                          "--data", str(manifest), "--out", str(out_dir),
                          "--seeds", "1,2")
         assert code == EXIT_OK
-        aggregate = json.loads((out_dir / "aggregate.json").read_text())
+        aggregate = strict_json((out_dir / "aggregate.json").read_text())
         cfg = TrainConfig.from_dict(json.loads(cfg_path.read_text()))
         summary = run_seeds(load_dataset(manifest, cfg.rules), cfg, [1, 2])
-        # Compared as JSON text: the tiny split leaves ROC-AUC NaN, and NaN != NaN.
-        assert (json.dumps(aggregate, sort_keys=True)
-                == json.dumps(summary.to_dict(), sort_keys=True))
+        assert aggregate["auc_mean"] is None  # the tiny split leaves ROC-AUC undefined
+        assert aggregate == summary.to_dict()
 
     def test_failed_aggregate_write_keeps_the_old_file(self, capsys, tmp_path, monkeypatch):
         manifest = gen_dataset(capsys, tmp_path, n_items=16, n_audio=4, n_video=6,
@@ -430,6 +436,23 @@ class TestEval:
         assert outputs() == before
         assert json.loads(before[0])["map"] >= 0 and before[1].count("\n") == 1 + 2 * 4
 
+    def test_items_with_no_positive_label_print_null_metrics(self, capsys, tmp_path):
+        manifest = gen_dataset(capsys, tmp_path, n_items=16, n_audio=4, n_video=6,
+                               d_audio=5, d_video=7, seed=5)
+        out_dir = tmp_path / "run"
+        code, _, _ = run(capsys, "train", "--config", str(write_config(tmp_path, max_iters=2)),
+                         "--data", str(manifest), "--out", str(out_dir))
+        assert code == EXIT_OK
+        items = _items_of(manifest)
+        for item in items:
+            item.labels = []
+        code, out, _ = run(capsys, "eval", "--checkpoint", str(out_dir / "checkpoint.hgck"),
+                           "--data", str(_write_manifest(tmp_path, items)))
+        assert code == EXIT_OK
+        payload = strict_json(out)
+        assert payload["map"] is None and payload["roc_auc"] is None
+        assert payload["per_class_ap"] == [None] * 4
+
     def test_missing_checkpoint(self, capsys, tmp_path):
         code, _, err = run(capsys, "eval", "--checkpoint",
                            str(tmp_path / "ghost.hgck"),
@@ -597,6 +620,45 @@ class TestInspectGraph:
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
+
+
+class TestSizesPastNumpy:
+    """A rule value too large for numpy's integers reads as the node count, and a
+    size too large to allocate exits 2 with numpy's message."""
+
+    def test_a_huge_dilation_reads_as_the_node_count(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "inspect-graph", "--n-audio", "3", "--n-video", "4",
+                           "--dilation-audio", str(10 ** 20))
+        assert code == EXIT_OK and strict_json(out)["aa_edges"] == []
+        manifest = gen_dataset(capsys, tmp_path, n_items=16, n_audio=4, n_video=6,
+                               d_audio=5, d_video=7, seed=0)
+        rules = TINY_TRAIN["rules"] | {"cross": {"span": 1, "dilation": 2 ** 63}}
+        out_dir = tmp_path / "run"
+        code, _, err = run(capsys, "train", "--config",
+                           str(write_config(tmp_path, rules=rules, max_iters=2)),
+                           "--data", str(manifest), "--out", str(out_dir))
+        assert code == EXIT_OK, err
+        ckpt = out_dir / "checkpoint.hgck"
+        edit_header(ckpt, lambda header: header["train_config"]["rules"]["cross"].update(
+            dilation=2 ** 64))
+        code, out, err = run(capsys, "eval", "--checkpoint", str(ckpt), "--data", str(manifest))
+        assert code == EXIT_OK, err
+        assert strict_json(out)["config"]["rules"]["cross"]["dilation"] == 2 ** 64
+
+    def test_a_size_too_large_to_allocate_exits_2(self, capsys, tmp_path):
+        # Each array is above 2**47 bytes, past what any overcommit policy grants, so
+        # no run touches real memory; inspect-graph first holds a 48 MB node index.
+        code, out, err = run(capsys, "inspect-graph", "--n-audio", str(6 * 10 ** 6),
+                             "--n-video", "3")
+        assert (code, out) == (EXIT_DATA, "")
+        assert err.startswith("error: Unable to allocate") and "(6000000, 6000000)" in err
+        manifest = gen_dataset(capsys, tmp_path, n_items=16, n_audio=4, n_video=6,
+                               d_audio=5, d_video=7, seed=0)
+        code, _, err = run(capsys, "train", "--config", str(write_config(tmp_path)),
+                           "--data", str(manifest), "--out", str(tmp_path / "run"),
+                           "--hidden", str(10 ** 13))
+        assert code == EXIT_DATA
+        assert err.startswith("error: Unable to allocate") and "(5, 10000000000000)" in err
 
 
 class TestDumpAttention:
@@ -790,24 +852,29 @@ class TestMalformedInput:
         assert code == EXIT_DATA
         assert message in err
 
-    def test_more_layers_than_listed_parameters_builds_no_layer(self, capsys, tmp_path,
-                                                                monkeypatch):
-        header, payload = _listing(lambda params: params)  # 7 parameters, 1 layer
-        header = json.loads(header)
-        header["model_config"]["num_layers"] = 50
-        header = json.dumps(header).encode()
-        path = tmp_path / "deep.hgck"
-        path.write_bytes(b"HGCK" + struct.pack("<II", 1, len(header)) + header + payload)
+    def test_more_layers_than_listed_parameters_stop_at_the_first_unmatched_one(
+            self, capsys, tmp_path, monkeypatch):
+        """The build stops at the first parameter the header does not list, so its
+        work does not grow with num_layers."""
         built = []
         init = layers.HeteroLayer.__init__
         monkeypatch.setattr(layers.HeteroLayer, "__init__",
                             lambda self, *args, **kw: built.append(1) or init(self, *args, **kw))
-        code, _, err = run(capsys, "eval", "--checkpoint", str(path),
-                           "--data", str(tmp_path / "absent.json"))
-        assert code == EXIT_DATA
-        assert err == ("error: model_config.num_layers 50 is more than the 7 parameters "
-                       "the header lists\n")
-        assert built == []
+        for num_layers in (50, 20000):
+            header, payload = _listing(lambda params: params)  # 7 parameters, 1 layer
+            header = json.loads(header)
+            header["model_config"]["num_layers"] = num_layers
+            header = json.dumps(header).encode()
+            path = tmp_path / "deep.hgck"
+            path.write_bytes(b"HGCK" + struct.pack("<II", 1, len(header)) + header + payload)
+            built.clear()
+            code, _, err = run(capsys, "eval", "--checkpoint", str(path),
+                               "--data", str(tmp_path / "absent.json"))
+            assert code == EXIT_DATA
+            assert err == ("error: checkpoint parameter 5 is ('classifier.weight', 16, 4), "
+                           "the model's is ('layer1.audio.weight', 8, 8); the parameter list "
+                           "must match the model's exactly\n")
+            assert built == [1, 1]
 
     @bad_rows
     def test_param_shape_must_be_a_positive_integer(self, capsys, tmp_path, rows):

@@ -115,6 +115,31 @@ class TestCrossModalEdges:
         assert anchors[0] == 0 and anchors[-1] == n_video - 1
 
 
+class TestHugeRuleValues:
+    """No offset reaches the offset count, so a rule value past it, even one too
+    large for numpy's integers, gives the mask of a value equal to the node count."""
+
+    HUGE = st.sampled_from([2 ** 63, 2 ** 64, 10 ** 20])
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 30), small=st.integers(0, 8), huge=HUGE)
+    def test_temporal_edges(self, n, small, huge):
+        np.testing.assert_array_equal(temporal_edges(n, EdgeRule(small, huge)),
+                                      temporal_edges(n, EdgeRule(small, n)))
+        np.testing.assert_array_equal(temporal_edges(n, EdgeRule(huge, small + 1)),
+                                      temporal_edges(n, EdgeRule(n, small + 1)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_audio=st.integers(1, 30), n_video=st.integers(1, 30), small=st.integers(0, 8),
+           huge=HUGE)
+    def test_cross_modal_edges(self, n_audio, n_video, small, huge):
+        np.testing.assert_array_equal(cross_modal_edges(n_audio, n_video, EdgeRule(small, huge)),
+                                      cross_modal_edges(n_audio, n_video, EdgeRule(small, n_video)))
+        np.testing.assert_array_equal(
+            cross_modal_edges(n_audio, n_video, EdgeRule(huge, small + 1)),
+            cross_modal_edges(n_audio, n_video, EdgeRule(n_video, small + 1)))
+
+
 class TestNormalizeAdjacency:
     def test_isolated_node(self):
         out = normalize_adjacency(np.zeros((1, 1)))

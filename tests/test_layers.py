@@ -577,8 +577,8 @@ class TestCountParams:
 
 
 class TestParameterDtype:
-    """A model's dtype is its parameters': float32 from an Rng, and from an
-    iterator whatever the arrays are."""
+    """A model's dtype is its parameters': float32 from an Rng, and from an init
+    function whatever arrays it returns."""
 
     @pytest.mark.parametrize("build", [
         partial(HgnnModel, tiny_config()), partial(GcnLayer, 5, 4),
@@ -591,7 +591,8 @@ class TestParameterDtype:
     def test_float64_arrays_are_held_as_given_and_run_in_float64(self):
         rng = np.random.default_rng(6)
         arrays = [rng.normal(0, 0.5, p.shape) for _, p in tiny_model().named_params()]
-        model = HgnnModel(tiny_config(), iter(arrays))
+        given = iter(arrays)
+        model = HgnnModel(tiny_config(), lambda *_: next(given))
         assert all(p.data is array for (_, p), array in zip(model.named_params(), arrays))
         g = ComputeGraph()
         result = model.forward(g, tiny_graph())
