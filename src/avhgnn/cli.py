@@ -1,9 +1,10 @@
 """Command-line surface: dataset generation, training, evaluation, inspection.
 
 Every subcommand echoes its effective configuration so a run can be
-reproduced from its output alone. Exit codes: 0 success, 1 usage,
-2 data or config problem (a size too large to allocate included), 3 numeric
-failure, 141 stdout closed by its reader. JSON output is strict: null, never NaN.
+reproduced from its output alone. Exit codes: 0 success, 1 usage, 2 data or
+config problem (a size too large to allocate or for numpy to express included),
+3 numeric failure, 141 stdout closed by its reader. JSON output is strict: null,
+never NaN.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .data import (DataFormatError, DatasetError, SynthSpec, generate_synthetic,
                    load_dataset, read_json)
-from .graph import EdgeRule, EdgeRules, cross_modal_edges, temporal_edges
+from .graph import EdgeRule, EdgeRules, anchor_index, window_edges
 from .layers import GatFusionLayer
 from .metrics import evaluate
 from .tensor import ComputeGraph, NumericError, ShapeError
@@ -32,6 +33,9 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 EXIT_BROKEN_PIPE = 128 + 13  # as a shell reports a process killed by SIGPIPE
+# numpy's ValueErrors for a shape or size it cannot express
+_NUMPY_SIZE_ERRORS = ("Maximum allowed size exceeded", "Maximum allowed dimension exceeded",
+                      "array is too big;")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -213,36 +217,30 @@ def _rules_from_args(args) -> EdgeRules:
                         for edge in ("audio", "video", "cross")})
 
 
-def _undirected_pairs(adj: np.ndarray) -> list[list[int]]:
-    rows, cols = np.nonzero(np.triu(adj, k=1))
-    return [[int(i), int(j)] for i, j in zip(rows, cols)]
-
-
-def _degree_stats(degrees: np.ndarray) -> dict:
+def _degree_stats(rows: np.ndarray, n: int) -> dict:
+    degrees = np.bincount(rows, minlength=n)
     return {"min": int(degrees.min()), "max": int(degrees.max()),
             "mean": float(degrees.mean())}
 
 
 def _cmd_inspect(args) -> int:
     rules = _rules_from_args(args)
-    if args.n_audio < 1 or args.n_video < 1:
+    n_audio, n_video = args.n_audio, args.n_video
+    if n_audio < 1 or n_video < 1:
         raise ConfigError("node counts must be >= 1")
-    adj_aa = temporal_edges(args.n_audio, rules.audio)
-    adj_vv = temporal_edges(args.n_video, rules.video)
-    adj_va = cross_modal_edges(args.n_audio, args.n_video, rules.cross)
-    va_rows, va_cols = np.nonzero(adj_va)
+    # np.indices, not np.arange: np.arange(n) is empty for 2**63 <= n < 2**64
+    aa = window_edges(np.indices((n_audio,))[0], n_audio, rules.audio)
+    vv = window_edges(np.indices((n_video,))[0], n_video, rules.video)
+    va = window_edges(anchor_index(np.arange(n_audio), n_audio, n_video), n_video, rules.cross)
     payload = {
-        "config": {
-            "n_audio": args.n_audio, "n_video": args.n_video,
-            "rules": asdict(rules),
-        },
-        "aa_edges": _undirected_pairs(adj_aa),
-        "vv_edges": _undirected_pairs(adj_vv),
-        "va_edges": [[int(a), int(v)] for a, v in zip(va_rows, va_cols)],
-        "degrees": {
-            "audio_intra": _degree_stats(adj_aa.sum(axis=1)),
-            "video_intra": _degree_stats(adj_vv.sum(axis=1)),
-            "audio_cross": _degree_stats(adj_va.sum(axis=1)),
+        "config": {"n_audio": n_audio, "n_video": n_video, "rules": asdict(rules)},
+        "aa_edges": np.stack(aa, axis=1)[aa[0] < aa[1]].tolist(),
+        "vv_edges": np.stack(vv, axis=1)[vv[0] < vv[1]].tolist(),
+        "va_edges": np.stack(va, axis=1).tolist(),
+        "degrees": {  # k = 0 is no intra edge
+            "audio_intra": _degree_stats(aa[0][aa[0] != aa[1]], n_audio),
+            "video_intra": _degree_stats(vv[0][vv[0] != vv[1]], n_video),
+            "audio_cross": _degree_stats(va[0], n_audio),
         },
     }
     print(json.dumps(payload, indent=2, allow_nan=False))
@@ -332,6 +330,11 @@ def main(argv=None) -> int:
         return EXIT_BROKEN_PIPE
     except (ConfigError, DataFormatError, DatasetError, ShapeError, OSError,
             MemoryError) as exc:  # numpy's message names the size and shape it wanted
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except ValueError as exc:
+        if not str(exc).startswith(_NUMPY_SIZE_ERRORS):
+            raise  # any other ValueError is the program's own, and keeps its traceback
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as exc:

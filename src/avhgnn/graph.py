@@ -1,15 +1,16 @@
 """Heterogeneous graph construction over audio and video segment sequences.
 
-Nodes are time-ordered segments per modality. Within a modality, each node
-links to neighbours at strides of `dilation`, up to `span` of them per
-direction. Across modalities, each audio node is anchored to the video
-node at the proportional position in time and linked to a dilated window
-around that anchor. Intra-modality adjacencies are symmetrically
-normalized with self-loops; the cross-modal adjacency is row-normalized,
-so the attention-free fusion averages over it and its nonzeros are the
-attention's mask. Edges never depend on the clip, so all graphs with the
-same (n_audio, n_video, rules, dtype) share one read-only array per
-relation, and such graphs stack into one minibatch graph.
+Nodes are time-ordered segments per modality. One window rule,
+`window_edges`, lists every edge: within a modality, each node links to
+neighbours at strides of `dilation`, up to `span` of them per direction;
+across modalities, each audio node is anchored to the video node at the
+proportional position in time and linked to a dilated window around that
+anchor. The 0/1 masks are scattered from those lists. Intra-modality
+adjacencies are symmetrically normalized with self-loops; the cross-modal
+adjacency is row-normalized, so the attention-free fusion averages over it
+and its nonzeros are the attention's mask. Edges never depend on the clip,
+so all graphs with the same (n_audio, n_video, rules, dtype) share one
+read-only array per relation, and such graphs stack into one minibatch graph.
 """
 
 from __future__ import annotations
@@ -76,23 +77,29 @@ class HeteroGraph:
         return self.video_feats.rows
 
 
-def _on_rule(offsets: np.ndarray, rule: EdgeRule) -> np.ndarray:
-    """1.0 where an offset is dilation*k for some |k| <= span, else 0.0. No offset
-    reaches `offsets.size`, so dilation and span clamped to it give the same mask,
-    and a rule value too large for numpy's integers never reaches numpy."""
-    k, r = np.divmod(offsets, min(rule.dilation, offsets.size))
-    return ((r == 0) & (np.abs(k) <= min(rule.span, offsets.size))).astype(np.float64)
+def window_edges(anchors: np.ndarray, n: int, rule: EdgeRule) -> tuple:
+    """(rows, cols), row-major: row i links to column anchors[i] + dilation*k for each
+    |k| <= span that lands in [0, n). No column is n or more from its anchor, so dilation
+    clamped to n and span to n // dilation give the same lists in O(edges) work, and no
+    rule value reaches numpy."""
+    dilation = min(rule.dilation, n)
+    span = min(rule.span, n // dilation)
+    cols = anchors[:, None] + dilation * np.arange(-span, span + 1)
+    rows, k = np.nonzero((cols >= 0) & (cols < n))
+    return rows, cols[rows, k]
 
 
 def temporal_edges(n_nodes: int, rule: EdgeRule) -> np.ndarray:
-    """Symmetric binary adjacency linking i to i +/- dilation*k, k = 1..span.
+    """Symmetric binary adjacency linking i to i +/- dilation*k, k = 1..span: the
+    `window_edges` lists around each node, scattered into a dense mask.
 
     Out-of-range targets are dropped; no self-loops are added here.
     """
     if n_nodes < 1:
         raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
-    idx = np.arange(n_nodes)
-    return _on_rule(idx[None, :] - idx[:, None], rule) - np.eye(n_nodes)  # k = 0: no edge
+    adj = np.zeros((n_nodes, n_nodes))
+    adj[window_edges(np.arange(n_nodes), n_nodes, rule)] = 1.0
+    return adj - np.eye(n_nodes)  # k = 0: no edge
 
 
 def anchor_index(i, n_audio: int, n_video: int):
@@ -107,12 +114,14 @@ def cross_modal_edges(n_audio: int, n_video: int, rule: EdgeRule) -> np.ndarray:
     """Binary (n_audio, n_video) mask; row i holds audio node i's video neighbours.
 
     Each audio node connects to video nodes anchor(i) + dilation*k for
-    k in [-span, span] (the anchor itself included), clipped to range.
+    k in [-span, span] (the anchor itself included), clipped to range: the
+    `window_edges` lists around the anchors, scattered into a dense mask.
     """
     if n_audio < 1 or n_video < 1:
         raise ValueError(f"node counts must be >= 1, got ({n_audio}, {n_video})")
-    anchors = anchor_index(np.arange(n_audio), n_audio, n_video)
-    return _on_rule(np.arange(n_video)[None, :] - anchors[:, None], rule)
+    mask = np.zeros((n_audio, n_video))
+    mask[window_edges(anchor_index(np.arange(n_audio), n_audio, n_video), n_video, rule)] = 1.0
+    return mask
 
 
 def normalize_adjacency(adj: np.ndarray, dtype=np.float32) -> np.ndarray:

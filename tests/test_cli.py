@@ -1,6 +1,9 @@
 """End-to-end runs of every subcommand via main(argv)."""
 
 import builtins
+import contextlib
+import hashlib
+import io
 import json
 import os
 import re
@@ -12,17 +15,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avhgnn import cli, layers, training
 from avhgnn.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from avhgnn.cli import attention_summary
 from avhgnn.data import (DatasetManifest, FeatureContainer, ManifestItem, SynthSpec,
                          load_dataset, read_manifest, write_container, write_manifest)
-from avhgnn.graph import EdgeRule
+from avhgnn.graph import EdgeRule, anchor_index
 from avhgnn.layers import HgnnModel, ModelConfig
 from avhgnn.metrics import evaluate
 from avhgnn.tensor import Rng
 from avhgnn.training import TrainConfig, run_seeds, split_dataset
+import test_graph
 from test_training import _FailOnSecondWrite, bad_rows, edit_first_param, edit_header
 
 
@@ -621,10 +627,83 @@ class TestInspectGraph:
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
 
+    @pytest.mark.parametrize("argv, sha256", [
+        ("--n-audio 40 --n-video 100",
+         "65021d3d9b05486568112a2bca7dfca51733022e1231adbac1728d28004bda42"),
+        ("--n-audio 500 --n-video 100",
+         "624698e90a567946a5c2b140a0bddf2f8f2af4614c778ec99dc98723ec960fa5"),
+        ("--n-audio 4000 --n-video 100",
+         "18e0b8fec8317475288f34f2f59921c9ee037694da3df804873f211b97efbc6b"),
+        ("--n-audio 40 --n-video 4000",
+         "7ded2534528040bddaddf9349580ef4136f19885912ef6aaf8f2a061d9c1b1f7"),
+        ("--n-audio 7 --n-video 3 --span-audio 100 --dilation-audio 2 --span-cross 9",
+         "a0afbb7fc2a32a38b99b94c058e9f5d506802b97217b8ea34857c8371086bd44"),
+        (f"--n-audio 9 --n-video 13 --dilation-audio {10 ** 20} --span-video 0 "
+         "--dilation-cross 2 --span-cross 4",
+         "19f422ac619e478401833f09f15fe943ba60d6b36e334dc5576e0c674efe77a3"),
+        ("--n-audio 1 --n-video 1",
+         "ee713010015d223848498f188ae8d4b722f16749d1e5db198265bab8f5d0453e"),
+    ], ids=["40x100", "500x100", "4000x100", "40x4000", "wide-spans", "huge-dilation",
+            "1x1"])
+    def test_output_bytes_are_pinned(self, capsys, argv, sha256):
+        """The bytes the dense-mask implementation printed, which the edge lists keep."""
+        code, out, _ = run(capsys, "inspect-graph", *argv.split())
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+    SPAN = st.integers(0, 8) | test_graph.TestHugeRuleValues.HUGE
+    DILATION = st.integers(1, 8) | test_graph.TestHugeRuleValues.HUGE
+
+    @settings(max_examples=100, deadline=None)
+    @given(n_audio=st.integers(1, 30), n_video=st.integers(1, 60),
+           spans=st.tuples(SPAN, SPAN, SPAN), dilations=st.tuples(DILATION, DILATION, DILATION))
+    def test_lists_and_degrees_equal_brute_force(self, n_audio, n_video, spans, dilations):
+        argv = ["inspect-graph", "--n-audio", str(n_audio), "--n-video", str(n_video)]
+        for edge, span, dilation in zip(("audio", "video", "cross"), spans, dilations):
+            argv += [f"--span-{edge}", str(span), f"--dilation-{edge}", str(dilation)]
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(argv) == EXIT_OK
+        payload = strict_json(out.getvalue())
+
+        def stats(degrees):
+            return {"min": min(degrees), "max": max(degrees),
+                    "mean": sum(degrees) / len(degrees)}
+
+        def cross(i, j):  # j = anchor(i) + dilation*k for some |k| <= span
+            offset = j - anchor_index(i, n_audio, n_video)
+            return offset % dilations[2] == 0 and abs(offset) // dilations[2] <= spans[2]
+
+        for edges, degrees, n, e in (("aa_edges", "audio_intra", n_audio, 0),
+                                     ("vv_edges", "video_intra", n_video, 1)):
+            adj = test_graph.brute_force_temporal(n, spans[e], dilations[e])
+            assert payload[edges] == [[i, j] for i in range(n) for j in range(i + 1, n)
+                                      if adj[i, j]]
+            assert payload["degrees"][degrees] == stats([int(row.sum()) for row in adj])
+        window = [[i, j] for i in range(n_audio) for j in range(n_video) if cross(i, j)]
+        assert payload["va_edges"] == window
+        assert payload["degrees"]["audio_cross"] == stats(
+            [sum(i == row for row, _ in window) for i in range(n_audio)])
+
+    def test_memory_is_that_of_the_edges_not_of_n_squared(self):
+        """4000 audio nodes list about 24k intra and 28k cross edges, 1.8 MB of JSON;
+        dense 4000 x 4000 offset matrices and masks would peak near 550 MB. The process
+        reads its own peak RSS, not RUSAGE_CHILDREN's maximum over every earlier child
+        of the test process."""
+        script = ("import resource, sys; from avhgnn.cli import main; code = main(sys.argv[1:]); "
+                  "sys.stdout.flush(); "
+                  "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "inspect-graph", "--n-audio", "4000",
+             "--n-video", "100"], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            timeout=120, env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
+        code, max_rss_kib = map(int, proc.stderr.split())
+        assert code == EXIT_OK
+        assert max_rss_kib <= 120 * 1024
+
 
 class TestSizesPastNumpy:
     """A rule value too large for numpy's integers reads as the node count, and a
-    size too large to allocate exits 2 with numpy's message."""
+    size too large to allocate, or for numpy to express, exits 2 with numpy's message."""
 
     def test_a_huge_dilation_reads_as_the_node_count(self, capsys, tmp_path):
         code, out, _ = run(capsys, "inspect-graph", "--n-audio", "3", "--n-video", "4",
@@ -647,11 +726,13 @@ class TestSizesPastNumpy:
 
     def test_a_size_too_large_to_allocate_exits_2(self, capsys, tmp_path):
         # Each array is above 2**47 bytes, past what any overcommit policy grants, so
-        # no run touches real memory; inspect-graph first holds a 48 MB node index.
+        # no run touches real memory; inspect-graph first holds a 48 MB node index and
+        # a 32 MB window of offsets. The window, not the node count, is what cannot be
+        # allocated: 6M nodes under the default rules list about 36M edges.
         code, out, err = run(capsys, "inspect-graph", "--n-audio", str(6 * 10 ** 6),
-                             "--n-video", "3")
+                             "--n-video", "3", "--span-audio", str(10 ** 7))
         assert (code, out) == (EXIT_DATA, "")
-        assert err.startswith("error: Unable to allocate") and "(6000000, 6000000)" in err
+        assert err.startswith("error: Unable to allocate") and "(6000000, 4000001)" in err
         manifest = gen_dataset(capsys, tmp_path, n_items=16, n_audio=4, n_video=6,
                                d_audio=5, d_video=7, seed=0)
         code, _, err = run(capsys, "train", "--config", str(write_config(tmp_path)),
@@ -659,6 +740,40 @@ class TestSizesPastNumpy:
                            "--hidden", str(10 ** 13))
         assert code == EXIT_DATA
         assert err.startswith("error: Unable to allocate") and "(5, 10000000000000)" in err
+
+    @pytest.mark.parametrize("command, size, message", [
+        ("inspect-graph", 10 ** 30, "Maximum allowed dimension exceeded"),
+        ("inspect-graph", 2 ** 63, "Maximum allowed dimension exceeded"),
+        ("inspect-graph", 2 ** 62, "array is too big;"),
+        ("train", 10 ** 30, "Maximum allowed dimension exceeded"),
+        ("train", 2 ** 62, "array is too big;"),
+        ("gen-synth", 10 ** 23, "Maximum allowed dimension exceeded"),
+    ], ids=["inspect-10**30", "inspect-2**63", "inspect-2**62", "train-hidden-10**30",
+            "train-hidden-2**62", "gen-synth-d_audio-10**23"])
+    def test_a_size_numpy_cannot_express_exits_2(self, capsys, tmp_path, command, size,
+                                                 message):
+        if command == "inspect-graph":
+            argv = ["inspect-graph", "--n-audio", str(size), "--n-video", "3"]
+        elif command == "train":
+            manifest = gen_dataset(capsys, tmp_path, n_items=16, n_audio=4, n_video=6,
+                                   d_audio=5, d_video=7, seed=0)
+            argv = ["train", "--config", str(write_config(tmp_path)), "--data", str(manifest),
+                    "--out", str(tmp_path / "run"), "--hidden", str(size)]
+        else:
+            spec = tmp_path / "spec.json"
+            spec.write_text(json.dumps({"d_audio": size}))
+            argv = ["gen-synth", "--spec", str(spec), "--out", str(tmp_path / "ds")]
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_DATA
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert command == "train" or out == ""
+
+    def test_any_other_value_error_keeps_its_traceback(self, capsys, monkeypatch):
+        def fail(args):
+            raise ValueError("not a size")
+        monkeypatch.setattr(cli, "_cmd_inspect", fail)
+        with pytest.raises(ValueError, match="not a size"):
+            main(["inspect-graph", "--n-audio", "3", "--n-video", "3"])
 
 
 class TestDumpAttention:

@@ -1,23 +1,27 @@
 """Hypothesis draws across the model's config space: fusion x pooling x modality,
-1-3 layers, hidden 1-6, nodes 1-6, dims 1-5 and classes 1-3.
+1-3 layers, hidden 1-6, nodes 1-6, dims 1-5, classes 1-3, and each edge rule
+with span 0-3 and dilation 1-3.
 
-A saved model restores to bitwise-equal parameters and scores, and a header
-listing that differs from the model's in one entry is a ConfigError naming the
-first index at which the two differ.
+A saved model restores to bitwise-equal parameters and scores, a header listing
+that differs from the model's in one entry is a ConfigError naming the first
+index at which the two differ, and a stack of 1-4 graphs gives each graph's own
+scores, loss and parameter gradients.
 """
 
 import json
 import struct
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from avhgnn.graph import EdgeRules, build_hetero_graph
+from avhgnn.graph import EdgeRule, EdgeRules, build_hetero_graph, stack_graphs
 from avhgnn.layers import FUSION_MODES, MODALITIES, POOLING_MODES, HgnnModel, ModelConfig
 from avhgnn.tensor import ComputeGraph, Rng
-from avhgnn.training import (ARCHITECTURE, Adam, ConfigError, TrainConfig, load_checkpoint,
-                             save_checkpoint)
+from avhgnn.training import (ARCHITECTURE, Adam, ConfigError, TrainConfig, focal_loss,
+                             load_checkpoint, save_checkpoint)
+from conftest import float64_shadow
 
 CONFIGS = st.builds(
     ModelConfig, d_audio=st.integers(1, 5), d_video=st.integers(1, 5),
@@ -25,6 +29,8 @@ CONFIGS = st.builds(
     hidden=st.integers(1, 6), num_layers=st.integers(1, 3),
     fusion=st.sampled_from(FUSION_MODES), pooling=st.sampled_from(POOLING_MODES),
     modality=st.sampled_from(MODALITIES))
+RULE = st.builds(EdgeRule, span=st.integers(0, 3), dilation=st.integers(1, 3))
+RULES = st.builds(EdgeRules, audio=RULE, video=RULE, cross=RULE)
 
 
 @pytest.fixture(scope="module")
@@ -44,19 +50,21 @@ def _bits(array) -> bytes:
     return np.ascontiguousarray(array, dtype=np.float32).tobytes()
 
 
+def _graph(config: ModelConfig, rng, rules: EdgeRules, dtype=np.float32):
+    return build_hetero_graph(
+        rng.normal(size=(config.n_audio, config.d_audio)).astype(dtype),
+        rng.normal(size=(config.n_video, config.d_video)).astype(dtype), rules)
+
+
 @settings(max_examples=200, deadline=None)
-@given(config=CONFIGS, seed=st.integers(0, 2**32 - 1))
-def test_save_load_build_restores_parameters_and_scores_bitwise(scratch, config, seed):
+@given(config=CONFIGS, rules=RULES, seed=st.integers(0, 2**32 - 1))
+def test_save_load_build_restores_parameters_and_scores_bitwise(scratch, config, rules, seed):
     path = scratch / "round_trip.hgck"
     model = _saved(path, config, seed)
     restored = load_checkpoint(path).build_model()
     assert ([(name, _bits(p.data)) for name, p in restored.named_params()]
             == [(name, _bits(p.data)) for name, p in model.named_params()])
-    rng = Rng(seed)
-    graph = build_hetero_graph(
-        rng.normal(size=(config.n_audio, config.d_audio)).astype(np.float32),
-        rng.normal(size=(config.n_video, config.d_video)).astype(np.float32),
-        EdgeRules.default())
+    graph = _graph(config, Rng(seed), rules)
     scores = [m.forward(ComputeGraph(), graph).probs.data for m in (model, restored)]
     assert _bits(scores[0]) == _bits(scores[1])
 
@@ -102,3 +110,31 @@ def test_a_listing_one_entry_off_names_its_first_differing_index(scratch, config
     assert str(raised.value) == (
         f"checkpoint parameter {first} is {entry(header['params'], first)}, the model's "
         f"is {entry(listing, first)}; the parameter list must match the model's exactly")
+
+
+@settings(max_examples=300, deadline=None)
+@given(config=CONFIGS, rules=RULES, batch=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_a_stack_of_graphs_scores_and_learns_as_its_graphs_do(config, rules, batch, seed):
+    """In float64, the stack's scores equal each graph's, and its focal loss and
+    parameter gradients equal the sums over the graphs, within 1e-6."""
+    model = float64_shadow(partial(HgnnModel, config), seed)
+    rng = Rng(seed)
+    graphs = [_graph(config, rng, rules, np.float64) for _ in range(batch)]
+    labels = [(rng.random(config.num_classes) > 0.5).astype(np.float64) for _ in graphs]
+
+    def loss_and_grads(graph, y):
+        for _, p in model.named_params():
+            p.grad = None
+        g = ComputeGraph()
+        probs = model.forward(g, graph).probs
+        loss = focal_loss(g, probs, y, gamma=2.0)
+        g.backward(loss)
+        return probs.data, loss.item(), {name: p.grad.copy() for name, p in model.named_params()}
+
+    each = [loss_and_grads(graph, y) for graph, y in zip(graphs, labels)]
+    probs, loss, grads = loss_and_grads(stack_graphs(graphs), labels)
+    np.testing.assert_allclose(probs, np.stack([p for p, _, _ in each]), rtol=0, atol=1e-6)
+    assert abs(loss - sum(l for _, l, _ in each)) < 1e-6
+    for name, grad in grads.items():
+        np.testing.assert_allclose(grad, sum(g[name] for _, _, g in each), rtol=0, atol=1e-6,
+                                   err_msg=name)

@@ -116,8 +116,8 @@ class TestCrossModalEdges:
 
 
 class TestHugeRuleValues:
-    """No offset reaches the offset count, so a rule value past it, even one too
-    large for numpy's integers, gives the mask of a value equal to the node count."""
+    """No edge joins nodes n or more apart, so a rule value past the node count n,
+    even one too large for numpy's integers, gives the mask of a value equal to n."""
 
     HUGE = st.sampled_from([2 ** 63, 2 ** 64, 10 ** 20])
 
