@@ -10,6 +10,7 @@ never NaN.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
@@ -107,7 +108,7 @@ def _add_train(sub):
     p.set_defaults(run=_cmd_train)
 
 
-def _run_one_seed(items_train, items_val, cfg, out_dir: Path, tag: str,
+def _run_one_seed(items_train, items_val, cfg, run_cfg, out_dir: Path, tag: str,
                   resume=None):
     suffix = f"_{tag}" if tag else ""
 
@@ -118,6 +119,9 @@ def _run_one_seed(items_train, items_val, cfg, out_dir: Path, tag: str,
 
     result = train(items_train, cfg, val_items=items_val, resume=resume,
                    progress=progress)
+    out_dir.mkdir(parents=True, exist_ok=True)  # only now: a run that fails writes nothing
+    with atomic_open(out_dir / "effective_config.json", "w") as f:
+        json.dump(run_cfg.to_dict(), f, indent=2, allow_nan=False)
     ckpt_path = out_dir / f"checkpoint{suffix}.hgck"
     result.save(ckpt_path)
     write_history_csv(out_dir / f"history{suffix}.csv", result.history)
@@ -149,14 +153,10 @@ def _cmd_train(args) -> int:
         seed_configs(cfg, seeds)  # a bad seed list exits before any file is written
     _echo("config", cfg.to_dict())
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with atomic_open(out_dir / "effective_config.json", "w") as f:
-        json.dump(cfg.to_dict(), f, indent=2, allow_nan=False)
-
     items = load_dataset(args.data, cfg.rules)
     if seeds is not None:
         def run_seed(items_train, items_val, c):
-            ckpt_path, ev = _run_one_seed(items_train, items_val, c, out_dir, f"seed{c.seed}")
+            ckpt_path, ev = _run_one_seed(items_train, items_val, c, cfg, out_dir, f"seed{c.seed}")
             print(f"seed {c.seed}: map {ev.map:.4f} roc_auc {ev.roc_auc:.4f} -> {ckpt_path}")
             return ev
 
@@ -167,8 +167,7 @@ def _cmd_train(args) -> int:
         return EXIT_OK
 
     items_train, items_val = split_dataset(items, cfg.val_fraction, cfg.seed)
-    ckpt_path, ev = _run_one_seed(items_train, items_val, cfg, out_dir,
-                                  tag="", resume=ckpt)
+    ckpt_path, ev = _run_one_seed(items_train, items_val, cfg, cfg, out_dir, "", resume=ckpt)
     if ev is not None:
         print(f"final: map {ev.map:.4f} roc_auc {ev.roc_auc:.4f}")
     print(f"checkpoint: {ckpt_path}")
@@ -318,7 +317,17 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _keep_freed_memory():
+    """Where the C library has mallopt, serve arrays under 32 MiB from the heap and trim
+    it past 256 MiB free: each training step reuses memory instead of faulting it in."""
+    libc = ctypes.CDLL(None) if os.name == "posix" else None
+    if hasattr(libc, "mallopt"):
+        libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        libc.mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
+
+
 def main(argv=None) -> int:
+    _keep_freed_memory()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

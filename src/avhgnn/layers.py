@@ -2,13 +2,13 @@
 
 The stacked layer updates audio nodes from two flows (audio GCN plus a
 fused video message) and video nodes from one (video GCN); video never
-reads from audio. The attention fusion aggregates the attended video
-features, projects them, and adds them to the audio GCN's output in one
-tape op. The attention-free fusion is one more GCN, over the graph's
-row-normalized video-to-audio adjacency, whose nonzeros are the attention's
-mask. Graph-level readout pools each modality's final node embeddings, by
-default with learnable per-position weights, and a sigmoid head scores each
-class independently.
+reads from audio. The attention fusion scores the video neighbours,
+aggregates the attended video features, projects them and adds them to the
+audio GCN's output, all in one tape op. The attention-free fusion is one
+more GCN, over the graph's row-normalized video-to-audio adjacency, whose
+nonzeros are the attention's mask. Graph-level readout pools each modality's
+final node embeddings, by default with learnable per-position weights, and a
+sigmoid head scores each class independently.
 """
 
 from __future__ import annotations
@@ -129,11 +129,10 @@ class GatFusionLayer:
     def forward(self, g: ComputeGraph, video_feats: Tensor, mask_va: np.ndarray,
                 audio_feats: Tensor, residual: Tensor):
         """Returns (residual + message [n_audio x out_dim], attention [n_audio x
-        n_video]) over the nonzeros of mask_va [n_audio x n_video]; one `attend` op
-        adds the message, so the tape keeps neither its aggregate nor projection."""
-        alpha = g.gat_attention(audio_feats, video_feats, self.w_msg, self.att_audio,
-                                self.att_video, mask_va, GAT_LEAKY_SLOPE)
-        return g.attend(residual, alpha, video_feats, self.w_msg), alpha
+        n_video]) over the nonzeros of mask_va [n_audio x n_video], as one
+        `gat_fusion` op, which keeps neither the message's aggregate nor projection."""
+        return g.gat_fusion(residual, audio_feats, video_feats, self.w_msg, self.att_audio,
+                            self.att_video, mask_va, GAT_LEAKY_SLOPE)
 
     def params(self):
         return [self.w_msg, self.att_audio, self.att_video]
@@ -179,7 +178,7 @@ class HeteroLayer:
 class ForwardResult:
     probs: Tensor
     logits: Tensor
-    # Per-layer numpy arrays. They are the tape's op outputs themselves, not
+    # Per-layer numpy arrays. They are the arrays the tape's records hold, not
     # copies, so they must not be mutated.
     attention: list = field(default_factory=list)       # per-layer alpha
     audio_states: list = field(default_factory=list)

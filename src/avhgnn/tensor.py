@@ -5,8 +5,8 @@ two axes, so every op serves one graph and B same-shape graphs alike. A
 batch times a shared 2-D operand (a weight) folds the batch into matrix
 rows: one GEMM forward and one per gradient backward. Everything
 downstream (graph layers, pooling, the head) is built from the ops on
-ComputeGraph; a GCN, the GAT attention, the GAT message with its residual
-add, and the focal loss are one op each. Forward values are computed
+ComputeGraph; a GCN, the GAT fusion (attention, message and residual add),
+and the focal loss are one op each. Forward values are computed
 eagerly with numpy; each op appends a backward rule to the tape, and
 backward() replays the tape in reverse. Ops keep their operands' dtype: a
 model drawn from an `Rng` is float32, the training dtype; one built from
@@ -244,47 +244,40 @@ class ComputeGraph:
 
         return self._emit(out_data, backward)
 
-    def gat_attention(self, audio: Tensor, video: Tensor, w_msg: Tensor, att_audio: Tensor,
-                      att_video: Tensor, mask, slope: float) -> Tensor:
-        """Masked single-head attention of audio rows over video rows: the masked
-        softmax (`_softmax_masked`) of leaky_relu(audio @ att_audio
-        + transpose(video @ (w_msg @ att_video)), slope)."""
-        ins = (audio, video, w_msg, att_audio, att_video)
+    def gat_fusion(self, base: Tensor, audio: Tensor, video: Tensor, w_msg: Tensor,
+                   att_audio: Tensor, att_video: Tensor, mask, slope: float):
+        """base + (alpha @ video) @ w_msg, and alpha as a constant: the masked softmax
+        (`_softmax_masked`) of leaky_relu(audio @ att_audio + transpose(video @ (w_msg
+        @ att_video)), slope). The record keeps no aggregate or projection: backward
+        recomputes the aggregate, which only w_msg's gradient reads."""
+        ins = (base, audio, video, w_msg, att_audio, att_video)
         if (video.cols, w_msg.cols, audio.cols, att_audio.cols, att_video.cols) != (
                 w_msg.rows, att_video.rows, att_audio.rows, 1, 1):
-            raise ShapeError(f"gat_attention dims differ: {[t.shape for t in ins]}")
+            raise ShapeError(f"gat_fusion dims differ: {[t.shape for t in ins]}")
         att_v = _product(w_msg.data, att_video.data)
         score_v = _mm(video.data, att_v)
         score_a = _mm(audio.data, att_audio.data)
         scores = score_a + score_v.swapaxes(-1, -2)
         scale = _leaky_scale(scores, slope)
         alpha = _softmax_masked(scores * scale, mask)
+        if base.shape != alpha.shape[:-1] + (w_msg.cols,):
+            raise ShapeError(f"gat_fusion dims differ: {[t.shape for t in ins]}")
 
-        def backward(g):
-            g_scores = _softmax_grad(alpha, g) * scale
+        def backward(g):  # the message's rules (add, projection, aggregate), then alpha's
+            _accum(base, g)
+            aggregate = Tensor(_mm(alpha, video.data), requires_grad=True)
+            _mm_backward(g, aggregate, w_msg)
+            alpha_node = Tensor(alpha, requires_grad=True)  # collects alpha's grad
+            _mm_backward(aggregate.grad, alpha_node, video)
+            g_scores = _softmax_grad(alpha, alpha_node.grad) * scale
             _mm_backward(_sum_to(g_scores, score_a.shape), audio, att_audio)
             g_v = _sum_to(g_scores, score_v.swapaxes(-1, -2).shape).swapaxes(-1, -2)
             att_v_node = Tensor(att_v, requires_grad=True)  # collects w_msg @ att_video's grad
             _mm_backward(g_v.copy(), video, att_v_node)  # copied, as the transpose rule copies it
             _mm_backward(att_v_node.grad, w_msg, att_video)
 
-        return self._emit(alpha, backward)
-
-    def attend(self, base: Tensor, alpha: Tensor, video: Tensor, w_msg: Tensor) -> Tensor:
-        """base + (alpha @ video) @ w_msg. The record keeps no aggregate or projection:
-        backward recomputes the aggregate, which only w_msg's gradient reads."""
-        if video.shape[-2:] != (alpha.cols, w_msg.rows) or (
-                base.shape != alpha.shape[:-1] + (w_msg.cols,)):
-            raise ShapeError(f"attend dims differ: {base.shape} + {alpha.shape} x "
-                             f"{video.shape} x {w_msg.shape}")
-
-        def backward(g):  # the add's rule, then the projection's, then the aggregate's
-            _accum(base, g)
-            aggregate = Tensor(_mm(alpha.data, video.data), requires_grad=True)
-            _mm_backward(g, aggregate, w_msg)
-            _mm_backward(aggregate.grad, alpha, video)
-
-        return self._emit(base.data + _mm(_mm(alpha.data, video.data), w_msg.data), backward)
+        out = self._emit(base.data + _mm(_mm(alpha, video.data), w_msg.data), backward)
+        return out, Tensor(alpha)
 
     # -- activations ----------------------------------------------------------
 

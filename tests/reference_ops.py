@@ -2,7 +2,7 @@
 
 `ReferenceGraph` is a `ComputeGraph` with a Hadamard product, ReLU,
 LeakyReLU, the masked row softmax and a sum of all entries. The tests use
-them as the chains that the fused ops (`gcn`, `gat_attention`) must equal
+them as the chains that the fused ops (`gcn`, `gat_fusion`) must equal
 bitwise, and to build scalar losses for gradient checks. They are built on
 the module helpers that the fused ops use, so both round alike.
 """

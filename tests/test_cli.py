@@ -2,6 +2,7 @@
 
 import builtins
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -63,6 +64,13 @@ TINY_TRAIN = {
               "video": {"span": 1, "dilation": 1},
               "cross": {"span": 1, "dilation": 1}},
 }
+
+
+def _has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -375,6 +383,37 @@ class TestTrain:
                            "--data", str(tmp_path / "nope.json"),
                            "--out", str(tmp_path / "o"))
         assert code == EXIT_DATA
+
+    @pytest.mark.parametrize("case", ["bad-manifest", "hidden-10**30"])
+    def test_a_run_that_fails_before_iteration_1_writes_nothing(self, capsys, tmp_path, case):
+        if case == "bad-manifest":
+            manifest, flags = tmp_path / "manifest.json", []
+            manifest.write_text("{")
+        else:
+            manifest = gen_dataset(capsys, tmp_path, n_items=16, n_audio=4, n_video=6,
+                                   d_audio=5, d_video=7, seed=0)
+            flags = ["--hidden", str(10 ** 30)]
+        code, out, _ = run(capsys, "train", "--config", str(write_config(tmp_path)),
+                           "--data", str(manifest), "--out", str(tmp_path / "o"), *flags)
+        assert code == EXIT_DATA
+        assert out.startswith("config: ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+    def test_after_main_a_freed_array_is_made_again_without_page_faults(self):
+        """main has malloc keep what it frees: a 2 MiB array freed and made again
+        faults about no pages (about 500, one per page, without the setting)."""
+        script = ("import resource, sys, numpy as np; from avhgnn.cli import main; "
+                  "main(['inspect-graph', '--n-audio', '3', '--n-video', '3']); "
+                  "a = np.ones(1 << 18); del a; "
+                  "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt; "
+                  "a = np.ones(1 << 18); "
+                  "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, "
+                  "file=sys.stderr)")
+        proc = subprocess.run(
+            [sys.executable, "-c", script], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            timeout=120, env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
+        assert int(proc.stderr) < 50
 
     def test_the_file_and_the_flags_are_checked_together(self, capsys, tmp_path):
         """A file invalid alone loads once a flag sets the bad field."""

@@ -394,14 +394,16 @@ class TestGradientOracle:
 
     @pytest.mark.parametrize("batch", [(), (3,)])
     def test_gat_attention(self, rng64, batch):
+        # The attention's gradient reaches its leaves through gat_fusion's message.
         audio, video = _leaf(rng64, *batch, 4, 3), _leaf(rng64, *batch, 5, 6)
         w_msg, att_audio, att_video = _leaf(rng64, 6, 2), _leaf(rng64, 3, 1), _leaf(rng64, 2, 1)
+        base = _leaf(rng64, *batch, 4, 2)
         mask = np.random.default_rng(7).random((4, 5)) > 0.3
         mask[0, :] = False  # one dead row
         mask[1, :] = True
-        up = Tensor(rng64.normal(0, 1, batch + (4, 5)))
-        leaves = [audio, video, w_msg, att_audio, att_video]
-        self._check(lambda g: g.sum_all(g.mul(g.gat_attention(*leaves, mask, 0.2), up)),
+        up = Tensor(rng64.normal(0, 1, batch + (4, 2)))
+        leaves = [base, audio, video, w_msg, att_audio, att_video]
+        self._check(lambda g: g.sum_all(g.mul(g.gat_fusion(*leaves, mask, 0.2)[0], up)),
                     leaves)
 
 
@@ -507,19 +509,26 @@ def _gat_chain(g, audio, video, w_msg, att_audio, att_video, mask, slope):
     return g.row_softmax_masked(scores, mask)
 
 
+def _gat_fusion_chain(g, base, audio, video, w_msg, att_audio, att_video, mask, slope):
+    alpha = _gat_chain(g, audio, video, w_msg, att_audio, att_video, mask, slope)
+    return _attend_chain(g, base, alpha, video, w_msg), alpha
+
+
 class TestFusedOpsBitwise:
-    """gcn, gat_attention and attend give the bytes of the op chains they replace:
-    the output and every input gradient, in f32 and f64, for one matrix and
-    for a batch of 3, with trainable and with frozen features."""
+    """gcn and gat_fusion give the bytes of the op chains they replace: the
+    outputs and every input gradient, in f32 and f64, for one matrix and for a
+    batch of 3, with trainable and with frozen features."""
 
     @staticmethod
-    def _run(op, arrays, trainable, upstream, extra=(), downstream=None):
+    def _run(op, arrays, trainable, upstream, extra=()):
+        """The op's outputs (the first one differentiated against `upstream`), the
+        leaves' gradients, and the tape's length."""
         leaves = [Tensor(a.copy(), requires_grad=t) for a, t in zip(arrays, trainable)]
         g = ReferenceGraph()
-        out = op(g, *leaves, *extra)
-        tip = out if downstream is None else downstream(g, out, leaves)
-        g.backward(g.sum_all(g.mul(tip, Tensor(upstream))))
-        return [out.data] + [leaf.grad for leaf in leaves], len(g)
+        outs = op(g, *leaves, *extra)
+        outs = outs if isinstance(outs, tuple) else (outs,)
+        g.backward(g.sum_all(g.mul(outs[0], Tensor(upstream))))
+        return [out.data for out in outs] + [leaf.grad for leaf in leaves], len(g)
 
     def _assert_same(self, fused, chain, n_chain_ops):
         (fused_arrays, fused_len), (chain_arrays, chain_len) = fused, chain
@@ -574,67 +583,64 @@ class TestFusedOpsBitwise:
         held = [cell.cell_contents for cell in g._records[-1][1].__closure__]
         assert not any(isinstance(x, np.ndarray) and x.dtype == bool for x in held)
 
+    def _check_gat_fusion(self, dtype, batch, frozen, n_audio, n_video):
+        # The aggregate and the projection also feed video and w_msg, so their
+        # gradients must be added in the chain's order too.
+        rng = np.random.default_rng(n_audio + n_video + len(batch))
+        arrays = [rng.normal(0, s, shape).astype(dtype) for s, shape in (
+            (1.0, batch + (n_audio, 4)), (2.0, batch + (n_audio, 3)),
+            (2.0, batch + (n_video, 6)), (1.0, (6, 4)), (1.0, (3, 1)), (1.0, (4, 1)))]
+        mask = rng.random((n_audio, n_video)) > 0.3
+        mask[-1, :3] = True
+        if n_audio > 1:
+            mask[0] = False  # an all-masked row attends to nothing
+        upstream = rng.normal(0, 1, batch + (n_audio, 4)).astype(dtype)
+        trainable = [True, not frozen, not frozen, True, True, True]
+        fused = self._run(ComputeGraph.gat_fusion, arrays, trainable, upstream, (mask, 0.2))
+        chain = self._run(_gat_fusion_chain, arrays, trainable, upstream, (mask, 0.2))
+        self._assert_same(fused, chain, 10)
+        _, alpha, _, audio_grad, video_grad = fused[0][:5]
+        assert (audio_grad is None) == (video_grad is None) == frozen
+        if n_audio > 1:
+            assert not alpha[..., 0, :].any()
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("batch", [(), (3,)])
     @pytest.mark.parametrize("frozen", [False, True])
     @pytest.mark.parametrize("n_audio", [4, 1])
     def test_gat_attention_and_message(self, dtype, batch, frozen, n_audio):
-        # The layer's aggregate and projection also feed video and w_msg, so
-        # their gradients must be added in the chain's order too.
-        rng = np.random.default_rng(n_audio + len(batch))
-        arrays = [rng.normal(0, s, shape).astype(dtype) for s, shape in (
-            (2.0, batch + (n_audio, 3)), (2.0, batch + (5, 6)), (1.0, (6, 4)),
-            (1.0, (3, 1)), (1.0, (4, 1)))]
-        mask = rng.random((n_audio, 5)) > 0.3
-        mask[-1, :3] = True
-        if n_audio > 1:
-            mask[0] = False  # an all-masked row attends to nothing
-        upstream = rng.normal(0, 1, batch + (n_audio, 4)).astype(dtype)
-        trainable = [not frozen, not frozen, True, True, True]
-
-        def message(g, alpha, leaves):
-            return g.matmul(g.matmul(alpha, leaves[1]), leaves[2])
-
-        fused = self._run(ComputeGraph.gat_attention, arrays, trainable, upstream,
-                          (mask, 0.2), message)
-        chain = self._run(_gat_chain, arrays, trainable, upstream, (mask, 0.2), message)
-        self._assert_same(fused, chain, 7)
-        if n_audio > 1:
-            assert not fused[0][0][..., 0, :].any()
+        self._check_gat_fusion(dtype, batch, frozen, n_audio, n_video=5)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("batch", [(), (3,)])
     @pytest.mark.parametrize("frozen", [False, True])
     @pytest.mark.parametrize("n_video", [5, 1])  # 1: the aggregate is a broadcast
     def test_attend(self, dtype, batch, frozen, n_video):
-        rng = np.random.default_rng(n_video + len(batch))
-        alpha = rng.random(batch + (4, n_video))
-        alpha[..., 0, :] = 0.0  # an audio node that attends to nothing
-        arrays = [a.astype(dtype) for a in (
-            rng.normal(0, 1, batch + (4, 3)), alpha, rng.normal(0, 2, batch + (n_video, 6)),
-            rng.normal(0, 1, (6, 3)))]
-        upstream = rng.normal(0, 1, batch + (4, 3)).astype(dtype)
-        trainable = [True, True, not frozen, True]
-        fused = self._run(ComputeGraph.attend, arrays, trainable, upstream)
-        self._assert_same(fused, self._run(_attend_chain, arrays, trainable, upstream), 3)
-        assert (fused[0][3] is None) == frozen
+        """The message's cases: as many video nodes as above, and one."""
+        self._check_gat_fusion(dtype, batch, frozen, n_audio=4, n_video=n_video)
 
-    def test_attend_record_holds_only_its_inputs(self):
-        # Neither the aggregate alpha @ video (4 x 6) nor the projection (4 x 5).
+    def test_gat_fusion_record_holds_no_aggregate_or_projection(self):
+        # Neither the aggregate alpha @ video (4 x 6) nor the projection (4 x 5):
+        # beside its inputs, only the attention's arrays, 4 x 3 or one column.
         rng = np.random.default_rng(0)
         inputs = [Tensor(rng.normal(0, 1, shape), requires_grad=True)
-                  for shape in ((4, 5), (4, 3), (3, 6), (6, 5))]
+                  for shape in ((4, 5), (4, 2), (3, 6), (6, 5), (2, 1), (5, 1))]
         g = ComputeGraph()
-        g.attend(*inputs)
+        g.gat_fusion(*inputs, np.ones((4, 3), bool), 0.2)
         held = [cell.cell_contents for cell in g._records[-1][1].__closure__]
-        assert all(any(x is t for t in inputs) for x in held)
+        arrays = [x for x in held if not any(x is t for t in inputs)]
+        assert all(isinstance(x, np.ndarray) and x.shape[-1] in (1, 3) for x in arrays)
 
-    def test_attend_dims_mismatch_is_shape_error(self):
-        shapes = ((4, 5), (4, 3), (3, 6), (6, 5))
-        for i, bad in enumerate(((4, 4), (4, 2), (3, 7), (6, 4))):
+    def test_gat_fusion_dims_mismatch_is_shape_error(self):
+        shapes = ((4, 5), (4, 2), (3, 6), (6, 5), (2, 1), (5, 1))
+        mask = np.ones((4, 3), bool)
+        for i, bad in enumerate(((4, 4), (4, 3), (3, 7), (6, 4), (3, 1), (5, 2))):
             tensors = [Tensor(np.ones(bad if j == i else s)) for j, s in enumerate(shapes)]
-            with pytest.raises(ShapeError, match="attend dims differ"):
-                ComputeGraph().attend(*tensors)
+            with pytest.raises(ShapeError, match="gat_fusion dims differ"):
+                ComputeGraph().gat_fusion(*tensors, mask, 0.2)
+        with pytest.raises(ShapeError, match="gat_fusion dims differ"):  # a batched base
+            ComputeGraph().gat_fusion(Tensor(np.ones((3, 4, 5))),
+                                      *[Tensor(np.ones(s)) for s in shapes[1:]], mask, 0.2)
 
     @pytest.mark.parametrize("adj", [Tensor(np.ones((2, 2)), requires_grad=True),
                                      np.ones((3, 2, 2))])
@@ -647,10 +653,10 @@ class TestFusedOpsBitwise:
             ComputeGraph().gcn(np.ones((2, 3)), Tensor(np.ones((2, 3))),
                                Tensor(np.ones((3, 4))))
 
-    def test_gat_attention_mask_of_another_shape_is_shape_error(self):
-        ones = [np.ones(s) for s in ((2, 3), (4, 5), (5, 6), (3, 1), (6, 1))]
+    def test_gat_fusion_mask_of_another_shape_is_shape_error(self):
+        ones = [np.ones(s) for s in ((2, 6), (2, 3), (4, 5), (5, 6), (3, 1), (6, 1))]
         with pytest.raises(ShapeError, match="mask shape"):
-            ComputeGraph().gat_attention(*map(Tensor, ones), np.ones((4, 2), bool), 0.2)
+            ComputeGraph().gat_fusion(*map(Tensor, ones), np.ones((4, 2), bool), 0.2)
 
 
 def _focal_chain_reference(probs, y, gamma, eps):

@@ -697,7 +697,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("fusion", ["gat", "gcn"])
     def test_fused_ops_and_adopted_gradients_write_the_chains_bytes(
             self, tmp_path, monkeypatch, fusion):
-        """Training through the fused gcn / gat_attention / attend ops, with first-touch
+        """Training through the fused gcn / gat_fusion ops, with first-touch
         gradients adopted, writes the checkpoint of the elementary op chains
         with every first-touch gradient copied."""
         items = make_items(6)
