@@ -33,8 +33,8 @@ class Tensor:
     """A rows x cols (or B x rows x cols) float tensor, optionally tracked for gradients.
 
     `grad` has `data`'s shape: backward() adds into it, or allocates it if None.
-    An optimizer sets it to its view of a buffer filled with -0.0, and its step
-    refills that buffer; with no optimizer, setting it to None clears it. Tensors
+    `Adam.gradients()` sets it to its view of a buffer filled with -0.0, which each
+    step refills; otherwise setting it to None clears it. Tensors
     created by graph ops have requires_grad set, so gradients flow through them to
     the leaves that require them.
     """

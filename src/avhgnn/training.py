@@ -2,15 +2,15 @@
 
 Graphs of a minibatch with the same feature shapes are stacked and run as one
 forward and backward on one tape, freed before the step. Adam holds parameters
-and moments as three flat blocks, the checkpoint's payload, and updates them in
-chunks from a fourth, the gradients, which backward adds into a -0.0 fill (so a
-first add equals a copy); the step averages them over the minibatch and refills
-each chunk with -0.0. train() frees that fourth as it returns, so a finished run
-holds the three blocks alone. A checkpoint load reads only the parameter block;
-a resume reads the moments as it builds Adam, which adopts the three blocks as
-they are. Batch composition at iteration t is a pure function of (seed, t) -
-concatenated per-epoch permutations - so a resume replays the identical stream,
-and a history row holds only its own iteration's scores (TrainConfig.validates(t)).
+and moments as three flat blocks, the checkpoint's payload. A run owns a fourth,
+`Adam.gradients()`, which backward adds into a -0.0 fill (so a first add equals
+a copy); each step averages it over the minibatch, updates the blocks in chunks
+and refills each chunk with -0.0. It dies as train() returns. A checkpoint load
+reads only the parameter block; a resume reads the moments as it builds Adam,
+which adopts the three blocks as they are. Batch composition at iteration t is a
+pure function of (seed, t) - concatenated per-epoch permutations - so a resume
+replays the identical stream, and a history row holds only its own iteration's
+scores (TrainConfig.validates(t)).
 The model config is the checkpoint's on a resume, else built from the first item;
 every train and validation item passes its `ModelConfig.check` before iteration 1,
 so an item the model cannot score or train on is a ConfigError naming it, not a
@@ -152,14 +152,12 @@ def _split(block, shapes) -> list:
 
 
 class Adam:
-    """Standard Adam with bias correction over one flat buffer.
+    """Standard Adam with bias correction over flat blocks.
 
     `blocks` is (parameters, m, v), the checkpoint payload in `named_params`
     order, adopted as given and advanced in place; by default the parameters
-    are packed and m and v zeroed. Each `p.data` becomes a view of
-    `blocks[0]` and each `p.grad` one of the gradient buffer `grad`, filled with
-    -0.0, into which backward adds; so a second Adam on the same parameters
-    re-homes them. `release()` frees `grad` and the scratch, keeping the blocks."""
+    are packed and m and v zeroed. Each `p.data` becomes a view of `blocks[0]`,
+    so a second Adam on the same parameters re-homes them."""
 
     def __init__(self, named_params, blocks=None):
         self.step_count = 0
@@ -169,35 +167,33 @@ class Adam:
             data = np.concatenate([p.data for _, p in self._params], axis=None, dtype=dtype)
             blocks = (data, np.zeros_like(data), np.zeros_like(data))
         self.blocks = tuple(blocks)
-        shapes = [p.data.shape for _, p in self._params]
-        self.grad = np.full_like(self.blocks[0], -0.0)
-        for (_, p), view, grad in zip(self._params, _split(self.blocks[0], shapes),
-                                      _split(self.grad, shapes)):
-            p.data, p.grad = view, grad
-        self._scratch = tuple(np.empty(min(self.grad.size, CHUNK), self.grad.dtype)
-                              for _ in range(2))
+        for (_, p), view in zip(self._params, self._views(self.blocks[0])):
+            p.data = view
 
-    def release(self):
-        """Free the gradient buffer, the parameters' grads (its views), and the
-        scratch; step() then raises."""
-        for _, p in self._params:
-            p.grad = None
-        self.grad = self._scratch = None
+    def _views(self, flat) -> list:
+        return _split(flat, [p.data.shape for _, p in self._params])
 
-    def step(self, lr: float, grad_scale: float = 1.0):
+    def gradients(self) -> np.ndarray:
+        """A new gradient buffer filled with -0.0, into which backward adds (so a first
+        add equals a copy); each `p.grad` becomes its view of it."""
+        grad = np.full_like(self.blocks[0], -0.0)
+        for (_, p), view in zip(self._params, self._views(grad)):
+            p.grad = view
+        return grad
+
+    def step(self, grad: np.ndarray, lr: float, grad_scale: float = 1.0):
         """Scale the gradient buffer in place and check it once, then update CHUNK
         values at a time, refilling each chunk of the buffer with -0.0 after it."""
-        if self.grad is None:
-            raise RuntimeError("a released Adam holds no gradient buffer and cannot step")
         self.step_count += 1
-        grad = self.grad
         grad *= grad_scale
         if not np.isfinite(grad).all():
-            bad = next(name for name, p in self._params if not np.isfinite(p.grad).all())
+            bad = next(name for (name, _), g in zip(self._params, self._views(grad))
+                       if not np.isfinite(g).all())
             raise NumericError(f"non-finite gradient for parameter {bad!r}")
+        scratch = [np.empty(min(grad.size, CHUNK), grad.dtype) for _ in range(2)]
         for lo in range(0, grad.size, CHUNK):
             p, m, v, g = (a[lo:lo + CHUNK] for a in self.blocks + (grad,))
-            s, d = (buf[:g.size] for buf in self._scratch)
+            s, d = (buf[:g.size] for buf in scratch)
             m *= BETA1
             m += np.multiply(g, 1.0 - BETA1, out=s)
             v *= BETA2
@@ -419,7 +415,7 @@ def load_checkpoint(path) -> Checkpoint:
 
 @dataclass
 class TrainResult:
-    """A finished run; its parameter-sized arrays are its released optimizer's blocks."""
+    """A finished run; its parameter-sized arrays are its optimizer's blocks."""
 
     model: HgnnModel
     optimizer: Adam
@@ -473,7 +469,7 @@ def train(items, cfg: TrainConfig, val_items=None, resume: Checkpoint | None = N
         optimizer = Adam(model.named_params())
         start = 0
 
-    history = []
+    history, grad = [], optimizer.gradients()
     ev = evaluate(model, val_items) if val_items and start == cfg.max_iters else None
     for t in range(start + 1, cfg.max_iters + 1):
         lr = lr_at(t, cfg)
@@ -485,7 +481,7 @@ def train(items, cfg: TrainConfig, val_items=None, resume: Checkpoint | None = N
         total = 0.0
         for group in groups.values():
             total += _group_loss(model, items, group, cfg.gamma)
-        optimizer.step(lr, grad_scale=np.float32(1.0 / len(batch)))
+        optimizer.step(grad, lr, grad_scale=np.float32(1.0 / len(batch)))
 
         ev = evaluate(model, val_items) if val_items and cfg.validates(t) else None
         row = {"iteration": t, "loss": total / len(batch), "lr": lr,
@@ -495,7 +491,8 @@ def train(items, cfg: TrainConfig, val_items=None, resume: Checkpoint | None = N
         if progress is not None:
             progress(row)
 
-    optimizer.release()
+    for _, p in model.named_params():
+        p.grad = None  # the buffer dies here: a finished run holds the three blocks alone
     return TrainResult(model=model, optimizer=optimizer, rng=rng, config=cfg,
                        history=history, final_iteration=cfg.max_iters, final_eval=ev)
 

@@ -52,11 +52,11 @@ def desk_items(workdir, seed):
     return cfg, items32, items64
 
 
-def _step(model, opt, items, batch, cfg, lr, scale):
+def _step(model, opt, grad, items, batch, cfg, lr, scale):
     """One train() iteration on one same-shape minibatch, by train()'s own group
-    loss and backward, then the step; returns its mean loss."""
+    loss and backward into `grad`, then the step; returns its mean loss."""
     total = _group_loss(model, items, batch, cfg.gamma)
-    opt.step(lr, grad_scale=scale)
+    opt.step(grad, lr, grad_scale=scale)
     return total / len(batch)
 
 
@@ -70,12 +70,14 @@ def drift(cfg, items32, items64):
     m32 = HgnnModel(model_cfg, Rng(cfg.seed))
     m64 = float64_shadow(partial(HgnnModel, model_cfg), cfg.seed)
     opt32, opt64 = Adam(m32.named_params()), Adam(m64.named_params())
+    grad32, grad64 = opt32.gradients(), opt64.gradients()
     report, losses = {}, []
     for t in range(1, REPORT_AT[-1] + 1):
         lr = lr_at(t, cfg)
         batch = batch_indices(cfg.seed, len(items32), cfg.batch_size, t)
-        loss32 = _step(m32, opt32, items32, batch, cfg, lr, np.float32(1.0 / len(batch)))
-        loss64 = _step(m64, opt64, items64, batch, cfg, lr, 1.0 / len(batch))
+        loss32 = _step(m32, opt32, grad32, items32, batch, cfg, lr,
+                       np.float32(1.0 / len(batch)))
+        loss64 = _step(m64, opt64, grad64, items64, batch, cfg, lr, 1.0 / len(batch))
         losses.append(loss32)
         if t in REPORT_AT:
             theta32, theta64 = opt32.blocks[0], opt64.blocks[0]

@@ -167,15 +167,16 @@ class TestAdam:
         p = Tensor(np.zeros((3, 4), dtype=np.float32), requires_grad=True, name="w")
         grad = rng.normal(0, 1, (3, 4)).astype(np.float32)
         opt = Adam([("w", p)])
+        buffer = opt.gradients()
         p.grad[...] = grad
-        opt.step(lr=0.01)
+        opt.step(buffer, lr=0.01)
         np.testing.assert_allclose(p.data, -0.01 * np.sign(grad), atol=1e-6)
 
     def test_zero_grad_means_no_update(self):
         p = Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True, name="w")
         before = p.data.copy()
         opt = Adam([("w", p)])
-        opt.step(lr=0.5)  # grad is the -0.0 fill
+        opt.step(opt.gradients(), lr=0.5)  # the -0.0 fill
         np.testing.assert_array_equal(p.data, before)
 
     def test_matches_float64_reference_over_100_steps(self):
@@ -186,11 +187,12 @@ class TestAdam:
         m = np.zeros_like(ref)
         v = np.zeros_like(ref)
         opt = Adam([("w", p)])
+        buffer = opt.gradients()
         lr, b1, b2, eps = 0.003, 0.9, 0.999, 1e-8
         for t in range(1, 101):
             grad = rng.normal(0, 1, (4, 5))
             p.grad[...] = grad.astype(np.float32)
-            opt.step(lr)
+            opt.step(buffer, lr)
             m = b1 * m + (1 - b1) * grad
             v = b2 * v + (1 - b2) * grad * grad
             ref -= lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
@@ -211,6 +213,7 @@ class TestAdam:
         m = {name: np.zeros(shape, np.float32) for name, shape in shapes.items()}
         v = {name: np.zeros(shape, np.float32) for name, shape in shapes.items()}
         opt = Adam(list(params.items()))
+        buffer = opt.gradients()
         b1, b2, eps = 0.9, 0.999, 1e-8
         for t, lr in enumerate([0.001, 0.004, 0.0025, 0.0005], start=1):
             for name in ("big", "small"):
@@ -219,9 +222,9 @@ class TestAdam:
             x, w = (Tensor(rng.normal(0, 1, shape).astype(np.float32)) for shape in
                     ((4, 3), (4, 2)))
             g.backward(g.sum_all(g.mul(g.matmul(x, params["real"]), w)))
-            assert np.shares_memory(params["real"].grad, opt.grad)
+            assert np.shares_memory(params["real"].grad, buffer)
             grads = {name: p.grad.copy() for name, p in params.items()}
-            opt.step(lr)
+            opt.step(buffer, lr)
             for name in shapes:
                 grad = grads[name]
                 m[name] = b1 * m[name] + (1 - b1) * grad
@@ -234,43 +237,45 @@ class TestAdam:
             for block, want in zip(opt.blocks[1:], (m, v)):
                 np.testing.assert_array_equal(block, np.concatenate(list(want.values()), None))
         unused = params["unused"].grad
-        assert np.shares_memory(unused, opt.grad) and np.signbit(unused).all()
+        assert np.shares_memory(unused, buffer) and np.signbit(unused).all()
         assert not unused.any()
 
     def test_first_touch_copies_into_the_buffer_and_keeps_a_negative_zero(self):
         # The first touch adds into the -0.0 fill, which equals a copy; a +0.0
         # fill plus an add would give +0.0 where the gradient is -0.0.
         p = Tensor(np.ones((1, 3), np.float32), requires_grad=True, name="w")
-        opt = Adam([("w", p)])
+        buffer = Adam([("w", p)]).gradients()
         view = p.grad
         first = Tensor(np.array([[-0.0, 1.5, -2.0]], np.float32))
         g = ReferenceGraph()
         g.backward(g.sum_all(g.mul(p, first)))
-        assert p.grad is view and np.shares_memory(p.grad, opt.grad)
-        assert np.signbit(opt.grad[0]) and opt.grad.tobytes() == first.data.tobytes()
+        assert p.grad is view and np.shares_memory(p.grad, buffer)
+        assert np.signbit(buffer[0]) and buffer.tobytes() == first.data.tobytes()
         g = ReferenceGraph()
         g.backward(g.sum_all(g.mul(p, Tensor(np.ones((1, 3), np.float32)))))
         assert p.grad is view  # the second touch adds in place
-        np.testing.assert_array_equal(opt.grad, [1.0, 2.5, -1.0])
+        np.testing.assert_array_equal(buffer, [1.0, 2.5, -1.0])
 
     def test_nan_gradient_aborts_with_parameter_name(self):
         p = Tensor(np.ones((1, 1), dtype=np.float32), requires_grad=True,
                    name="layer0.audio.weight")
         opt = Adam([("layer0.audio.weight", p)])
+        buffer = opt.gradients()
         p.grad[...] = np.nan
         with pytest.raises(NumericError, match="layer0.audio.weight"):
-            opt.step(0.01)
+            opt.step(buffer, 0.01)
 
     def test_non_finite_gradient_names_the_first_bad_parameter(self):
         params = {name: Tensor(np.full((2, 3), k, np.float32), requires_grad=True, name=name)
                   for k, name in enumerate(("first", "second", "third"))}
         opt = Adam(list(params.items()))
+        buffer = opt.gradients()
         for p in params.values():
             p.grad[...] = 1.0
         params["second"].grad[1, 2] = np.inf
         params["third"].grad[0, 0] = np.nan
         with pytest.raises(NumericError, match="'second'") as err:
-            opt.step(0.01, grad_scale=0.5)
+            opt.step(buffer, 0.01, grad_scale=0.5)
         assert "first" not in str(err.value) and "third" not in str(err.value)
         for k, p in enumerate(params.values()):
             np.testing.assert_array_equal(p.data, np.full((2, 3), k, np.float32))
@@ -289,6 +294,7 @@ class TestAdam:
         m = {name: np.zeros(shape, np.float32) for name, shape in shapes.items()}
         v = {name: np.zeros(shape, np.float32) for name, shape in shapes.items()}
         opt = Adam(list(params.items()))
+        buffer = opt.gradients()
         b1, b2, eps, scale = 0.9, 0.999, 1e-8, 1 / 8
         for t, lr in enumerate([0.002, 0.0005, 0.003, 0.001], start=1):
             grads = {name: rng.normal(0, 3, shapes[name]).astype(np.float32)
@@ -296,7 +302,7 @@ class TestAdam:
             for name, grad in grads.items():
                 params[name].grad[...] = grad
             grads["unused"] = params["unused"].grad.copy()
-            opt.step(lr, grad_scale=scale)
+            opt.step(buffer, lr, grad_scale=scale)
             for name in shapes:
                 grad = grads[name] * np.float32(scale)
                 m[name] = b1 * m[name] + (1 - b1) * grad
@@ -309,7 +315,7 @@ class TestAdam:
             for block, want in zip(opt.blocks[1:], (m, v)):
                 np.testing.assert_array_equal(block, np.concatenate(list(want.values()), None))
         unused = params["unused"].grad
-        assert np.shares_memory(unused, opt.grad) and np.signbit(unused).all()
+        assert np.shares_memory(unused, buffer) and np.signbit(unused).all()
         assert not unused.any()
 
 
@@ -345,39 +351,34 @@ class TestMemory:
             gc.enable()
         assert checked == [2, 4, 6]  # two same-shape groups per iteration
 
-    @staticmethod
-    def _backward_into_a_new_adam():
-        """A small model and its Adam, after one backward and no step."""
-        cfg = small_config()
-        items = make_items(2)
+    def test_backward_accumulates_into_the_optimizers_buffer(self):
+        cfg, items = small_config(), make_items(2)
         model = training.HgnnModel(training.model_config_for(cfg, 5, 6, 3, 4, 2),
                                    training.Rng(0))
-        opt = Adam(model.named_params())
+        buffer = Adam(model.named_params()).gradients()
         g = ComputeGraph()
         probs = model.forward(g, stack_graphs([item.graph for item in items])).probs
         g.backward(focal_loss(g, probs, [item.labels for item in items], cfg.gamma))
-        return model, opt
-
-    def test_backward_accumulates_into_the_optimizers_buffer(self):
-        model, opt = self._backward_into_a_new_adam()
         named = model.named_params()
-        assert all(np.shares_memory(p.grad, opt.grad) for _, p in named)
-        assert b"".join(p.grad.tobytes() for _, p in named) == opt.grad.tobytes()
+        assert all(np.shares_memory(p.grad, buffer) for _, p in named)
+        assert b"".join(p.grad.tobytes() for _, p in named) == buffer.tobytes()
 
     def test_a_step_refills_the_buffer_with_negative_zero_and_keeps_every_view(self):
-        # Each p.grad is its view of Adam.grad from construction on; a step leaves
+        # Each p.grad is its view of the buffer from gradients() on; a step leaves
         # the buffer all -0.0, so the next backward's first add equals a copy.
         cfg, items = small_config(), make_items(2)
         model = training.HgnnModel(training.model_config_for(cfg, 5, 6, 3, 4, 2),
                                    training.Rng(0))
         opt = Adam(model.named_params())
+        assert all(p.grad is None for _, p in model.named_params())
+        buffer = opt.gradients()
         views = [p.grad for _, p in model.named_params()]
-        assert np.signbit(opt.grad).all() and not opt.grad.any()
+        assert np.signbit(buffer).all() and not buffer.any()
         for t in (1, 2):  # as train() runs an iteration: tapes, then the step
             training._group_loss(model, items, [0, 1], cfg.gamma)
-            assert opt.grad.any()
-            opt.step(0.01, grad_scale=np.float32(0.5))
-            assert np.signbit(opt.grad).all() and not opt.grad.any()
+            assert buffer.any()
+            opt.step(buffer, 0.01, grad_scale=np.float32(0.5))
+            assert np.signbit(buffer).all() and not buffer.any()
             assert all(p.grad is view for (_, p), view in zip(model.named_params(), views))
         assert opt.step_count == 2
 
@@ -398,57 +399,47 @@ class TestMemory:
         assert held < 3 * param_bytes + 64 * 1024, (held, param_bytes)
 
     def test_gradient_buffer_and_scratch_die_when_train_returns(self, monkeypatch):
+        # The buffer is the run's: train() takes it once and drops its views as it
+        # returns. Adam's scratch lives only within a step call.
         refs = []
-        release = Adam.release
+        gradients = Adam.gradients
 
-        def recording_release(self):
-            refs.extend(map(weakref.ref, [self.grad, *(p.grad for _, p in self._params),
-                                          *self._scratch]))
-            release(self)
+        def recording_gradients(self):
+            buffer = gradients(self)
+            refs.extend(map(weakref.ref, [buffer, *(p.grad for _, p in self._params)]))
+            return buffer
 
-        monkeypatch.setattr(Adam, "release", recording_release)
+        monkeypatch.setattr(Adam, "gradients", recording_gradients)
         gc.disable()  # freed by reference counting alone, not by a collection
         try:
             result = train(make_items(4), small_config(max_iters=3))
             assert refs and all(ref() is None for ref in refs)
         finally:
             gc.enable()
-        opt = result.optimizer
-        assert opt.grad is None and opt._scratch is None
         assert all(p.grad is None for _, p in result.model.named_params())
+        opt = result.optimizer
         assert len(opt.blocks) == 3 and opt.step_count == 3
 
-    def test_a_released_result_saves_the_bytes_of_an_unreleased_one(self, tmp_path,
-                                                                    monkeypatch):
-        items, cfg = make_items(4), small_config(max_iters=4)
-        released = tmp_path / "released.hgck"
-        train(items, cfg).save(released)
-        monkeypatch.setattr(Adam, "release", lambda self: None)
-        held = train(items, cfg)
-        assert held.optimizer.grad is not None
-        held.save(tmp_path / "held.hgck")
-        assert released.read_bytes() == (tmp_path / "held.hgck").read_bytes()
-
-    def test_a_released_optimizer_cannot_step(self):
-        result = train(make_items(4), small_config(max_iters=2))
-        before = [block.tobytes() for block in result.optimizer.blocks]
-        with pytest.raises(RuntimeError, match="released"):
-            result.optimizer.step(0.1)
-        assert result.optimizer.step_count == 2
-        assert [block.tobytes() for block in result.optimizer.blocks] == before
-
-    def test_release_drops_the_gradients_backward_left_in_the_buffer(self):
-        model, opt = self._backward_into_a_new_adam()
-        ref = weakref.ref(opt.grad)
-        gc.disable()
+    def test_an_adam_costs_three_parameter_sized_arrays(self):
+        # Parameters, m and v; no gradient buffer or scratch until a run asks.
+        # The model's own arrays are held, so the count is the optimizer's alone.
+        cfg = small_config(hidden=128, num_layers=2)
+        model = training.HgnnModel(training.model_config_for(cfg, 128, 1024, 3, 4, 2),
+                                   training.Rng(0))
+        own = [p.data for _, p in model.named_params()]
+        param_bytes = sum(a.nbytes for a in own)  # 1.3 MB
+        tracemalloc.start()
         try:
-            opt.release()
-            assert ref() is None
+            before = tracemalloc.get_traced_memory()[0]
+            opt = Adam(model.named_params())
+            held = tracemalloc.get_traced_memory()[0] - before
         finally:
-            gc.enable()
-        assert all(p.grad is None for _, p in model.named_params())
+            tracemalloc.stop()
+        assert 3 * param_bytes <= held < 3 * param_bytes + 16 * 1024, (held, param_bytes)
+        assert all(p.grad is None for _, p in model.named_params()) and len(own) > 1
+        assert sum(block.nbytes for block in opt.blocks) == 3 * param_bytes
 
-    def test_an_adam_built_directly_or_from_a_checkpoint_keeps_its_buffer(self, tmp_path):
+    def test_an_adam_built_directly_or_from_a_checkpoint_steps_on_its_buffer(self, tmp_path):
         cfg = small_config()
         model = training.HgnnModel(training.model_config_for(cfg, 5, 6, 3, 4, 2),
                                    training.Rng(0))
@@ -458,10 +449,10 @@ class TestMemory:
         restored = ckpt.build_model()
         for opt, owner in ((Adam(model.named_params()), model),
                            (ckpt.build_optimizer(restored), restored)):
-            assert opt.grad is not None and opt.grad.shape == opt.blocks[0].shape
-            assert all(np.shares_memory(p.grad, opt.grad)
-                       for _, p in owner.named_params())
-            opt.step(0.1)
+            buffer = opt.gradients()
+            assert buffer.shape == opt.blocks[0].shape
+            assert all(np.shares_memory(p.grad, buffer) for _, p in owner.named_params())
+            opt.step(buffer, 0.1)
             assert opt.step_count == 1
 
 
