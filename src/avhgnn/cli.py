@@ -128,6 +128,15 @@ def _run_one_seed(items_train, items_val, cfg, run_cfg, out_dir: Path, tag: str,
     return ckpt_path, result.final_eval
 
 
+def _check_out(out_dir: Path):
+    """ConfigError unless `out_dir`, or its nearest existing ancestor, is a writable
+    directory, so a run cannot train to its end and then fail to write. Creates nothing."""
+    here = out_dir.absolute()
+    existing = next(p for p in (here, *here.parents) if p.exists())
+    if not (existing.is_dir() and os.access(existing, os.W_OK | os.X_OK)):
+        raise ConfigError(f"--out {out_dir}: {existing} is not a writable directory")
+
+
 def _parse_seeds(text: str) -> list[int]:
     try:
         seeds = [int(s) for s in text.split(",") if s.strip()]
@@ -153,6 +162,7 @@ def _cmd_train(args) -> int:
         seed_configs(cfg, seeds)  # a bad seed list exits before any file is written
     _echo("config", cfg.to_dict())
     out_dir = Path(args.out)
+    _check_out(out_dir)
     items = load_dataset(args.data, cfg.rules)
     if seeds is not None:
         def run_seed(items_train, items_val, c):

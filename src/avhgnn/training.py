@@ -182,8 +182,8 @@ class Adam:
         return grad
 
     def step(self, grad: np.ndarray, lr: float, grad_scale: float = 1.0):
-        """Scale the gradient buffer in place and check it once, then update CHUNK
-        values at a time, refilling each chunk of the buffer with -0.0 after it."""
+        """Scale `grad`, the buffer from `gradients()`, in place and check it once, then
+        update CHUNK values at a time, refilling each chunk of it with -0.0 after it."""
         self.step_count += 1
         grad *= grad_scale
         if not np.isfinite(grad).all():
@@ -469,7 +469,8 @@ def train(items, cfg: TrainConfig, val_items=None, resume: Checkpoint | None = N
         optimizer = Adam(model.named_params())
         start = 0
 
-    history, grad = [], optimizer.gradients()
+    history = []
+    grad = optimizer.gradients()
     ev = evaluate(model, val_items) if val_items and start == cfg.max_iters else None
     for t in range(start + 1, cfg.max_iters + 1):
         lr = lr_at(t, cfg)

@@ -306,6 +306,13 @@ class TestTrain:
         assert "max_iters 3 is below the checkpoint's iteration 6" in err
         assert not (tmp_path / "resumed" / "checkpoint.hgck").exists()
 
+    def test_resume_with_seeds_exits_2_before_the_checkpoint_loads(self, capsys, tmp_path):
+        code, out, err = run(capsys, "train", "--resume", str(tmp_path / "absent.hgck"),
+                             "--data", str(tmp_path / "nope.json"),
+                             "--out", str(tmp_path / "o"), "--seeds", "1,2")
+        assert code == EXIT_DATA and out == ""
+        assert "--resume cannot be combined with --seeds" in err
+
     def test_bad_seed_rejected_before_the_data_loads(self, capsys, tmp_path):
         cfg = write_config(tmp_path)
         code, _, err = run(capsys, "train", "--config", str(cfg),
@@ -398,6 +405,19 @@ class TestTrain:
         assert code == EXIT_DATA
         assert out.startswith("config: ")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("out", ["afile", "afile/run", "afile/run/deeper"])
+    def test_an_out_that_cannot_be_a_directory_exits_2_before_the_data_loads(
+            self, capsys, tmp_path, out):
+        manifest = gen_dataset(capsys, tmp_path, n_items=16, n_audio=4, n_video=6,
+                               d_audio=5, d_video=7, seed=0)
+        (tmp_path / "afile").write_text("kept")
+        code, stdout, err = run(capsys, "train", "--config", str(write_config(tmp_path)),
+                                "--data", str(manifest), "--out", str(tmp_path / out))
+        assert code == EXIT_DATA
+        assert f": {tmp_path / 'afile'} is not a writable directory" in err
+        assert " iter " not in stdout  # no progress line: no iteration ran
+        assert (tmp_path / "afile").read_text() == "kept"
 
     @pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
     def test_after_main_a_freed_array_is_made_again_without_page_faults(self):
@@ -641,6 +661,13 @@ class TestInspectGraph:
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (141, b"")
+
+    @pytest.mark.parametrize("n_audio, n_video", [(0, 3), (3, 0)])
+    def test_a_node_count_below_1_exits_2(self, capsys, n_audio, n_video):
+        code, out, err = run(capsys, "inspect-graph", "--n-audio", str(n_audio),
+                             "--n-video", str(n_video))
+        assert (code, out) == (EXIT_DATA, "")
+        assert "node counts must be >= 1" in err
 
     def test_three_node_chain(self, capsys, tmp_path):
         code, out, _ = run(capsys, "inspect-graph", "--n-audio", "3",
@@ -891,6 +918,25 @@ class TestDumpAttention:
                            "--data", str(manifest), "--item", "missing")
         assert code == EXIT_DATA
         assert "missing" in err
+
+    def test_out_writes_the_stdout_bytes_through_a_temp_file(self, capsys, tmp_path,
+                                                             monkeypatch):
+        manifest = gen_dataset(capsys, tmp_path, n_items=16, n_audio=4, n_video=6,
+                               d_audio=5, d_video=7, seed=5)
+        out_dir = tmp_path / "run"
+        run(capsys, "train", "--config", str(write_config(tmp_path, max_iters=5)),
+            "--data", str(manifest), "--out", str(out_dir))
+        argv = ("dump-attention", "--checkpoint", str(out_dir / "checkpoint.hgck"),
+                "--data", str(manifest), "--item", "synth-0003")
+        code, csv_text, _ = run(capsys, *argv)
+        assert code == EXIT_OK and csv_text.startswith("layer,audio_node,attention\n")
+        replaced = []
+        monkeypatch.setattr(os, "replace", lambda *a: replaced.append(a) or os.rename(*a))
+        path = tmp_path / "attention.csv"
+        code, out, err = run(capsys, *argv, "--out", str(path))
+        assert (code, out, err) == (EXIT_OK, f"wrote {path}\n", "")
+        assert path.read_text() == csv_text
+        assert replaced == [(path.with_name("attention.csv.tmp"), path)]
 
 
 def _header(**changes) -> bytes:

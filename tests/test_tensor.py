@@ -269,6 +269,17 @@ class TestBackward:
         x = bits.view(dtype)
         assert (np.full_like(x, -0.0) + x).tobytes() == x.tobytes()
 
+    def test_a_record_whose_output_got_no_gradient_is_skipped(self):
+        # Each sigmoid below is recorded and never read, so backward skips its rule:
+        # its input keeps the gradient of the live branch alone, or none at all.
+        g = ReferenceGraph()
+        dead, shared = (Tensor([[1.0, -2.0]], requires_grad=True) for _ in range(2))
+        g.sigmoid(dead)
+        g.sigmoid(shared)
+        g.backward(g.sum_all(g.add(shared, shared)))
+        assert dead.grad is None
+        np.testing.assert_array_equal(shared.grad, [[2.0, 2.0]])
+
     def test_leaf_without_requires_grad_gets_none(self):
         g = ReferenceGraph()
         w = Tensor([[1.0, 2.0]], requires_grad=True)

@@ -19,7 +19,8 @@ from avhgnn import layers, tensor, training
 from avhgnn.data import LabeledGraph
 from avhgnn.graph import EdgeRule, EdgeRules, build_hetero_graph, stack_graphs
 from avhgnn.tensor import ComputeGraph, NumericError, Tensor
-from avhgnn.training import (Adam, ConfigError, TrainConfig, batch_indices,
+from avhgnn.metrics import EvalResult
+from avhgnn.training import (Adam, ConfigError, SeedSummary, TrainConfig, batch_indices,
                              focal_loss, load_checkpoint, lr_at, run_seeds,
                              save_checkpoint, split_dataset, train, write_history_csv)
 from reference_ops import ReferenceGraph
@@ -81,6 +82,18 @@ def small_config(**overrides):
                 eval_every=1000)
     base.update(overrides)
     return TrainConfig(**base)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lr", 0.0), ("decay_factor", 0.0), ("val_fraction", 0.0), ("val_fraction", 1.0)])
+def test_a_zero_rate_or_an_empty_side_of_the_split_is_rejected(field, value):
+    with pytest.raises(ConfigError, match=field):
+        small_config(**{field: value})
+
+
+def test_gamma_0_is_accepted_and_trains():
+    cfg = small_config(gamma=0.0, max_iters=2)
+    assert np.isfinite([row["loss"] for row in train(make_items(4), cfg).history]).all()
 
 
 class TestFocalLoss:
@@ -436,7 +449,7 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert 3 * param_bytes <= held < 3 * param_bytes + 16 * 1024, (held, param_bytes)
-        assert all(p.grad is None for _, p in model.named_params()) and len(own) > 1
+        assert all(p.grad is None for _, p in model.named_params())
         assert sum(block.nbytes for block in opt.blocks) == 3 * param_bytes
 
     def test_an_adam_built_directly_or_from_a_checkpoint_steps_on_its_buffer(self, tmp_path):
@@ -754,6 +767,11 @@ class TestCheckpoint:
         cfg = small_config(max_iters=10, eval_every=4)
         assert [t for t in range(12) if cfg.validates(t)] == [4, 8, 10]
 
+    def test_iteration_1_validates_on_the_schedule_and_as_the_last(self):
+        assert small_config(eval_every=1).validates(1)
+        result = train(make_items(4), small_config(max_iters=1), val_items=make_items(2, seed=5))
+        assert result.final_eval is not None and not np.isnan(result.history[0]["map"])
+
     @pytest.mark.parametrize("change", [
         {"hidden": 16}, {"num_layers": 2}, {"fusion": "gcn"}, {"pooling": "max"},
         {"modality": "audio_only"},
@@ -992,6 +1010,13 @@ class TestAtomicWrites:
 
 
 class TestRunSeeds:
+    def test_two_seeds_report_the_sample_std(self):
+        evals = [EvalResult([], m, [], auc, [], [], []) for m, auc in ((0.25, 0.5), (0.75, 1.0))]
+        summary = SeedSummary.from_evals([1, 2], evals)
+        assert (summary.map_mean, summary.auc_mean) == (0.5, 0.75)
+        assert summary.map_std == np.std([0.25, 0.75], ddof=1) == 0.5 ** 0.5 / 2
+        assert summary.auc_std == np.std([0.5, 1.0], ddof=1) == 0.5 ** 0.5 / 2
+
     def test_single_seed_zero_std(self):
         items = make_items(10)
         summary = run_seeds(items, small_config(max_iters=5), seeds=[3])
