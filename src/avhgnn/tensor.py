@@ -34,9 +34,9 @@ class Tensor:
 
     `grad` has `data`'s shape: backward() adds into it, or allocates it if None.
     `Adam.gradients()` sets it to its view of a buffer filled with -0.0, which each
-    step refills; otherwise setting it to None clears it. Tensors
-    created by graph ops have requires_grad set, so gradients flow through them to
-    the leaves that require them.
+    step refills; otherwise setting it to None clears it. Tensors created by graph
+    ops have requires_grad set, so gradients flow through them to the leaves that
+    require them.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "name")

@@ -43,11 +43,15 @@ PAPER_SPEC = {"n_items": 33, "n_audio": 40, "n_video": 100, "d_audio": 128,
 
 def machine() -> dict:
     """What the bytes of a float run depend on besides the code. The CPU features
-    numpy found stand for the BLAS kernel, which a DYNAMIC_ARCH build picks by CPU."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    features = getattr(np._core._multiarray_umath, "__cpu_features__", {})
-    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}",
-            "machine": platform.machine(),
+    numpy found stand for the BLAS kernel, which a DYNAMIC_ARCH build picks by CPU.
+    A numpy too old to report its BLAS or features gets a fingerprint of its own."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+        from numpy._core._multiarray_umath import __cpu_features__ as features
+    except (TypeError, KeyError, ImportError):  # numpy 1.x
+        blas, features = "unknown", {}
+    return {"numpy": np.__version__, "blas": blas, "machine": platform.machine(),
             "cpu_features": " ".join(sorted(k for k, on in features.items() if on))}
 
 
