@@ -229,16 +229,6 @@ class HgnnModel:
 
     # -- forward --------------------------------------------------------------
 
-    def _pool(self, g: ComputeGraph, h: Tensor, weights) -> Tensor:
-        """Per graph, the column max or a weighted row sum (mean: 1/n, sum: 1)."""
-        mode = self.config.pooling
-        if mode == "max":
-            return g.col_max(h)
-        if mode == "learned":
-            return g.matmul(g.transpose(weights), h)
-        weight = 1.0 / h.rows if mode == "mean" else 1.0
-        return g.matmul(Tensor(np.full((1, h.rows), weight, dtype=h.dtype)), h)
-
     def forward(self, g: ComputeGraph, graph: HeteroGraph) -> ForwardResult:
         """Scores one graph, or B stacked graphs (outputs then lead with axis B);
         a graph that `ModelConfig.check` rejects raises ShapeError first."""
@@ -257,11 +247,10 @@ class HgnnModel:
             if h_v is not None:
                 result.video_states.append(h_v.data)
 
-        parts = [self._pool(g, h, weights) for h, weights
-                 in ((h_a, self.pool_audio), (h_v, self.pool_video)) if h is not None]
-        pooled = g.concat_cols(*parts) if len(parts) == 2 else parts[0]
-
-        result.logits = g.add(g.matmul(pooled, self.cls_weight), self.cls_bias)
+        # Each graph's row: learned weights, a constant one (mean 1/n, sum 1) or the max.
+        parts = [(h, {"learned": w, "mean": 1.0 / h.rows, "sum": 1.0, "max": None}[cfg.pooling])
+                 for h, w in ((h_a, self.pool_audio), (h_v, self.pool_video)) if h is not None]
+        result.logits = g.add(g.matmul(g.pool(parts), self.cls_weight), self.cls_bias)
         g.check_finite(result.logits)
         result.probs = g.sigmoid(result.logits)
         return result

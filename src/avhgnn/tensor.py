@@ -206,12 +206,6 @@ class ComputeGraph:
 
         return self._emit(_mm(a.data, b.data), backward)
 
-    def transpose(self, a: Tensor) -> Tensor:
-        def backward(g):
-            _accum(a, g.swapaxes(-1, -2))
-
-        return self._emit(a.data.swapaxes(-1, -2).copy(), backward)
-
     def add(self, a: Tensor, b: Tensor) -> Tensor:
         """Elementwise sum; an axis of length 1, or a missing batch axis, broadcasts."""
         if any(m != n and 1 not in (m, n) for m, n in zip(a.shape[::-1], b.shape[::-1])):
@@ -279,6 +273,37 @@ class ComputeGraph:
         out = self._emit(base.data + _mm(_mm(alpha, video.data), w_msg.data), backward)
         return out, Tensor(alpha)
 
+    def pool(self, parts) -> Tensor:
+        """Per graph, one row from each (h, w) part, side by side: w^T @ h for a learnable
+        n x 1 `w`, a row of the float `w` (mean 1/n, sum 1) @ h, or for None h's column
+        max, whose gradient routes to the first argmax. The record keeps the rows and
+        argmaxes; backward runs the concatenation's rule, then each part's, last first."""
+        keep = [h.data.argmax(axis=-2, keepdims=True) if w is None
+                else w.data.swapaxes(-1, -2).copy() if isinstance(w, Tensor)
+                else np.full((1, h.rows), w, dtype=h.dtype) for h, w in parts]
+        fits = all(w is None or k.shape == (1, h.rows) for (h, w), k in zip(parts, keep))
+        if not fits or len({h.shape[:-2] for h, _ in parts}) != 1:
+            shapes = [(h.shape, k.shape) for (h, _), k in zip(parts, keep)]
+            raise ShapeError(f"pool parts (input, row or argmax) do not fit: {shapes}")
+        outs = [np.take_along_axis(h.data, k, axis=-2) if w is None else _mm(k, h.data)
+                for (h, w), k in zip(parts, keep)]
+        bounds = np.cumsum([out.shape[-1] for out in outs[:-1]]).tolist()
+
+        def backward(g):
+            grads = [part.copy() for part in np.split(g, bounds, axis=-1)]
+            for (h, w), k, g_part in reversed(list(zip(parts, keep, grads))):
+                if w is None:
+                    dh = np.zeros_like(h.data)
+                    np.put_along_axis(dh, k, g_part, axis=-2)
+                    _accum(h, dh, own=True)
+                    continue
+                row = Tensor(k, requires_grad=isinstance(w, Tensor))
+                _mm_backward(g_part, row, h)
+                if row.grad is not None:
+                    _accum(w, row.grad.swapaxes(-1, -2))
+
+        return self._emit(np.concatenate(outs, axis=-1), backward)
+
     # -- activations ----------------------------------------------------------
 
     def sigmoid(self, a: Tensor) -> Tensor:
@@ -289,32 +314,6 @@ class ComputeGraph:
             _accum(a, g * out_data * (1.0 - out_data), own=True)
 
         return self._emit(out_data, backward)
-
-    # -- structure ------------------------------------------------------------
-
-    def concat_cols(self, a: Tensor, b: Tensor) -> Tensor:
-        if a.shape[:-1] != b.shape[:-1]:
-            raise ShapeError(f"concat_cols row counts differ: {a.shape} | {b.shape}")
-        split = a.cols
-
-        def backward(g):
-            _accum(a, g[..., :split])
-            _accum(b, g[..., split:])
-
-        return self._emit(np.concatenate([a.data, b.data], axis=-1), backward)
-
-    # -- reductions -----------------------------------------------------------
-
-    def col_max(self, a: Tensor) -> Tensor:
-        """Columnwise max over the rows; the gradient routes to the first argmax."""
-        idx = a.data.argmax(axis=-2, keepdims=True)
-
-        def backward(g):
-            da = np.zeros_like(a.data)
-            np.put_along_axis(da, idx, g, axis=-2)
-            _accum(a, da, own=True)
-
-        return self._emit(np.take_along_axis(a.data, idx, axis=-2), backward)
 
     # -- loss -----------------------------------------------------------------
 

@@ -1,9 +1,9 @@
 """Elementary tape ops that only the tests record.
 
-`ReferenceGraph` is a `ComputeGraph` with a Hadamard product, ReLU,
-LeakyReLU, the masked row softmax and a sum of all entries. The tests use
-them as the chains that the fused ops (`gcn`, `gat_fusion`) must equal
-bitwise, and to build scalar losses for gradient checks. They are built on
+`ReferenceGraph` is a `ComputeGraph` with a Hadamard product, a transpose,
+ReLU, LeakyReLU, the masked row softmax and a sum of all entries. The tests
+use them as the chains that the fused ops (`gcn`, `gat_fusion`, `pool`) must
+equal bitwise, and to build scalar losses for gradient checks. They are built on
 the module helpers that the fused ops use, so both round alike.
 """
 
@@ -24,6 +24,12 @@ class ReferenceGraph(ComputeGraph):
             _accum(b, g * a.data)
 
         return self._emit(a.data * b.data, backward)
+
+    def transpose(self, a: Tensor) -> Tensor:
+        def backward(g):
+            _accum(a, g.swapaxes(-1, -2))
+
+        return self._emit(a.data.swapaxes(-1, -2).copy(), backward)
 
     def relu(self, a: Tensor) -> Tensor:
         mask = a.data > 0

@@ -387,36 +387,53 @@ class TestPoolingAndHead:
         model = tiny_model(pooling="learned")
         model.pool_audio.data = np.array([[1.0], [0.0], [0.0]])
         h = Tensor(np.arange(12.0).reshape(3, 4))
-        pooled = model._pool(ComputeGraph(), h, model.pool_audio)
+        pooled = ComputeGraph().pool([(h, model.pool_audio)])
         np.testing.assert_array_equal(pooled.data, [[0.0, 1.0, 2.0, 3.0]])
 
     def test_learned_starts_as_mean(self):
         model = tiny_model(pooling="learned")
         h = Tensor(np.random.default_rng(0).normal(0, 1, (3, 4)))
-        learned = model._pool(ComputeGraph(), h, model.pool_audio)
+        learned = ComputeGraph().pool([(h, model.pool_audio)])
         np.testing.assert_allclose(learned.data, h.data.mean(axis=0, keepdims=True),
                                    atol=1e-12)
 
     def test_mean_of_identical_rows(self):
-        model = tiny_model(pooling="mean")
         row = np.array([1.0, -2.0, 0.5, 4.0])
-        pooled = model._pool(ComputeGraph(), Tensor(np.vstack([row, row])), None)
+        pooled = ComputeGraph().pool([(Tensor(np.vstack([row, row])), 1.0 / 2)])
         np.testing.assert_allclose(pooled.data, row[None, :])
 
     def test_sum_is_column_sums(self):
-        model = tiny_model(pooling="sum")
         mat = np.random.default_rng(1).normal(0, 1, (4, 3))
-        pooled = model._pool(ComputeGraph(), Tensor(mat), None)
+        pooled = ComputeGraph().pool([(Tensor(mat), 1.0)])
         np.testing.assert_allclose(pooled.data, mat.sum(axis=0, keepdims=True))
 
     @pytest.mark.parametrize("pooling, reduce", [("mean", np.mean), ("sum", np.sum)])
     @pytest.mark.parametrize("shape", [(6, 4), (3, 6, 4)])
     def test_constant_row_pooling_matches_column_reduction(self, pooling, reduce, shape):
-        model = tiny_model(pooling=pooling, dtype=np.float32)
         h = np.random.default_rng(2).normal(0, 1, shape).astype(np.float32)
-        pooled = model._pool(ComputeGraph(), Tensor(h), None)
+        pooled = ComputeGraph().pool([(Tensor(h), 1.0 / 6 if pooling == "mean" else 1.0)])
+        assert pooled.dtype == np.float32
         np.testing.assert_allclose(pooled.data, reduce(h, axis=-2, keepdims=True),
                                    rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("modality", MODALITIES)
+    @pytest.mark.parametrize("pooling", POOLING_MODES)
+    def test_each_pooling_mode_reads_the_final_states(self, pooling, modality):
+        # The head reads each modality's final states pooled as the mode says:
+        # learned weights, the mean, the column max or the column sum.
+        model = tiny_model(seed=4, pooling=pooling, modality=modality)
+        if pooling == "learned":
+            for weights in (model.pool_audio, model.pool_video):
+                if weights is not None:
+                    weights.data = np.random.default_rng(5).normal(0, 1, weights.shape)
+        result = model.forward(ComputeGraph(), tiny_graph(seed=4))
+        states = [(s[-1], w) for s, w in ((result.audio_states, model.pool_audio),
+                                          (result.video_states, model.pool_video)) if s]
+        reduce = {"learned": lambda h, w: w.data[:, 0] @ h, "mean": lambda h, w: h.mean(0),
+                  "max": lambda h, w: h.max(0), "sum": lambda h, w: h.sum(0)}[pooling]
+        pooled = np.concatenate([reduce(h, w) for h, w in states])[None, :]
+        logits = pooled @ model.cls_weight.data + model.cls_bias.data
+        np.testing.assert_allclose(result.logits.data, logits, rtol=0, atol=1e-12)
 
     def test_zero_head_gives_half_probabilities(self):
         model = tiny_model()
@@ -697,17 +714,18 @@ class TestDeskTape:
         loss = focal_loss(g, model.forward(g, stack_graphs(graphs)).probs, labels, gamma=2.0)
         return model, g, loss
 
-    def test_forward_and_loss_record_15_ops(self):
+    def test_forward_and_loss_record_11_ops(self):
         # Per layer: audio gcn, gat_fusion (attention, aggregate, projection
-        # and residual add), video gcn (6); learned pooling 4, concat, head
-        # matmul and bias add, sigmoid, focal loss (9).
+        # and residual add), video gcn (6); pool (both modalities' learned
+        # rows), head matmul and bias add, sigmoid, focal loss (5).
         _, g, _ = self._step()
-        assert len(g) == 15
+        assert len(g) == 11
 
     def test_the_tape_keeps_no_fusion_aggregate_or_projection(self):
         # The bytes kept for backward: each record's output and every array its
-        # rule holds, each array once. An aggregate or projection held again
-        # would add 8 x 10 x 32 float32 values (10240 bytes) per layer for each.
+        # rule holds, alone or in a list (pool's rows), each array once. An
+        # aggregate or projection held again would add 8 x 10 x 32 float32
+        # values (10240 bytes) per layer for each.
         # The graph's adjacencies belong to the per-shape cache, not the tape.
         _, g, _ = self._step()
         zeros = np.zeros((10, 16), np.float32), np.zeros((25, 32), np.float32)
@@ -715,10 +733,11 @@ class TestDeskTape:
         kept = {}
         for out, backward in g._records:
             held = [cell.cell_contents for cell in backward.__closure__ or ()]
+            held += [x for cell in held if isinstance(cell, list) for x in cell]
             for x in [out.data] + held:
                 if isinstance(x, np.ndarray) and not any(x is a for a in shared):
                     kept[id(x)] = x.nbytes
-        assert sum(kept.values()) == 132464
+        assert sum(kept.values()) == 130416
 
     def test_no_two_parameter_gradients_share_memory(self):
         model, g, loss = self._step()

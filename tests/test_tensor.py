@@ -111,16 +111,37 @@ class TestForward:
             g.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros(other)))
 
     def test_concat_cols(self):
+        # pool sets the parts' rows side by side: here a sum, a max and a learned row.
         g = ComputeGraph()
-        out = g.concat_cols(Tensor([[1.0], [2.0]]), Tensor([[3.0, 4.0], [5.0, 6.0]]))
-        np.testing.assert_array_equal(out.data, [[1.0, 3.0, 4.0], [2.0, 5.0, 6.0]])
+        a, b = Tensor([[1.0], [2.0]]), Tensor([[3.0, 4.0], [5.0, 6.0]])
+        out = g.pool([(a, 1.0), (b, None), (b, Tensor([[0.5], [-1.0]]))])
+        np.testing.assert_array_equal(out.data, [[3.0, 5.0, 6.0, -3.5, -4.0]])
+        batch = g.pool([(Tensor(np.ones((2, 3, 1))), 0.5), (Tensor(np.zeros((2, 3, 2))), None)])
+        np.testing.assert_array_equal(batch.data, [[[1.5, 0.0, 0.0]]] * 2)
 
     def test_col_max(self):
         g = ComputeGraph()
         x = Tensor([[1.0, -4.0], [3.0, 2.0]])
-        np.testing.assert_array_equal(g.col_max(x).data, [[3.0, 2.0]])
+        np.testing.assert_array_equal(g.pool([(x, None)]).data, [[3.0, 2.0]])
         batch = Tensor([[[1.0, -4.0], [3.0, 2.0]], [[0.0, 5.0], [-1.0, 5.0]]])
-        np.testing.assert_array_equal(g.col_max(batch).data, [[[3.0, 2.0]], [[0.0, 5.0]]])
+        np.testing.assert_array_equal(g.pool([(batch, None)]).data,
+                                      [[[3.0, 2.0]], [[0.0, 5.0]]])
+
+    def test_col_max_gradient_goes_to_the_first_argmax(self):
+        x = Tensor([[1.0, 5.0, 2.0], [3.0, 5.0, 2.0], [3.0, 0.0, 2.0]], requires_grad=True)
+        g = ReferenceGraph()
+        g.backward(g.sum_all(g.mul(g.pool([(x, None)]), Tensor([[1.0, 2.0, 3.0]]))))
+        np.testing.assert_array_equal(x.grad, [[0.0, 2.0, 3.0], [1.0, 0.0, 0.0],
+                                               [0.0, 0.0, 0.0]])
+
+    @pytest.mark.parametrize("parts", [[((3, 4), (2, 1))], [((3, 4), (3, 2))],
+                                       [((3, 4), (1, 3))], [((2, 3, 4), None), ((3, 3, 4), 1.0)],
+                                       [((3, 4), None), ((2, 3, 4), 1.0)]])
+    def test_pool_parts_that_do_not_fit_are_shape_errors(self, parts):
+        tensors = [(Tensor(np.ones(h)), Tensor(np.ones(w)) if isinstance(w, tuple) else w)
+                   for h, w in parts]
+        with pytest.raises(ShapeError, match="pool parts"):
+            ComputeGraph().pool(tensors)
 
 
 class TestBatchAxis:
@@ -141,8 +162,9 @@ class TestBatchAxis:
 
         def ops(x, y):
             return {"matmul": g.matmul(x, Tensor(weight)), "transpose": g.transpose(x),
-                    "softmax": g.row_softmax_masked(x, mask), "col_max": g.col_max(x),
-                    "concat": g.concat_cols(x, y), "sigmoid": g.sigmoid(x)}
+                    "softmax": g.row_softmax_masked(x, mask), "col_max": g.pool([(x, None)]),
+                    "pool": g.pool([(x, Tensor(weight[:4, :1])), (y, 0.5), (x, None)]),
+                    "sigmoid": g.sigmoid(x)}
 
         batched = ops(Tensor(stack), Tensor(other))
         for b in range(3):
@@ -200,8 +222,9 @@ class TestBackward:
             h = g.leaky_relu(g.matmul(x, w), 0.2)
             alpha = g.row_softmax_masked(g.matmul(h, g.transpose(h)),
                                          np.ones((5, 5), dtype=bool))
-            h = g.concat_cols(g.relu(g.matmul(alpha, h)), g.mul(h, h))
-            pooled = g.add(g.col_max(h), Tensor(np.zeros((1, 6))))
+            pooled = g.pool([(g.relu(g.matmul(alpha, h)), None),
+                             (g.mul(h, h), _leaf(rng64, 5, 1))])
+            pooled = g.add(pooled, Tensor(np.zeros((1, 6))))
             g.backward(g.focal_loss(g.sigmoid(pooled), np.ones((1, 6)), 2.0, 1e-7))
             tape = weakref.ref(g)
             del g
@@ -335,10 +358,11 @@ class TestGradientOracle:
         self._check(lambda g: g.sum_all(g.sigmoid(a)), [a])
 
     def test_concat_transpose(self, rng64):
+        # pool's learned rows are transposed weights, its parts concatenated.
         a, b = _leaf(rng64, 3, 2), _leaf(rng64, 3, 4)
-        self._check(
-            lambda g: g.sum_all(g.mul(g.concat_cols(a, b),
-                                      g.concat_cols(a, b))), [a, b])
+        wa, wb = _leaf(rng64, 3, 1), _leaf(rng64, 3, 1)
+        self._check(lambda g: g.sum_all(g.mul(g.pool([(a, wa), (b, wb)]),
+                                              g.pool([(a, wa), (b, wb)]))), [a, b, wa, wb])
         self._check(lambda g: g.sum_all(g.mul(g.transpose(a), g.transpose(a))), [a])
 
     def test_row_softmax_masked(self, rng64):
@@ -352,10 +376,10 @@ class TestGradientOracle:
 
     def test_col_max(self, rng64):
         a = _leaf(rng64, 4, 3)
-        self._check(lambda g: g.sum_all(g.mul(g.col_max(a), g.col_max(a))), [a])
+        self._check(lambda g: g.sum_all(g.mul(g.pool([(a, None)]), g.pool([(a, None)]))), [a])
         batch = _leaf(rng64, 3, 4, 3)
-        self._check(lambda g: g.sum_all(g.mul(g.col_max(batch), g.col_max(batch))),
-                    [batch])
+        self._check(lambda g: g.sum_all(g.mul(g.pool([(batch, None)]),
+                                              g.pool([(batch, None)]))), [batch])
 
     def test_constant_row_pooling(self, rng64):
         # Mean and sum pooling: a constant 1 x n row times one matrix or a batch.
@@ -364,6 +388,8 @@ class TestGradientOracle:
                 row = Tensor(np.full((1, 4), value))
                 self._check(lambda g: g.sum_all(g.mul(g.matmul(row, a),
                                                       g.matmul(row, a))), [a])
+                self._check(lambda g: g.sum_all(g.mul(g.pool([(a, value)]),
+                                                      g.pool([(a, value)]))), [a])
 
     # The last nine contract over length 1 in the forward product (a.cols == 1),
     # in a's gradient (b.cols == 1) or in b's (one row of a, or of the folded
@@ -387,9 +413,10 @@ class TestGradientOracle:
         self._check(lambda g: g.sum_all(g.mul(g.add(a, b), weight)), [a, b])
 
     def test_batched_concat_cols(self, rng64):
-        a, b = _leaf(rng64, 3, 4, 2), _leaf(rng64, 3, 4, 3)
-        weight = Tensor(rng64.normal(0, 1, (3, 4, 5)))
-        self._check(lambda g: g.sum_all(g.mul(g.concat_cols(a, b), weight)), [a, b])
+        a, b, wa = _leaf(rng64, 3, 4, 2), _leaf(rng64, 3, 5, 3), _leaf(rng64, 4, 1)
+        weight = Tensor(rng64.normal(0, 1, (3, 1, 8)))
+        self._check(lambda g: g.sum_all(g.mul(g.pool([(a, wa), (b, None), (b, 0.2)]), weight)),
+                    [a, b, wa])
 
     def test_shared_input_fan_out(self, rng64):
         a = _leaf(rng64, 3, 3)
@@ -629,6 +656,35 @@ class TestFusedOpsBitwise:
     def test_attend(self, dtype, batch, frozen, n_video):
         """The message's cases: as many video nodes as above, and one."""
         self._check_gat_fusion(dtype, batch, frozen, n_audio=4, n_video=n_video)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    @pytest.mark.parametrize("n", [5, 1])  # 1: each product is a broadcast
+    def test_pool(self, dtype, batch, n):
+        # Learned, constant and max parts: the output is each part's chain (transpose
+        # and matmul, matmul of the constant row, column max) side by side, and each
+        # leaf's gradient is the one its chain gets from its slice of the upstream.
+        rng = np.random.default_rng(n + len(batch))
+        arrays = [rng.normal(0, 1, shape).astype(dtype)
+                  for shape in (batch + (n, 4), (n, 1), batch + (n, 3), batch + (n, 2))]
+        upstream = rng.normal(0, 1, batch + (1, 9)).astype(dtype)
+
+        def run(chain):
+            a, w, b, c = (Tensor(x.copy(), requires_grad=True) for x in arrays)
+            g = ReferenceGraph()
+            if chain:
+                row = Tensor(np.full((1, n), 1.0 / n, dtype))
+                outs = [g.matmul(g.transpose(w), a), g.matmul(row, b), g.pool([(c, None)])]
+            else:
+                outs = [g.pool([(a, w), (b, 1.0 / n), (c, None)])]
+            for out, up in zip(outs, np.split(upstream, [4, 7], axis=-1) if chain else [upstream]):
+                g.backward(g.sum_all(g.mul(out, Tensor(up.copy()))))
+            return [np.concatenate([o.data for o in outs], axis=-1)] + [
+                t.grad for t in (a, w, b, c)]
+
+        for fused, chain in zip(run(False), run(True)):
+            assert fused.dtype == chain.dtype and fused.shape == chain.shape
+            assert fused.tobytes() == chain.tobytes()
 
     def test_gat_fusion_record_holds_no_aggregate_or_projection(self):
         # Neither the aggregate alpha @ video (4 x 6) nor the projection (4 x 5):
