@@ -170,7 +170,7 @@ def _softmax_grad(out: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 class ComputeGraph:
-    """Append-only tape of recorded ops, as (output, backward rule) pairs.
+    """Append-only tape of recorded ops, as (kind, output, backward rule) triples.
 
     Recording order is a topological order by construction: an op's inputs
     are either leaves or earlier outputs. backward() walks the tape in
@@ -179,16 +179,16 @@ class ComputeGraph:
     """
 
     def __init__(self):
-        self._records: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
+        self._records: list[tuple[str, Tensor, Callable[[np.ndarray], None]]] = []
 
     def __len__(self) -> int:
         return len(self._records)
 
     # -- recording machinery -------------------------------------------------
 
-    def _emit(self, data: np.ndarray, backward: Callable[[np.ndarray], None]) -> Tensor:
+    def _emit(self, kind: str, data: np.ndarray, backward: Callable[[np.ndarray], None]) -> Tensor:
         out = Tensor(data, requires_grad=True)
-        self._records.append((out, backward))
+        self._records.append((kind, out, backward))
         return out
 
     # -- linear algebra -------------------------------------------------------
@@ -204,7 +204,7 @@ class ComputeGraph:
         def backward(g):
             _mm_backward(g, a, b)
 
-        return self._emit(_mm(a.data, b.data), backward)
+        return self._emit("matmul", _mm(a.data, b.data), backward)
 
     def add(self, a: Tensor, b: Tensor) -> Tensor:
         """Elementwise sum; an axis of length 1, or a missing batch axis, broadcasts."""
@@ -215,7 +215,7 @@ class ComputeGraph:
             _accum(a, g)  # a copy, so that add(x, x) does not add g into itself
             _accum(b, g, own=True)
 
-        return self._emit(a.data + b.data, backward)
+        return self._emit("add", a.data + b.data, backward)
 
     # -- fused layers: one record each, bitwise the chain of ops it replaces; backward
     # adds its inputs' gradients in the order the chain's rules would add them.
@@ -236,7 +236,7 @@ class ComputeGraph:
             np.multiply(g, out_data > 0, out=g)  # backward() hands each rule a g it alone holds
             _mm_backward(_product(adj.T, g), feats, weight)
 
-        return self._emit(out_data, backward)
+        return self._emit("gcn", out_data, backward)
 
     def gat_fusion(self, base: Tensor, audio: Tensor, video: Tensor, w_msg: Tensor,
                    att_audio: Tensor, att_video: Tensor, mask, slope: float):
@@ -270,8 +270,8 @@ class ComputeGraph:
             _mm_backward(g_v.copy(), video, att_v_node)  # copied, as the transpose rule copies it
             _mm_backward(att_v_node.grad, w_msg, att_video)
 
-        out = self._emit(base.data + _mm(_mm(alpha, video.data), w_msg.data), backward)
-        return out, Tensor(alpha)
+        out = base.data + _mm(_mm(alpha, video.data), w_msg.data)
+        return self._emit("gat_fusion", out, backward), Tensor(alpha)
 
     def pool(self, parts) -> Tensor:
         """Per graph, one row from each (h, w) part, side by side: w^T @ h for a learnable
@@ -302,7 +302,7 @@ class ComputeGraph:
                 if row.grad is not None:
                     _accum(w, row.grad.swapaxes(-1, -2))
 
-        return self._emit(np.concatenate(outs, axis=-1), backward)
+        return self._emit("pool", np.concatenate(outs, axis=-1), backward)
 
     # -- activations ----------------------------------------------------------
 
@@ -313,7 +313,7 @@ class ComputeGraph:
         def backward(g):
             _accum(a, g * out_data * (1.0 - out_data), own=True)
 
-        return self._emit(out_data, backward)
+        return self._emit("sigmoid", out_data, backward)
 
     # -- loss -----------------------------------------------------------------
 
@@ -349,7 +349,7 @@ class ComputeGraph:
             g_p -= g_omp
             _accum(probs, g_p * inside, own=True)
 
-        return self._emit(loss, backward)
+        return self._emit("focal_loss", loss, backward)
 
     # -- backward pass ----------------------------------------------------------
 
@@ -363,7 +363,7 @@ class ComputeGraph:
         if loss.shape != (1, 1):
             raise ShapeError(f"backward needs a scalar loss, got {loss.shape}")
         _accum(loss, np.ones((1, 1), dtype=loss.data.dtype), own=True)
-        for out, backward in reversed(self._records):
+        for _, out, backward in reversed(self._records):
             g = out.grad
             if g is None:
                 continue
@@ -378,9 +378,7 @@ class ComputeGraph:
         """
         if np.isfinite(t.data).all():
             return
-        for i, (out, backward) in enumerate(self._records):
+        for i, (kind, out, _) in enumerate(self._records):
             if not np.isfinite(out.data).all():
-                # Backward rules are closures named ComputeGraph.<op>.<locals>.backward.
-                kind = backward.__qualname__.split(".")[1]
                 raise NumericError(f"op {i} ({kind}) produced a non-finite value")
         raise NumericError("non-finite value outside the tape")

@@ -23,13 +23,13 @@ class ReferenceGraph(ComputeGraph):
             _accum(a, g * b.data)
             _accum(b, g * a.data)
 
-        return self._emit(a.data * b.data, backward)
+        return self._emit("mul", a.data * b.data, backward)
 
     def transpose(self, a: Tensor) -> Tensor:
         def backward(g):
             _accum(a, g.swapaxes(-1, -2))
 
-        return self._emit(a.data.swapaxes(-1, -2).copy(), backward)
+        return self._emit("transpose", a.data.swapaxes(-1, -2).copy(), backward)
 
     def relu(self, a: Tensor) -> Tensor:
         mask = a.data > 0
@@ -37,7 +37,7 @@ class ReferenceGraph(ComputeGraph):
         def backward(g):
             _accum(a, g * mask)
 
-        return self._emit(a.data * mask, backward)
+        return self._emit("relu", a.data * mask, backward)
 
     def leaky_relu(self, a: Tensor, slope: float = 0.2) -> Tensor:
         scale = _leaky_scale(a.data, slope)
@@ -45,7 +45,7 @@ class ReferenceGraph(ComputeGraph):
         def backward(g):
             _accum(a, g * scale)
 
-        return self._emit(a.data * scale, backward)
+        return self._emit("leaky_relu", a.data * scale, backward)
 
     def row_softmax_masked(self, a: Tensor, mask: np.ndarray) -> Tensor:
         """Softmax over the unmasked entries of each row (see `_softmax_masked`)."""
@@ -54,11 +54,11 @@ class ReferenceGraph(ComputeGraph):
         def backward(g):
             _accum(a, _softmax_grad(out_data, g))
 
-        return self._emit(out_data, backward)
+        return self._emit("row_softmax_masked", out_data, backward)
 
     def sum_all(self, a: Tensor) -> Tensor:
         def backward(g):
             _accum(a, np.full_like(a.data, g[0, 0]))
 
         total = np.asarray(a.data.sum(dtype=a.data.dtype)).reshape(1, 1)
-        return self._emit(total, backward)
+        return self._emit("sum_all", total, backward)

@@ -700,8 +700,10 @@ class TestDeskTape:
     """The desk-scale model (a3's task: 10/25 nodes, 16/32 dims, hidden 32,
     2 layers, 4 classes) on a minibatch of 8."""
 
+    KINDS = ["gcn", "gat_fusion", "gcn"] * 2 + ["pool", "matmul", "add", "sigmoid", "focal_loss"]
+
     @staticmethod
-    def _step():
+    def _step(g=None):
         config = ModelConfig(d_audio=16, d_video=32, n_audio=10, n_video=25,
                              num_classes=4, hidden=32, num_layers=2)
         model = HgnnModel(config, Rng(1))
@@ -710,7 +712,7 @@ class TestDeskTape:
                                      rng.normal(0, 1, (25, 32)).astype(np.float32),
                                      EdgeRules.default()) for _ in range(8)]
         labels = [(rng.random(4) > 0.5).astype(np.float32) for _ in graphs]
-        g = ComputeGraph()
+        g = ComputeGraph() if g is None else g
         loss = focal_loss(g, model.forward(g, stack_graphs(graphs)).probs, labels, gamma=2.0)
         return model, g, loss
 
@@ -719,7 +721,23 @@ class TestDeskTape:
         # and residual add), video gcn (6); pool (both modalities' learned
         # rows), head matmul and bias add, sigmoid, focal loss (5).
         _, g, _ = self._step()
-        assert len(g) == 11
+        assert [kind for kind, _, _ in g._records] == self.KINDS
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    @pytest.mark.parametrize("at", range(11))
+    def test_a_non_finite_output_names_its_op(self, at, value):
+        class Poisoned(ComputeGraph):  # puts `value` into one entry of op `at`'s output
+            def _emit(self, kind, data, backward):
+                if len(self) == at:
+                    data[..., -1, 0] = value
+                return super()._emit(kind, data, backward)
+
+        # The forward checks the logits; an inf probability clips to a finite loss.
+        with np.errstate(invalid="ignore", over="ignore"), \
+                pytest.raises(NumericError, match=rf"^op {at} \({self.KINDS[at]}\) "):
+            _, g, loss = self._step(Poisoned())
+            g.check_finite(loss)
+            g.check_finite(g._records[9][1])
 
     def test_the_tape_keeps_no_fusion_aggregate_or_projection(self):
         # The bytes kept for backward: each record's output and every array its
@@ -731,7 +749,7 @@ class TestDeskTape:
         zeros = np.zeros((10, 16), np.float32), np.zeros((25, 32), np.float32)
         shared = build_hetero_graph(*zeros, EdgeRules.default()).structure()
         kept = {}
-        for out, backward in g._records:
+        for _, out, backward in g._records:
             held = [cell.cell_contents for cell in backward.__closure__ or ()]
             held += [x for cell in held if isinstance(cell, list) for x in cell]
             for x in [out.data] + held:

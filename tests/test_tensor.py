@@ -303,6 +303,14 @@ class TestBackward:
         assert dead.grad is None
         np.testing.assert_array_equal(shared.grad, [[2.0, 2.0]])
 
+    def test_check_finite_names_the_recorded_kind(self):
+        g = ComputeGraph()
+        g._emit("first", np.ones((1, 1)), lambda g: None)
+        bad = g._emit("second", np.full((1, 2), np.inf), lambda g: None)
+        g.check_finite(g._records[0][1])
+        with pytest.raises(NumericError, match=r"^op 1 \(second\) produced a non-finite"):
+            g.check_finite(bad)
+
     def test_leaf_without_requires_grad_gets_none(self):
         g = ReferenceGraph()
         w = Tensor([[1.0, 2.0]], requires_grad=True)
@@ -618,7 +626,7 @@ class TestFusedOpsBitwise:
         g = ComputeGraph()
         g.gcn(rng.random((4, 4)), Tensor(rng.normal(0, 1, (4, 3))),
               Tensor(rng.normal(0, 1, (3, 5)), requires_grad=True))
-        held = [cell.cell_contents for cell in g._records[-1][1].__closure__]
+        held = [cell.cell_contents for cell in g._records[-1][2].__closure__]
         assert not any(isinstance(x, np.ndarray) and x.dtype == bool for x in held)
 
     def _check_gat_fusion(self, dtype, batch, frozen, n_audio, n_video):
@@ -694,7 +702,7 @@ class TestFusedOpsBitwise:
                   for shape in ((4, 5), (4, 2), (3, 6), (6, 5), (2, 1), (5, 1))]
         g = ComputeGraph()
         g.gat_fusion(*inputs, np.ones((4, 3), bool), 0.2)
-        held = [cell.cell_contents for cell in g._records[-1][1].__closure__]
+        held = [cell.cell_contents for cell in g._records[-1][2].__closure__]
         arrays = [x for x in held if not any(x is t for t in inputs)]
         assert all(isinstance(x, np.ndarray) and x.shape[-1] in (1, 3) for x in arrays)
 
