@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .tensor import ComputeGraph
+from .tensor import ComputeGraph, ShapeError
 
 
 def average_precision(scores, labels) -> float:
@@ -94,6 +94,9 @@ def score_matrix(model, items) -> tuple[np.ndarray, np.ndarray]:
         result = model.forward(g, item.graph)
         scores.append(result.probs.data.ravel().astype(np.float64))
         labels.append(np.asarray(item.labels, dtype=np.float64).ravel())
+        if labels[-1].size != scores[-1].size:
+            raise ShapeError(f"item {item.item_id!r} has {labels[-1].size} labels for "
+                             f"{scores[-1].size} classes")
     return np.vstack(scores), np.vstack(labels)
 
 

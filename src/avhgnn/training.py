@@ -121,10 +121,13 @@ def focal_loss(g: ComputeGraph, probs: Tensor, targets: np.ndarray,
     """
     if gamma < 0:
         raise ConfigError(f"gamma must be >= 0, got {gamma}")
-    y = np.asarray(targets, dtype=probs.dtype)
+    try:
+        y = np.asarray(targets, dtype=probs.dtype)
+    except ValueError:  # rows of different lengths
+        raise ShapeError(f"targets rows differ in size: {[np.size(t) for t in targets]}") from None
     y = y.reshape(y.shape[:probs.data.ndim - 2] + (1, -1))
     if y.shape != probs.shape:
-        raise ValueError(f"targets shape {y.shape} != probs shape {probs.shape}")
+        raise ShapeError(f"targets shape {y.shape} != probs shape {probs.shape}")
     return g.focal_loss(probs, y, gamma, PROB_CLAMP)
 
 
