@@ -3,7 +3,9 @@
 `run_all` generates a fusion_required dataset (seed 3), trains five desk configs
 (hidden 32, 2 layers, 300 iterations, B=8), resumes one to a later iteration,
 makes a two-seed run, evaluates every checkpoint, dumps one model's attention and
-trains a paper-shape model for 3 iterations, all through `cli.main`. Each
+trains a paper-shape model for 3 iterations, all through `cli.main`, in-process
+at the default BLAS thread count; a child process repeats the gat-learned run,
+its evaluation and attention dump at one BLAS thread, the bench's count. Each
 checkpoint's header and payload are hashed apart. On the machine that made
 `data/golden.json` (same numpy, BLAS and architecture) every hash must match;
 elsewhere `history.csv`, the eval JSON, `aggregate.json` and the attention CSV
@@ -18,13 +20,16 @@ import hashlib
 import io
 import json
 import math
+import os
 import platform
 import struct
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 
+import avhgnn
 from avhgnn.cli import EXIT_OK, main
 
 GOLDEN = Path(__file__).parent / "data" / "golden.json"
@@ -80,8 +85,10 @@ def _numbers(name: str, text: str):
             for i, col in enumerate(rows[0])}
 
 
-def run_all(tmp: Path) -> dict:
-    """Every run above in `tmp`: {"machine", "sha256", "numbers"}."""
+def run_all(tmp: Path, runs=RUNS, rest: bool = True) -> dict:
+    """Every run above in `tmp`: {"machine", "sha256", "numbers"}. `runs` may name a
+    subset of RUNS that holds gat-learned; `rest` False leaves out the resume, the
+    two-seed run and the paper-shape run."""
     hashes, numbers = {}, {}
 
     def record(name: str, data: bytes):
@@ -110,20 +117,23 @@ def run_all(tmp: Path) -> dict:
                                         "--data", data).encode())
 
     desk = gen("desk", mode="fusion_required", seed=3)
-    for out, (fusion, pooling, modality) in RUNS.items():
+    for out, (fusion, pooling, modality) in runs.items():
         cli("train", "--data", desk, "--out", tmp / out, *DESK, "--fusion", fusion,
             "--pooling", pooling, "--modality", modality)
-    cli("train", "--data", desk, "--out", tmp / "resumed", "--max-iters", "360",
-        "--resume", tmp / "gat-learned" / "checkpoint.hgck")
-    cli("train", "--data", desk, "--out", tmp / "seeds", *DESK, "--max-iters", "100",
-        "--seeds", "1,2")
-    for out in [*RUNS, "resumed", "seeds"]:
+    if rest:
+        cli("train", "--data", desk, "--out", tmp / "resumed", "--max-iters", "360",
+            "--resume", tmp / "gat-learned" / "checkpoint.hgck")
+        cli("train", "--data", desk, "--out", tmp / "seeds", *DESK, "--max-iters", "100",
+            "--seeds", "1,2")
+    for out in [*runs, *(["resumed", "seeds"] if rest else [])]:
         record_dir(out)
         for ckpt in sorted((tmp / out).glob("*.hgck")):
             evaluate(f"{out}/{ckpt.name}", desk)
     record("gat-learned:attention.csv",
            cli("dump-attention", "--checkpoint", tmp / "gat-learned" / "checkpoint.hgck",
                "--data", desk, "--item", "synth-0007").encode())
+    if not rest:
+        return {"machine": machine(), "sha256": hashes, "numbers": numbers}
 
     paper = gen("paper", **PAPER_SPEC)
     cli("train", "--data", paper, "--out", tmp / "paper", "--max-iters", "3",
@@ -148,14 +158,48 @@ def _close(got, want, where: str):
         assert got == want, f"{where}: {got!r} != {want!r}"
 
 
+def _check(got: dict, golden: dict):
+    """`got`'s hashes equal the golden file's on its machine; elsewhere its numbers
+    are within TOLERANCE. `got` may hold a subset of the golden entries."""
+    assert got["sha256"].keys() <= golden["sha256"].keys()
+    if got["machine"] == golden["machine"]:
+        moved = [name for name, sha in got["sha256"].items() if golden["sha256"][name] != sha]
+        assert not moved, f"bytes differ from {GOLDEN.name}: {moved}"
+    for name, numbers in got["numbers"].items():
+        _close(numbers, golden["numbers"][name], name)
+
+
 def test_cli_outputs_match_the_golden_file(tmp_path):
     golden = json.loads(GOLDEN.read_text())
     got = run_all(tmp_path)
-    if got["machine"] == golden["machine"]:
-        assert got["sha256"].keys() == golden["sha256"].keys()
-        moved = [name for name, sha in golden["sha256"].items() if got["sha256"][name] != sha]
-        assert not moved, f"bytes differ from {GOLDEN.name}: {moved}"
-    _close(got["numbers"], golden["numbers"], "numbers")
+    assert got["sha256"].keys() == golden["sha256"].keys()
+    _check(got, golden)
+
+
+# Runs the gat-learned subset of run_all in argv[1] and prints its record and the
+# process's thread count as JSON.
+_ONE_THREAD_CHILD = """
+import json, sys
+from pathlib import Path
+from test_golden import RUNS, run_all
+got = run_all(Path(sys.argv[1]), {"gat-learned": RUNS["gat-learned"]}, rest=False)
+status = open("/proc/self/status").read().split()
+print(json.dumps(got | {"threads": int(status[status.index("Threads:") + 1])}))
+"""
+
+
+def test_gat_learned_outputs_match_the_golden_file_at_one_blas_thread(tmp_path):
+    # OpenBLAS fixes its thread count as it loads, so the run is in a child.
+    src = Path(avhgnn.__file__).parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), str(Path(__file__).parent), os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", _ONE_THREAD_CHILD, str(tmp_path)], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    got = json.loads(run.stdout)
+    assert got.pop("threads") == 1, "the child runs more than one thread: the setting did not take"
+    assert "gat-learned/checkpoint.hgck:payload" in got["sha256"]
+    _check(got, json.loads(GOLDEN.read_text()))
 
 
 def _dump(record: dict) -> str:
