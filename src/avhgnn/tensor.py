@@ -3,15 +3,15 @@
 A tensor is a matrix or a batch of B matrices; rows and cols are the last
 two axes, so every op serves one graph and B same-shape graphs alike. A
 batch times a shared 2-D operand (a weight) folds the batch into matrix
-rows: one GEMM forward and one per gradient backward. Everything
-downstream (graph layers, pooling, the head) is built from the ops on
-ComputeGraph; a GCN, the GAT fusion (attention, message and residual add),
-and the focal loss are one op each. Forward values are computed
-eagerly with numpy; each op appends a backward rule to the tape, and
-backward() replays the tape in reverse. Ops keep their operands' dtype: a
-model drawn from an `Rng` is float32, the training dtype; one built from
-float64 arrays runs in float64, which the gradient-check tests use as a
-shadow of a float32 model.
+rows: one GEMM forward and one per gradient backward. The model is built
+from seven ops on ComputeGraph: matmul, add, sigmoid, and one op each for
+a GCN, the GAT fusion (attention, message and residual add), the readout
+(every modality's pooling, side by side) and the focal loss. Forward values
+are computed eagerly with numpy; each op appends its kind, output and
+backward rule to the tape, and backward() replays the tape in reverse. Ops
+keep their operands' dtype: a model drawn from an `Rng` is float32, the
+training dtype; one built from float64 arrays runs in float64, which the
+gradient-check tests use as a shadow of a float32 model.
 """
 
 from __future__ import annotations
