@@ -170,11 +170,12 @@ def stack_graphs(graphs) -> HeteroGraph:
     """Graphs that share one structure and feature widths, their features stacked on a
     batch axis."""
     first = graphs[0]
-    widths = {(g.audio_feats.cols, g.video_feats.cols) for g in graphs}
-    if len(widths) > 1 or not all(x is y or np.array_equal(x, y) for g in graphs[1:]
-                                  for x, y in zip(first.structure(), g.structure())):
-        raise ShapeError(f"stack_graphs needs graphs that share one structure and feature "
-                         f"widths, got widths {sorted(widths)}")
-    return HeteroGraph(Tensor(np.stack([g.audio_feats.data for g in graphs])),
-                       Tensor(np.stack([g.video_feats.data for g in graphs])),
-                       *first.structure())
+    if not all(x is y or np.array_equal(x, y) for g in graphs[1:]
+               for x, y in zip(first.structure(), g.structure())):
+        raise ShapeError("stack_graphs needs graphs that share one structure")
+    try:
+        audio = np.stack([g.audio_feats.data for g in graphs])
+        video = np.stack([g.video_feats.data for g in graphs])
+    except ValueError:  # the graphs share their node counts, so a feature width differs
+        raise ShapeError("stack_graphs needs graphs that share their feature widths") from None
+    return HeteroGraph(Tensor(audio), Tensor(video), *first.structure())

@@ -16,6 +16,7 @@ gradient-check tests use as a shadow of a float32 model.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Callable, Optional
 
 import numpy as np
@@ -287,10 +288,10 @@ class ComputeGraph:
             raise ShapeError(f"pool parts (input, row or argmax) do not fit: {shapes}")
         outs = [np.take_along_axis(h.data, k, axis=-2) if w is None else _mm(k, h.data)
                 for (h, w), k in zip(parts, keep)]
-        bounds = np.cumsum([out.shape[-1] for out in outs[:-1]]).tolist()
+        ends = [0, *accumulate(out.shape[-1] for out in outs)]
 
         def backward(g):
-            grads = [part.copy() for part in np.split(g, bounds, axis=-1)]
+            grads = [g[..., lo:hi].copy() for lo, hi in zip(ends, ends[1:])]
             for (h, w), k, g_part in reversed(list(zip(parts, keep, grads))):
                 if w is None:
                     dh = np.zeros_like(h.data)

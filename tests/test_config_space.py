@@ -4,8 +4,10 @@ with span 0-3 and dilation 1-3.
 
 A saved model restores to bitwise-equal parameters and scores, a header listing
 that differs from the model's in one entry is a ConfigError naming the first
-index at which the two differ, and a stack of 1-4 graphs gives each graph's own
-scores, loss and parameter gradients.
+index at which the two differ, a stack of 1-4 graphs gives each graph's own
+scores, loss and parameter gradients, backward's gradients match central
+differences, a run resumed at any iteration ends as the run that never stopped,
+and items that do not fit a model raise ConfigError or ShapeError alone.
 """
 
 import json
@@ -291,7 +293,7 @@ def test_stacking_graphs_of_two_feature_widths_is_a_shape_error():
                      hidden=2, pooling="mean", modality="video_only")
     graphs = [item.graph for item in (_items(config, Rng(0), SPAN_0, 1)
                                       + _items(config, Rng(0), SPAN_0, 1, d_video=1))]
-    with pytest.raises(ShapeError, match=r"feature widths, got widths \[\(1, 1\), \(1, 2\)\]"):
+    with pytest.raises(ShapeError, match="share their feature widths"):
         stack_graphs(graphs)
 
 
