@@ -250,7 +250,8 @@ def _bad_field(config: ModelConfig) -> st.SearchStrategy:
     label width."""
     fields = ["num_classes"]
     for read, n, d in ((config.audio, "n_audio", "d_audio"), (config.video, "n_video", "d_video")):
-        fields += [d] + [n] * (read and config.pooling == "learned") if read else []
+        if read:
+            fields += [d, n] if config.pooling == "learned" else [d]
     return st.sampled_from(fields)
 
 
