@@ -143,6 +143,10 @@ class TestForward:
         with pytest.raises(ShapeError, match="pool parts"):
             ComputeGraph().pool(tensors)
 
+    def test_readout_only_ops_are_gone(self):
+        for name in ("transpose", "concat_cols", "col_max"):
+            assert not hasattr(ComputeGraph, name)
+
 
 class TestBatchAxis:
     """A B x rows x cols tensor is B matrices: each op acts on every one alike."""
