@@ -22,7 +22,7 @@ import numpy as np
 
 from .data import (DataFormatError, DatasetError, SynthSpec, generate_synthetic,
                    load_dataset, read_json)
-from .graph import EdgeRule, EdgeRules, anchor_index, window_edges
+from .graph import EdgeRule, EdgeRules, relation_edges
 from .layers import GatFusionLayer
 from .metrics import evaluate
 from .tensor import ComputeGraph, NumericError, ShapeError
@@ -130,9 +130,10 @@ def _run_one_seed(items_train, items_val, cfg, run_cfg, out_dir: Path, tag: str,
 
 def _check_out(out_dir: Path):
     """ConfigError unless `out_dir`, or its nearest existing ancestor, is a writable
-    directory, so a run cannot train to its end and then fail to write. Creates nothing."""
+    directory, so a run cannot train to its end and then fail to write. A dangling symlink
+    exists, as no directory can be made in its place. Creates nothing."""
     here = out_dir.absolute()
-    existing = next(p for p in (here, *here.parents) if p.exists())
+    existing = next(p for p in (here, *here.parents) if p.exists() or p.is_symlink())
     if not (existing.is_dir() and os.access(existing, os.W_OK | os.X_OK)):
         raise ConfigError(f"--out {out_dir}: {existing} is not a writable directory")
 
@@ -237,10 +238,7 @@ def _cmd_inspect(args) -> int:
     n_audio, n_video = args.n_audio, args.n_video
     if n_audio < 1 or n_video < 1:
         raise ConfigError("node counts must be >= 1")
-    # np.indices, not np.arange: np.arange(n) is empty for 2**63 <= n < 2**64
-    aa = window_edges(np.indices((n_audio,))[0], n_audio, rules.audio)
-    vv = window_edges(np.indices((n_video,))[0], n_video, rules.video)
-    va = window_edges(anchor_index(np.arange(n_audio), n_audio, n_video), n_video, rules.cross)
+    aa, vv, va = relation_edges(n_audio, n_video, rules)
     payload = {
         "config": {"n_audio": n_audio, "n_video": n_video, "rules": asdict(rules)},
         "aa_edges": np.stack(aa, axis=1)[aa[0] < aa[1]].tolist(),

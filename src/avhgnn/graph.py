@@ -5,12 +5,12 @@ Nodes are time-ordered segments per modality. One window rule,
 neighbours at strides of `dilation`, up to `span` of them per direction;
 across modalities, each audio node is anchored to the video node at the
 proportional position in time and linked to a dilated window around that
-anchor. The 0/1 masks are scattered from those lists. Intra-modality
-adjacencies are symmetrically normalized with self-loops; the cross-modal
-adjacency is row-normalized, so the attention-free fusion averages over it
-and its nonzeros are the attention's mask. Edges never depend on the clip,
-so all graphs with the same (n_audio, n_video, rules, dtype) share one
-read-only array per relation, and such graphs stack into one minibatch graph.
+anchor. Intra-modality adjacencies are symmetrically normalized with
+self-loops; the cross-modal adjacency is row-normalized, so the
+attention-free fusion averages over it and its nonzeros are the attention's
+mask. Edges never depend on the clip, so all graphs with the same (n_audio,
+n_video, rules, dtype) share one read-only array per relation, and such
+graphs stack into one minibatch graph.
 """
 
 from __future__ import annotations
@@ -89,19 +89,6 @@ def window_edges(anchors: np.ndarray, n: int, rule: EdgeRule) -> tuple:
     return rows, cols[rows, k]
 
 
-def temporal_edges(n_nodes: int, rule: EdgeRule) -> np.ndarray:
-    """Symmetric binary adjacency linking i to i +/- dilation*k, k = 1..span: the
-    `window_edges` lists around each node, scattered into a dense mask.
-
-    Out-of-range targets are dropped; no self-loops are added here.
-    """
-    if n_nodes < 1:
-        raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
-    adj = np.zeros((n_nodes, n_nodes))
-    adj[window_edges(np.arange(n_nodes), n_nodes, rule)] = 1.0
-    return adj - np.eye(n_nodes)  # k = 0: no edge
-
-
 def anchor_index(i, n_audio: int, n_video: int):
     """Proportional audio-to-video index map, rounded half-up in exact integer
     arithmetic; `i` is an int or an integer ndarray."""
@@ -110,51 +97,31 @@ def anchor_index(i, n_audio: int, n_video: int):
     return (2 * i * (n_video - 1) + n_audio - 1) // (2 * (n_audio - 1))
 
 
-def cross_modal_edges(n_audio: int, n_video: int, rule: EdgeRule) -> np.ndarray:
-    """Binary (n_audio, n_video) mask; row i holds audio node i's video neighbours.
-
-    Each audio node connects to video nodes anchor(i) + dilation*k for
-    k in [-span, span] (the anchor itself included), clipped to range: the
-    `window_edges` lists around the anchors, scattered into a dense mask.
-    """
-    if n_audio < 1 or n_video < 1:
-        raise ValueError(f"node counts must be >= 1, got ({n_audio}, {n_video})")
-    mask = np.zeros((n_audio, n_video))
-    mask[window_edges(anchor_index(np.arange(n_audio), n_audio, n_video), n_video, rule)] = 1.0
-    return mask
-
-
-def normalize_adjacency(adj: np.ndarray, dtype=np.float32) -> np.ndarray:
-    """Symmetric normalization with self-loops: D~^-1/2 (A + I) D~^-1/2.
-
-    D~ is the degree matrix of A + I, so isolated nodes come out with a
-    unit self-loop entry.
-    """
-    adj = np.asarray(adj, dtype=np.float64)
-    if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
-        raise ShapeError(f"adjacency must be square, got shape {adj.shape}")
-    if not np.array_equal(adj, adj.T):
-        raise ShapeError("adjacency must be symmetric")
-    a_tilde = adj + np.eye(adj.shape[0])
-    inv_sqrt_deg = 1.0 / np.sqrt(a_tilde.sum(axis=1))
-    normalized = a_tilde * inv_sqrt_deg[:, None] * inv_sqrt_deg[None, :]
-    return normalized.astype(dtype)
-
-
-def mean_adjacency(mask: np.ndarray, dtype=np.float32) -> np.ndarray:
-    """A 0/1 mask with each row divided by its sum; a row with no neighbour stays zero."""
-    return (mask / np.maximum(mask.sum(axis=1, keepdims=True), 1.0)).astype(dtype)
+def relation_edges(n_audio: int, n_video: int, rules: EdgeRules) -> tuple:
+    """The `window_edges` lists of the audio-audio, video-video and audio-video relations,
+    each row's k = 0 entry included: the node itself, or its anchor."""
+    # np.indices, not np.arange: np.arange(n) is empty for 2**63 <= n < 2**64
+    return (window_edges(np.indices((n_audio,))[0], n_audio, rules.audio),
+            window_edges(np.indices((n_video,))[0], n_video, rules.video),
+            window_edges(anchor_index(np.arange(n_audio), n_audio, n_video), n_video, rules.cross))
 
 
 @functools.lru_cache(maxsize=128)
 def _shared_adjacencies(n_audio: int, n_video: int, rules: EdgeRules, dtype):
-    """The three adjacencies for one shape and rule set, built once, read-only."""
-    adjs = (normalize_adjacency(temporal_edges(n_audio, rules.audio), dtype=dtype),
-            normalize_adjacency(temporal_edges(n_video, rules.video), dtype=dtype),
-            mean_adjacency(cross_modal_edges(n_audio, n_video, rules.cross), dtype=dtype))
-    for arr in adjs:
-        arr.flags.writeable = False
-    return adjs
+    """The three adjacencies for one shape and rule set, built once, read-only, straight
+    from the edge lists. With d the count of a row's entries (its self-loop or anchor
+    included), an intra edge (i, j) holds d_i^-1/2 d_j^-1/2, which is D~^-1/2 (A + I) D~^-1/2,
+    and a cross edge holds 1 / d_i."""
+    adjs = []
+    for (rows, cols), n_cols, intra in zip(relation_edges(n_audio, n_video, rules),
+                                           (n_audio, n_video, n_video), (True, True, False)):
+        d = np.bincount(rows)  # every row lists its k = 0 entry, so d >= 1
+        inv = 1.0 / np.sqrt(d)
+        adj = np.zeros((len(d), n_cols), dtype)
+        adj[rows, cols] = inv[rows] * inv[cols] if intra else 1.0 / d[rows]
+        adj.flags.writeable = False
+        adjs.append(adj)
+    return tuple(adjs)
 
 
 def build_hetero_graph(audio_feats: np.ndarray, video_feats: np.ndarray,

@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from avhgnn.data import SynthSpec, generate_synthetic, load_dataset
-from avhgnn.graph import (EdgeRule, EdgeRules, anchor_index, build_hetero_graph,
-                          cross_modal_edges, normalize_adjacency, temporal_edges)
+from avhgnn.graph import EdgeRule, EdgeRules, anchor_index, build_hetero_graph
 from avhgnn.layers import GatFusionLayer, GcnLayer, HgnnModel, ModelConfig
 from avhgnn.metrics import average_precision, evaluate, roc_auc
 from avhgnn.tensor import ComputeGraph, Rng, Tensor
@@ -70,7 +69,8 @@ def test_a1_gradient_correctness_full_model():
 
 
 def test_a2_oracle_equivalence_100_random_instances():
-    """Matrix implementations equal brute-force per-edge / per-entry loops."""
+    """A built graph's adjacencies and the GCN and GAT layers equal brute-force per-edge /
+    per-entry loops."""
     start = time.time()
     rng = np.random.default_rng(33)
     for trial in range(100):
@@ -79,10 +79,12 @@ def test_a2_oracle_equivalence_100_random_instances():
         span = int(rng.integers(0, 7))
         dilation = int(rng.integers(1, 7))
 
-        adj = temporal_edges(n, EdgeRule(span, dilation))
-        np.testing.assert_array_equal(adj, brute_force_temporal(n, span, dilation))
+        rule = EdgeRule(span, dilation)
+        adj_aa, _, adj_va = build_hetero_graph(np.zeros((n, 1)), np.zeros((m, 1)),
+                                               EdgeRules(rule, rule, rule)).structure()
+        adj = brute_force_temporal(n, span, dilation)
+        np.testing.assert_array_equal((adj_aa != 0) - np.eye(n), adj)
 
-        cross = cross_modal_edges(n, m, EdgeRule(span, dilation))
         expected_cross = np.zeros((n, m))
         for i in range(n):
             c = anchor_index(i, n, m)
@@ -90,13 +92,14 @@ def test_a2_oracle_equivalence_100_random_instances():
                 j = c + dilation * k
                 if 0 <= j < m:
                     expected_cross[i, j] = 1.0
-        np.testing.assert_array_equal(cross, expected_cross)
+        np.testing.assert_array_equal(adj_va != 0, expected_cross)
+        row_mean = expected_cross / expected_cross.sum(axis=1, keepdims=True)
+        assert np.abs(adj_va - row_mean).max() <= 1e-6
 
-        normalized = normalize_adjacency(adj, dtype=np.float64)
         with_loops = adj + np.eye(n)
         deg = with_loops.sum(axis=1)
         per_entry = with_loops / np.sqrt(np.outer(deg, deg))
-        assert np.abs(normalized - per_entry).max() <= 1e-6
+        assert np.abs(adj_aa - per_entry).max() <= 1e-6
 
         d_in, d_out = int(rng.integers(1, 9)), int(rng.integers(1, 9))
         gcn = float64_shadow(partial(GcnLayer, d_in, d_out), trial)

@@ -419,6 +419,24 @@ class TestTrain:
         assert " iter " not in stdout  # no progress line: no iteration ran
         assert (tmp_path / "afile").read_text() == "kept"
 
+    @pytest.mark.parametrize("out", ["outlink", "outlink/run"])
+    def test_a_dangling_symlink_out_exits_2_before_the_data_loads(self, capsys, tmp_path,
+                                                                  monkeypatch, out):
+        manifest = gen_dataset(capsys, tmp_path, n_items=16, n_audio=4, n_video=6,
+                               d_audio=5, d_video=7, seed=0)
+        config = write_config(tmp_path)
+        (tmp_path / "outlink").symlink_to(tmp_path / "missing")
+        before = sorted(tmp_path.rglob("*"))
+        loads = []
+        monkeypatch.setattr(cli, "load_dataset", lambda *a: loads.append(a))
+        code, stdout, err = run(capsys, "train", "--config", str(config),
+                                "--data", str(manifest), "--out", str(tmp_path / out))
+        assert (code, loads) == (EXIT_DATA, [])
+        assert f": {tmp_path / 'outlink'} is not a writable directory" in err
+        assert " iter " not in stdout
+        assert sorted(tmp_path.rglob("*")) == before
+        assert not (tmp_path / "missing").exists()
+
     @pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
     def test_after_main_a_freed_array_is_made_again_without_page_faults(self):
         """main has malloc keep what it frees: a 2 MiB array freed and made again
@@ -752,12 +770,13 @@ class TestInspectGraph:
 
     def test_memory_is_that_of_the_edges_not_of_n_squared(self):
         """4000 audio nodes list about 24k intra and 28k cross edges, 1.8 MB of JSON;
-        dense 4000 x 4000 offset matrices and masks would peak near 550 MB. The process
-        reads its own peak RSS, not RUSAGE_CHILDREN's maximum over every earlier child
-        of the test process."""
-        script = ("import resource, sys; from avhgnn.cli import main; code = main(sys.argv[1:]); "
-                  "sys.stdout.flush(); "
-                  "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)")
+        dense 4000 x 4000 offset matrices and masks would peak near 550 MB. The child
+        reads its own peak RSS, VmHWM in /proc/self/status: on Linux, RUSAGE_SELF's
+        ru_maxrss keeps the high-water mark of the test process that exec replaced, and
+        RUSAGE_CHILDREN's is the maximum over every earlier child."""
+        script = ("import sys; from avhgnn.cli import main; code = main(sys.argv[1:]); "
+                  "sys.stdout.flush(); status = open('/proc/self/status').read().split(); "
+                  "print(code, status[status.index('VmHWM:') + 1], file=sys.stderr)")
         proc = subprocess.run(
             [sys.executable, "-c", script, "inspect-graph", "--n-audio", "4000",
              "--n-video", "100"], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,

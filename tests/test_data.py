@@ -7,8 +7,8 @@ import struct
 import numpy as np
 import pytest
 
-from avhgnn.data import (DataFormatError, DatasetError, DatasetManifest,
-                         FeatureContainer, ManifestItem, SynthSpec,
+from avhgnn.data import (N_BUMP_POSITIONS, DataFormatError, DatasetError, DatasetManifest,
+                         FeatureContainer, ManifestItem, SynthSpec, _bump_positions,
                          generate_synthetic, load_dataset, read_container,
                          read_manifest, write_container, write_manifest)
 from avhgnn.graph import EdgeRule, EdgeRules
@@ -104,10 +104,15 @@ class TestManifest:
         assert loaded.class_names == manifest.class_names
 
     def test_label_out_of_range(self):
-        with pytest.raises(DatasetError, match="label 5"):
-            DatasetManifest.from_dict({
+        def manifest(label):
+            return DatasetManifest.from_dict({
                 "num_classes": 2, "class_names": ["x", "y"],
-                "items": [{"id": "a", "container_path": "a.hgav", "labels": [5]}]})
+                "items": [{"id": "a", "container_path": "a.hgav", "labels": [label]}]})
+
+        for label in (5, 2, -1):  # 2 is num_classes, the first label past the range
+            with pytest.raises(DatasetError, match=rf"label {label} out of range \[0, 2\)"):
+                manifest(label)
+        assert [manifest(label).items[0].labels for label in (0, 1)] == [[0], [1]]
 
     @pytest.mark.parametrize("label", ["1", 1.5, True, None])
     def test_non_integer_label_is_format_error(self, label):
@@ -180,6 +185,15 @@ class TestGenerator:
         first_a = sorted((tmp_path / "a").glob("*.hgav"))[0]
         first_b = sorted((tmp_path / "b").glob("*.hgav"))[0]
         assert first_a.read_bytes() != first_b.read_bytes()
+
+    def test_bump_positions_are_distinct_increasing_starts(self):
+        """N_BUMP_POSITIONS distinct starts, spread from node 0 without wrapping, or
+        every node of a clip with fewer audio nodes than that."""
+        for n_audio in range(1, 4 * N_BUMP_POSITIONS):
+            positions = _bump_positions(SynthSpec(n_audio=n_audio))
+            assert positions == sorted(set(positions)) and positions[0] == 0
+            assert len(positions) == min(N_BUMP_POSITIONS, n_audio)
+            assert positions[-1] < n_audio
 
     def test_audio_solvable_centroids_separate_classes(self, tmp_path):
         spec = SynthSpec(n_items=32, noise_sigma=0.0, mode="audio_only_solvable",

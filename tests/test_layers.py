@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from avhgnn import tensor
-from avhgnn.graph import (EdgeRule, EdgeRules, build_hetero_graph, cross_modal_edges,
-                          mean_adjacency, stack_graphs)
+from avhgnn.graph import (EdgeRule, EdgeRules, _shared_adjacencies, build_hetero_graph,
+                          stack_graphs)
 from avhgnn.layers import (FUSION_MODES, GAT_LEAKY_SLOPE, MODALITIES, POOLING_MODES,
                            GatFusionLayer, GcnLayer, HgnnModel, ModelConfig)
 from avhgnn.tensor import ComputeGraph, NumericError, Rng, ShapeError, Tensor
@@ -260,7 +260,8 @@ class TestGatFusion:
         rng = np.random.default_rng(0)
         video = Tensor(rng.normal(0, 1, (batch, n_video, 1024)).astype(np.float32))
         audio = Tensor(rng.normal(0, 1, (batch, n_audio, 128)).astype(np.float32))
-        mask = cross_modal_edges(n_audio, n_video, EdgeRule(3, 1))
+        mask = build_hetero_graph(np.ones((n_audio, 1)), np.ones((n_video, 1)),
+                                  EdgeRules.default()).adj_va != 0
         by_w_msg = []
         product = tensor._product
 
@@ -302,7 +303,8 @@ class TestGcnFusion:
         layer.weight.data = np.eye(2)
         video = Tensor(np.array([[2.0, -2.0], [4.0, 6.0]]))
         mask = np.array([[1.0, 1.0], [0.0, 0.0]])
-        out = layer.forward(ComputeGraph(), video, mean_adjacency(mask, dtype=np.float64))
+        mean = mask / np.maximum(mask.sum(axis=1, keepdims=True), 1.0)
+        out = layer.forward(ComputeGraph(), video, mean)
         np.testing.assert_allclose(out.data, [[3.0, 2.0], [0.0, 0.0]])
 
 
@@ -690,6 +692,19 @@ class TestBatchedForward:
             for name, p in model.named_params():
                 np.testing.assert_allclose(p.grad, expected[name], rtol=0, atol=1e-6,
                                            err_msg=f"{name} at B={batch}")
+
+    def test_equal_structures_held_in_distinct_arrays_stack(self):
+        """Past the cache's 128 shapes a shape is built afresh, so two graphs can hold
+        equal adjacencies in distinct arrays; they stack as if they shared them."""
+        model = tiny_model(seed=3)
+        first = tiny_graph(seed=1)
+        _shared_adjacencies.cache_clear()
+        second = tiny_graph(seed=2)
+        assert all(x is not y for x, y in zip(first.structure(), second.structure()))
+        stacked = model.forward(ComputeGraph(), stack_graphs([first, second])).probs.data
+        for b, one in enumerate((first, second)):
+            np.testing.assert_allclose(stacked[b], model.forward(ComputeGraph(), one).probs.data,
+                                       rtol=0, atol=1e-6)
 
     def test_stack_rejects_graphs_with_different_structures(self):
         with pytest.raises(ShapeError, match="one structure"):
