@@ -241,7 +241,7 @@ class HgnnModel:
         for layer in self.layers:
             h_a, h_v, alpha = layer.forward(g, graph, h_a, h_v)
             if alpha is not None:
-                result.attention.append(alpha.data)
+                result.attention.append(alpha)
             if h_a is not None:
                 result.audio_states.append(h_a.data)
             if h_v is not None:

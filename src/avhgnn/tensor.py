@@ -241,10 +241,10 @@ class ComputeGraph:
 
     def gat_fusion(self, base: Tensor, audio: Tensor, video: Tensor, w_msg: Tensor,
                    att_audio: Tensor, att_video: Tensor, mask, slope: float):
-        """base + (alpha @ video) @ w_msg, and alpha as a constant: the masked softmax
-        (`_softmax_masked`) of leaky_relu(audio @ att_audio + transpose(video @ (w_msg
-        @ att_video)), slope). The record keeps no aggregate or projection: backward
-        recomputes the aggregate, which only w_msg's gradient reads."""
+        """base + (alpha @ video) @ w_msg, and alpha as a constant array: the masked
+        softmax (`_softmax_masked`) of leaky_relu(audio @ att_audio + transpose(video @
+        (w_msg @ att_video)), slope). The record keeps no aggregate or projection:
+        backward recomputes the aggregate, which only w_msg's gradient reads."""
         ins = (base, audio, video, w_msg, att_audio, att_video)
         if (video.cols, w_msg.cols, audio.cols, att_audio.cols, att_video.cols) != (
                 w_msg.rows, att_video.rows, att_audio.rows, 1, 1):
@@ -259,7 +259,7 @@ class ComputeGraph:
             raise ShapeError(f"gat_fusion dims differ: {[t.shape for t in ins]}")
 
         def backward(g):  # the message's rules (add, projection, aggregate), then alpha's
-            _accum(base, g)
+            _accum(base, g, own=True)  # adopted: w_msg's rule below is g's last read
             aggregate = Tensor(_mm(alpha, video.data), requires_grad=True)
             _mm_backward(g, aggregate, w_msg)
             alpha_node = Tensor(alpha, requires_grad=True)  # collects alpha's grad
@@ -268,11 +268,11 @@ class ComputeGraph:
             _mm_backward(_sum_to(g_scores, score_a.shape), audio, att_audio)
             g_v = _sum_to(g_scores, score_v.swapaxes(-1, -2).shape).swapaxes(-1, -2)
             att_v_node = Tensor(att_v, requires_grad=True)  # collects w_msg @ att_video's grad
-            _mm_backward(g_v.copy(), video, att_v_node)  # copied, as the transpose rule copies it
+            _mm_backward(g_v, video, att_v_node)
             _mm_backward(att_v_node.grad, w_msg, att_video)
 
         out = base.data + _mm(_mm(alpha, video.data), w_msg.data)
-        return self._emit("gat_fusion", out, backward), Tensor(alpha)
+        return self._emit("gat_fusion", out, backward), alpha
 
     def pool(self, parts) -> Tensor:
         """Per graph, one row from each (h, w) part, side by side: w^T @ h for a learnable
@@ -291,7 +291,7 @@ class ComputeGraph:
         ends = [0, *accumulate(out.shape[-1] for out in outs)]
 
         def backward(g):
-            grads = [g[..., lo:hi].copy() for lo, hi in zip(ends, ends[1:])]
+            grads = [g[..., lo:hi] for lo, hi in zip(ends, ends[1:])]
             for (h, w), k, g_part in reversed(list(zip(parts, keep, grads))):
                 if w is None:
                     dh = np.zeros_like(h.data)

@@ -11,10 +11,10 @@ which adopts the three blocks as they are. Batch composition at iteration t is a
 pure function of (seed, t) - concatenated per-epoch permutations - so a resume
 replays the identical stream, and a history row holds only its own iteration's
 scores (TrainConfig.validates(t)).
-The model config is the checkpoint's on a resume, else built from the first item;
-every train and validation item passes its `ModelConfig.check` before iteration 1,
-so an item the model cannot score or train on is a ConfigError naming it, not a
-failure at the first validation.
+A run builds its model from the checkpoint on a resume, else from the first item;
+every train and validation item then passes that model's `ModelConfig.check` before
+iteration 1, so an item the model cannot score or train on is a ConfigError naming
+it, not a failure at the first validation.
 For a fixed seed and thread count, curves and resumes are bitwise identical; the
 checkpoint bytes measure equal at 1 and 2 BLAS threads (the test
 test_checkpoint_bytes_do_not_depend_on_the_blas_thread_count)."""
@@ -453,24 +453,21 @@ def train(items, cfg: TrainConfig, val_items=None, resume: Checkpoint | None = N
     """
     if not items:
         raise ConfigError("empty dataset")
-    if resume is not None:
-        resume.check_resume(cfg)
-        model_cfg = resume.model_config
-    else:
-        first = items[0].graph
-        model_cfg = model_config_for(cfg, first.audio_feats.cols, first.video_feats.cols,
-                                     first.n_audio, first.n_video, np.size(items[0].labels))
-    check_items(model_cfg, itertools.chain(items, val_items or ()))
     rng = Rng(cfg.seed)
     if resume is not None:
+        resume.check_resume(cfg)
         model = resume.build_model()
         optimizer = resume.build_optimizer(model)
         rng.bit_generator.state = resume.rng_state
         start = resume.iteration
     else:
-        model = HgnnModel(model_cfg, rng)
+        first = items[0].graph
+        model = HgnnModel(model_config_for(cfg, first.audio_feats.cols, first.video_feats.cols,
+                                           first.n_audio, first.n_video,
+                                           np.size(items[0].labels)), rng)
         optimizer = Adam(model.named_params())
         start = 0
+    check_items(model.config, itertools.chain(items, val_items or ()))
 
     history = []
     grad = optimizer.gradients()

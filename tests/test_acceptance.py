@@ -116,7 +116,7 @@ def test_a2_oracle_equivalence_100_random_instances():
         exp_out, exp_alpha = gat_oracle(video, mask, audio, gat.w_msg.data,
                                         gat.att_audio.data, gat.att_video.data)
         assert np.abs(fused.data - exp_out).max() <= 1e-6
-        assert np.abs(alpha.data - exp_alpha).max() <= 1e-6
+        assert np.abs(alpha - exp_alpha).max() <= 1e-6
     assert time.time() - start < 60.0
 
 

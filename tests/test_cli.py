@@ -453,6 +453,19 @@ class TestTrain:
             timeout=120, env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
         assert int(proc.stderr) < 50
 
+    @pytest.mark.skipif(os.name != "posix", reason="main sets malloc only on POSIX")
+    def test_main_sets_the_malloc_thresholds_the_readme_states(self, monkeypatch):
+        """M_MMAP_THRESHOLD (-3) to 32 MiB, then M_TRIM_THRESHOLD (-1) to 256 MiB."""
+        calls = []
+
+        class Libc:
+            def mallopt(self, param, value):
+                calls.append((param, value))
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: Libc())
+        cli._keep_freed_memory()
+        assert calls == [(-3, 32 * 1024 * 1024), (-1, 256 * 1024 * 1024)]
+
     def test_the_file_and_the_flags_are_checked_together(self, capsys, tmp_path):
         """A file invalid alone loads once a flag sets the bad field."""
         cfg = write_config(tmp_path, max_iters=0)

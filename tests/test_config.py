@@ -2,6 +2,7 @@
 the reader's own error."""
 
 import copy
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -78,3 +79,8 @@ def test_mutated_manifest_gives_manifest_or_data_error(data):
         return
     assert isinstance(manifest, DatasetManifest)
     assert all(isinstance(it, ManifestItem) for it in manifest.items)
+
+
+def test_the_largest_finite_float_is_a_finite_number():
+    """A float field takes every finite value, the largest one included."""
+    assert TrainConfig(gamma=sys.float_info.max).gamma == sys.float_info.max

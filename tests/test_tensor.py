@@ -561,7 +561,7 @@ def _gat_chain(g, audio, video, w_msg, att_audio, att_video, mask, slope):
 
 def _gat_fusion_chain(g, base, audio, video, w_msg, att_audio, att_video, mask, slope):
     alpha = _gat_chain(g, audio, video, w_msg, att_audio, att_video, mask, slope)
-    return _attend_chain(g, base, alpha, video, w_msg), alpha
+    return _attend_chain(g, base, alpha, video, w_msg), alpha.data
 
 
 class TestFusedOpsBitwise:
@@ -571,14 +571,14 @@ class TestFusedOpsBitwise:
 
     @staticmethod
     def _run(op, arrays, trainable, upstream, extra=()):
-        """The op's outputs (the first one differentiated against `upstream`), the
-        leaves' gradients, and the tape's length."""
+        """The op's outputs as arrays (the first, a tensor, differentiated against
+        `upstream`), the leaves' gradients, and the tape's length."""
         leaves = [Tensor(a.copy(), requires_grad=t) for a, t in zip(arrays, trainable)]
         g = ReferenceGraph()
         outs = op(g, *leaves, *extra)
         outs = outs if isinstance(outs, tuple) else (outs,)
         g.backward(g.sum_all(g.mul(outs[0], Tensor(upstream))))
-        return [out.data for out in outs] + [leaf.grad for leaf in leaves], len(g)
+        return [outs[0].data, *outs[1:]] + [leaf.grad for leaf in leaves], len(g)
 
     def _assert_same(self, fused, chain, n_chain_ops):
         (fused_arrays, fused_len), (chain_arrays, chain_len) = fused, chain

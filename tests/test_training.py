@@ -588,6 +588,40 @@ class TestTrainLoop:
                   progress=rows.append)
         assert rows == []
 
+    @staticmethod
+    def _saved_at_iteration_2(items, path):
+        """Trains `items` to iteration 2 and saves there; the config to resume with."""
+        cfg = small_config(pooling="learned", max_iters=4)
+        train(items, replace(cfg, max_iters=2)).save(path)
+        return cfg
+
+    @ODD_ITEMS
+    def test_a_resume_rejects_a_bad_validation_item_before_iteration_1(
+            self, tmp_path, odd, message):
+        """The check runs against the model the checkpoint builds; the failed resume
+        reports no row and writes nothing, so the checkpoint keeps its bytes."""
+        items = self._items_with_an_odd_validation_item(**odd)
+        path = tmp_path / "ck.hgck"
+        cfg = self._saved_at_iteration_2(items[:-1], path)
+        saved = path.read_bytes()
+        rows = []
+        with pytest.raises(ConfigError, match=f"item 'odd': {message}"):
+            train(items[:-1], cfg, val_items=items[-1:], resume=load_checkpoint(path),
+                  progress=rows.append)
+        assert rows == []
+        assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == saved
+
+    def test_a_resume_reports_a_changed_checkpoint_before_a_bad_item(self, tmp_path):
+        """The model and optimizer are built before the items are checked, so a
+        checkpoint that changed since it was loaded is the error a resume gives."""
+        items = self._items_with_an_odd_validation_item(num_classes=3)
+        path = tmp_path / "ck.hgck"
+        cfg = self._saved_at_iteration_2(items[:-1], path)
+        checkpoint = load_checkpoint(path)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(ConfigError, match="checkpoint changed since it was loaded"):
+            train(items[:-1], cfg, val_items=items[-1:], resume=checkpoint)
+
     @ODD_ITEMS
     def test_run_seeds_rejects_a_bad_validation_item_before_iteration_1(self, odd, message):
         items = self._items_with_an_odd_validation_item(**odd)
@@ -726,7 +760,7 @@ class TestCheckpoint:
             scores = g.add(g.matmul(audio, self.att_audio), g.transpose(score_v))
             alpha = g.row_softmax_masked(g.leaky_relu(scores, layers.GAT_LEAKY_SLOPE),
                                          mask_va > 0)
-            return g.add(residual, g.matmul(g.matmul(alpha, video), self.w_msg)), alpha
+            return g.add(residual, g.matmul(g.matmul(alpha, video), self.w_msg)), alpha.data
 
         monkeypatch.setattr(tensor, "_accum", lambda t, g, own=False: accum(t, g))
         monkeypatch.setattr(training, "ComputeGraph", ReferenceGraph)

@@ -98,6 +98,12 @@ def sites(source: str) -> list:
     return sorted((s for s in found if s.fits(lines)), key=lambda s: (s.line, s.col))
 
 
+def sample(every: list, n: int, seed: int) -> list:
+    """`n` of the sites `every` (all of them if fewer), drawn with `seed`, in source order."""
+    return sorted(random.Random(seed).sample(every, min(n, len(every))),
+                  key=lambda s: (s.line, s.col))
+
+
 def run_suite(copy: Path, timeout: float) -> tuple:
     """('killed' | 'survived' | 'timeout', seconds) for the copy's current sources."""
     env = {**os.environ, "PYTHONPATH": str(copy / "src")}
@@ -130,8 +136,7 @@ def main(argv=None) -> int:
     module = args.module.resolve()
     source = module.read_text()
     every = sites(source)
-    chosen = sorted(random.Random(args.seed).sample(every, min(args.sample, len(every))),
-                    key=lambda s: (s.line, s.col))
+    chosen = sample(every, args.sample, args.seed)
     print(f"{module.name}: {len(every)} sites, {len(chosen)} sampled with seed {args.seed}")
     if args.list:
         for site in chosen:
