@@ -8,7 +8,9 @@ audio GCN's output, all in one tape op. The attention-free fusion is one
 more GCN, over the graph's row-normalized video-to-audio adjacency, whose
 nonzeros are the attention's mask. Graph-level readout pools each modality's
 final node embeddings, by default with learnable per-position weights, and a
-sigmoid head scores each class independently.
+sigmoid head scores each class independently. Every learnable is made by
+the model's maker, `param(rows, cols, name, fill=None)`, which the layers
+take, so the model lists its parameters in the order it made them.
 """
 
 from __future__ import annotations
@@ -101,14 +103,11 @@ def _param(init, rows: int, cols: int, name: str, fill=None) -> Tensor:
 class GcnLayer:
     """One graph convolution: ReLU(A_norm @ H @ W)."""
 
-    def __init__(self, in_dim: int, out_dim: int, init, name="gcn"):
-        self.weight = _param(init, in_dim, out_dim, f"{name}.weight")
+    def __init__(self, in_dim: int, out_dim: int, param, name="gcn"):
+        self.weight = param(in_dim, out_dim, f"{name}.weight")
 
     def forward(self, g: ComputeGraph, feats: Tensor, adj_norm: np.ndarray) -> Tensor:
         return g.gcn(adj_norm, feats, self.weight)
-
-    def params(self):
-        return [self.weight]
 
 
 class GatFusionLayer:
@@ -121,10 +120,10 @@ class GatFusionLayer:
     differ, so the audio endpoint scores its raw features with its own vector.
     """
 
-    def __init__(self, audio_dim: int, video_dim: int, out_dim: int, init, name="fusion"):
-        self.w_msg = _param(init, video_dim, out_dim, f"{name}.w_msg")
-        self.att_audio = _param(init, audio_dim, 1, f"{name}.att_audio")
-        self.att_video = _param(init, out_dim, 1, f"{name}.att_video")
+    def __init__(self, audio_dim: int, video_dim: int, out_dim: int, param, name="fusion"):
+        self.w_msg = param(video_dim, out_dim, f"{name}.w_msg")
+        self.att_audio = param(audio_dim, 1, f"{name}.att_audio")
+        self.att_video = param(out_dim, 1, f"{name}.att_video")
 
     def forward(self, g: ComputeGraph, video_feats: Tensor, mask_va: np.ndarray,
                 audio_feats: Tensor, residual: Tensor):
@@ -134,26 +133,23 @@ class GatFusionLayer:
         return g.gat_fusion(residual, audio_feats, video_feats, self.w_msg, self.att_audio,
                             self.att_video, mask_va, GAT_LEAKY_SLOPE)
 
-    def params(self):
-        return [self.w_msg, self.att_audio, self.att_video]
-
 
 class HeteroLayer:
     """One stacked update step over the modalities `config` reads; a fusion only
     when it reads both."""
 
-    def __init__(self, audio_in: int, video_in: int, config: ModelConfig, init, name="layer"):
+    def __init__(self, audio_in: int, video_in: int, config: ModelConfig, param, name="layer"):
         out_dim = config.hidden
         self.audio_gcn = self.video_gcn = self.fusion = None
         if config.audio:
-            self.audio_gcn = GcnLayer(audio_in, out_dim, init, f"{name}.audio")
+            self.audio_gcn = GcnLayer(audio_in, out_dim, param, f"{name}.audio")
         if config.video:
-            self.video_gcn = GcnLayer(video_in, out_dim, init, f"{name}.video")
+            self.video_gcn = GcnLayer(video_in, out_dim, param, f"{name}.video")
         fusion = config.fusion if config.audio and config.video else FUSION_NONE
         if fusion == FUSION_GAT:
-            self.fusion = GatFusionLayer(audio_in, video_in, out_dim, init, f"{name}.fusion")
+            self.fusion = GatFusionLayer(audio_in, video_in, out_dim, param, f"{name}.fusion")
         elif fusion == FUSION_GCN:
-            self.fusion = GcnLayer(video_in, out_dim, init, f"{name}.fusion")
+            self.fusion = GcnLayer(video_in, out_dim, param, f"{name}.fusion")
 
     def forward(self, g: ComputeGraph, graph: HeteroGraph, h_a, h_v):
         """Returns (h_audio', h_video', attention or None)."""
@@ -168,10 +164,6 @@ class HeteroLayer:
         if self.video_gcn is not None:
             new_v = self.video_gcn.forward(g, h_v, graph.adj_vv)
         return new_a, new_v, alpha
-
-    def params(self):
-        parts = (self.audio_gcn, self.video_gcn, self.fusion)
-        return [p for part in parts if part is not None for p in part.params()]
 
 
 @dataclass
@@ -189,40 +181,42 @@ class HgnnModel:
     """The full classifier: stacked hetero layers, pooling, sigmoid head.
 
     `init` is `Rng(seed)`, for a fresh float32 init, or a function
-    `init(name, rows, cols)` called once per parameter in `named_params` order,
-    whose arrays the model then holds as they are. The model's dtype is its
-    parameters': float64 arrays give a float64 model."""
+    `init(name, rows, cols)` called once per parameter in the order the model
+    makes them, whose arrays the model then holds as they are. The model's dtype
+    is its parameters': float64 arrays give a float64 model."""
 
     def __init__(self, config: ModelConfig, init):
         self.config = config
         cfg = config
+        self._params = []
+
+        def param(rows, cols, name, fill=None):
+            self._params.append(_param(init, rows, cols, name, fill))
+            return self._params[-1]
+
         self.layers = []
         audio_in, video_in = cfg.d_audio, cfg.d_video
         for i in range(cfg.num_layers):
-            self.layers.append(HeteroLayer(audio_in, video_in, cfg, init, name=f"layer{i}"))
+            self.layers.append(HeteroLayer(audio_in, video_in, cfg, param, name=f"layer{i}"))
             audio_in = video_in = cfg.hidden
 
         self.pool_audio = self.pool_video = None
         if cfg.pooling == "learned":
             # Uniform start: learned pooling begins exactly at mean pooling.
             if cfg.audio:
-                self.pool_audio = _param(init, cfg.n_audio, 1, "pool.audio",
-                                         fill=1.0 / cfg.n_audio)
+                self.pool_audio = param(cfg.n_audio, 1, "pool.audio", fill=1.0 / cfg.n_audio)
             if cfg.video:
-                self.pool_video = _param(init, cfg.n_video, 1, "pool.video",
-                                         fill=1.0 / cfg.n_video)
+                self.pool_video = param(cfg.n_video, 1, "pool.video", fill=1.0 / cfg.n_video)
 
         head_in = cfg.hidden * (cfg.audio + cfg.video)
-        self.cls_weight = _param(init, head_in, cfg.num_classes, "classifier.weight")
-        self.cls_bias = _param(init, 1, cfg.num_classes, "classifier.bias", fill=0.0)
+        self.cls_weight = param(head_in, cfg.num_classes, "classifier.weight")
+        self.cls_bias = param(1, cfg.num_classes, "classifier.bias", fill=0.0)
 
     # -- parameters -----------------------------------------------------------
 
     def params(self) -> list[Tensor]:
-        """All learnables in a fixed declaration order (checkpoint layout)."""
-        pools = [p for p in (self.pool_audio, self.pool_video) if p is not None]
-        return ([p for layer in self.layers for p in layer.params()]
-                + pools + [self.cls_weight, self.cls_bias])
+        """All learnables in the order the model made them: the checkpoint's order."""
+        return self._params
 
     def named_params(self) -> list[tuple[str, Tensor]]:
         return [(p.name, p) for p in self.params()]

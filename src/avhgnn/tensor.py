@@ -158,11 +158,12 @@ def _softmax_masked(x: np.ndarray, mask) -> np.ndarray:
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != x.shape[-2:]:
         raise ShapeError(f"mask shape {mask.shape} != tensor shape {x.shape[-2:]}")
-    x = np.where(mask, x, -np.inf)
-    row_max = x.max(axis=-1, keepdims=True)
-    ex = np.exp(x - np.where(np.isfinite(row_max), row_max, 0.0))  # masked: exp(-inf) = 0
+    ex = np.where(mask, x, -np.inf)
+    row_max = ex.max(axis=-1, keepdims=True)
+    ex -= np.where(np.isfinite(row_max), row_max, 0.0)
+    np.exp(ex, out=ex)  # masked: exp(-inf) = 0, so an all-masked row is already all 0
     denom = ex.sum(axis=-1, keepdims=True)  # NaN if a NaN score is unmasked
-    return np.divide(ex, denom, out=np.zeros_like(ex), where=mask.any(axis=-1, keepdims=True))
+    return np.divide(ex, denom, out=ex, where=mask.any(axis=-1, keepdims=True))
 
 
 def _softmax_grad(out: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -250,11 +251,10 @@ class ComputeGraph:
                 w_msg.rows, att_video.rows, att_audio.rows, 1, 1):
             raise ShapeError(f"gat_fusion dims differ: {[t.shape for t in ins]}")
         att_v = _product(w_msg.data, att_video.data)
-        score_v = _mm(video.data, att_v)
-        score_a = _mm(audio.data, att_audio.data)
-        scores = score_a + score_v.swapaxes(-1, -2)
+        scores = _mm(audio.data, att_audio.data) + _mm(video.data, att_v).swapaxes(-1, -2)
         scale = _leaky_scale(scores, slope)
-        alpha = _softmax_masked(scores * scale, mask)
+        scores *= scale
+        alpha = _softmax_masked(scores, mask)
         if base.shape != alpha.shape[:-1] + (w_msg.cols,):
             raise ShapeError(f"gat_fusion dims differ: {[t.shape for t in ins]}")
 
@@ -265,8 +265,8 @@ class ComputeGraph:
             alpha_node = Tensor(alpha, requires_grad=True)  # collects alpha's grad
             _mm_backward(aggregate.grad, alpha_node, video)
             g_scores = _softmax_grad(alpha, alpha_node.grad) * scale
-            _mm_backward(_sum_to(g_scores, score_a.shape), audio, att_audio)
-            g_v = _sum_to(g_scores, score_v.swapaxes(-1, -2).shape).swapaxes(-1, -2)
+            _mm_backward(_sum_to(g_scores, audio.shape[:-1] + (1,)), audio, att_audio)
+            g_v = _sum_to(g_scores, video.shape[:-2] + (1, video.rows)).swapaxes(-1, -2)
             att_v_node = Tensor(att_v, requires_grad=True)  # collects w_msg @ att_video's grad
             _mm_backward(g_v, video, att_v_node)
             _mm_backward(att_v_node.grad, w_msg, att_video)

@@ -1,10 +1,12 @@
 """Shared oracles plus a per-criterion summary for the acceptance suite."""
 
 import re
+from functools import partial
 
 import numpy as np
 import pytest
 
+from avhgnn.layers import _param
 from avhgnn.tensor import Rng
 
 ACCEPTANCE_CRITERIA = {
@@ -62,13 +64,23 @@ def numeric_gradient(fn, arrays, h=1e-5):
 
 
 def float64_shadow(build, seed=0):
-    """`build(init)` in float64: the one way the tests make a float64 model or
-    layer. Its parameters are the arrays of the float32 `build(Rng(seed))`, cast,
-    and handed to `build` one per `init(name, rows, cols)` call, the path a
-    checkpoint's model takes."""
+    """`build(init)` in float64: the one way the tests make a float64 model. Its
+    parameters are the arrays of the float32 `build(Rng(seed))`, cast, and handed
+    to `build` one per `init(name, rows, cols)` call, the path a checkpoint's
+    model takes."""
     source = build(Rng(seed))
     arrays = iter([p.data.astype(np.float64) for p in source.params()])
     return build(lambda *_: next(arrays))
+
+
+def float64_layer(build, seed=0):
+    """`build(param)` in float64: the one way the tests make a float64 standalone
+    layer. The float32 `build(partial(_param, Rng(seed)))` is recorded as it makes
+    each parameter, and `build` is then handed their arrays, cast, in that order."""
+    made, float32 = [], partial(_param, Rng(seed))
+    build(lambda *args, **kw: made.append(float32(*args, **kw)) or made[-1])
+    arrays = iter([p.data.astype(np.float64) for p in made])
+    return build(partial(_param, lambda *_: next(arrays)))
 
 
 def assert_grad_close(analytic, numeric, rel=1e-4, abs_floor=1e-6):

@@ -18,7 +18,7 @@ from avhgnn.metrics import average_precision, evaluate, roc_auc
 from avhgnn.tensor import ComputeGraph, Rng, Tensor
 from avhgnn.training import (TrainConfig, focal_loss, load_checkpoint, lr_at,
                              save_checkpoint, split_dataset, train)
-from conftest import assert_grad_close, float64_shadow, numeric_gradient
+from conftest import assert_grad_close, float64_layer, float64_shadow, numeric_gradient
 from test_graph import brute_force_temporal
 from test_layers import gat_message, gat_oracle, gcn_oracle
 from test_metrics import ap_by_hand, auc_by_pairs
@@ -102,13 +102,13 @@ def test_a2_oracle_equivalence_100_random_instances():
         assert np.abs(adj_aa - per_entry).max() <= 1e-6
 
         d_in, d_out = int(rng.integers(1, 9)), int(rng.integers(1, 9))
-        gcn = float64_shadow(partial(GcnLayer, d_in, d_out), trial)
+        gcn = float64_layer(partial(GcnLayer, d_in, d_out), trial)
         feats = rng.normal(0, 1, (n, d_in))
         out = gcn.forward(ComputeGraph(), Tensor(feats), per_entry).data
         assert np.abs(out - gcn_oracle(per_entry, feats, gcn.weight.data)).max() <= 1e-6
 
         d_a = int(rng.integers(1, 9))
-        gat = float64_shadow(partial(GatFusionLayer, d_a, d_in, d_out), trial + 1)
+        gat = float64_layer(partial(GatFusionLayer, d_a, d_in, d_out), trial + 1)
         video = rng.normal(0, 1, (m, d_in))
         audio = rng.normal(0, 1, (n, d_a))
         mask = (rng.random((n, m)) > 0.4).astype(float)

@@ -9,10 +9,10 @@ from avhgnn import tensor
 from avhgnn.graph import (EdgeRule, EdgeRules, _shared_adjacencies, build_hetero_graph,
                           stack_graphs)
 from avhgnn.layers import (FUSION_MODES, GAT_LEAKY_SLOPE, MODALITIES, POOLING_MODES,
-                           GatFusionLayer, GcnLayer, HgnnModel, ModelConfig)
+                           GatFusionLayer, GcnLayer, HgnnModel, ModelConfig, _param)
 from avhgnn.tensor import ComputeGraph, NumericError, Rng, ShapeError, Tensor
 from avhgnn.training import focal_loss
-from conftest import assert_grad_close, float64_shadow, numeric_gradient
+from conftest import assert_grad_close, float64_layer, float64_shadow, numeric_gradient
 from reference_ops import ReferenceGraph
 
 TINY_RULES = EdgeRules(audio=EdgeRule(1, 1), video=EdgeRule(1, 1), cross=EdgeRule(1, 1))
@@ -77,7 +77,7 @@ def random_graph(rng, n_audio, n_video, d_audio, d_video, dtype=np.float64):
 
 class TestGcnLayer:
     def test_single_node_identity_weight(self):
-        layer = float64_shadow(partial(GcnLayer, 3, 3))
+        layer = float64_layer(partial(GcnLayer, 3, 3))
         layer.weight.data = np.eye(3)
         g = ComputeGraph()
         h = Tensor(np.array([[-1.0, 0.5, 2.0]]))
@@ -86,7 +86,7 @@ class TestGcnLayer:
 
     def test_two_node_path_hand_computation(self):
         # A = path graph, normalized entries all 1/2; H and W hand-set.
-        layer = float64_shadow(partial(GcnLayer, 2, 1))
+        layer = float64_layer(partial(GcnLayer, 2, 1))
         layer.weight.data = np.array([[1.0], [-1.0]])
         adj = np.full((2, 2), 0.5)
         h = Tensor(np.array([[2.0, 1.0], [0.0, 3.0]]))
@@ -99,7 +99,7 @@ class TestGcnLayer:
     def test_matches_loop_oracle(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 20))
-        layer = float64_shadow(partial(GcnLayer, 6, 4), seed)
+        layer = float64_layer(partial(GcnLayer, 6, 4), seed)
         graph = build_hetero_graph(
             rng.normal(0, 1, (n, 6)), rng.normal(0, 1, (3, 5)),
             EdgeRules(audio=EdgeRule(2, 2), video=EdgeRule(1, 1), cross=EdgeRule(1, 1)))
@@ -117,7 +117,7 @@ class TestGcnLayer:
         weight = rng.integers(-2, 3, (d, 3)).astype(np.float64)
         adj = np.triu(rng.integers(0, 2, (n, n)), 1).astype(np.float64)
         adj = adj + adj.T + np.eye(n)  # integer entries, synthetic "normalized"
-        layer = float64_shadow(partial(GcnLayer, d, 3))
+        layer = float64_layer(partial(GcnLayer, d, 3))
         layer.weight.data = weight
         perm = rng.permutation(n)
         p_mat = np.eye(n)[perm]
@@ -131,7 +131,7 @@ class TestGcnLayer:
 
 class TestGatFusion:
     def _layer(self, seed, d_audio=3, d_video=4, d_out=5):
-        return float64_shadow(partial(GatFusionLayer, d_audio, d_video, d_out), seed)
+        return float64_layer(partial(GatFusionLayer, d_audio, d_video, d_out), seed)
 
     def test_single_neighbour_alpha_one(self):
         layer = self._layer(0)
@@ -199,7 +199,7 @@ class TestGatFusion:
         """The broadcast score sum equals the ones-matrix matmul formulation bit
         for bit, and so do the attention and the residual plus message built on it."""
         rng = np.random.default_rng(11)
-        layer = GatFusionLayer(3, 4, 5, Rng(6))  # float32, the training dtype
+        layer = GatFusionLayer(3, 4, 5, partial(_param, Rng(6)))  # float32, the training dtype
         video = Tensor(rng.normal(0, 1, (6, 4)).astype(np.float32))
         audio = Tensor(rng.normal(0, 1, (4, 3)).astype(np.float32))
         mask = (rng.random((4, 6)) > 0.3).astype(float)
@@ -230,7 +230,7 @@ class TestGatFusion:
         node that has no video neighbour. The gradients reach the attention
         through the message: gat_fusion's alpha is a constant."""
         rng = np.random.default_rng(30)
-        layer = float64_shadow(partial(GatFusionLayer, 3, 6, 4), 7)
+        layer = float64_layer(partial(GatFusionLayer, 3, 6, 4), 7)
         lead = () if batch is None else (batch,)
         video = Tensor(rng.normal(0, 1, lead + (7, 6)), requires_grad=True)
         audio = Tensor(rng.normal(0, 1, lead + (5, 3)), requires_grad=True)
@@ -256,7 +256,7 @@ class TestGatFusion:
         node, never the n_video video rows: 40 rows of the 1024 x 512 GEMM
         per graph instead of 100, the batch folded into those rows."""
         n_audio, n_video, batch = 40, 100, 2
-        layer = GatFusionLayer(128, 1024, 512, Rng(0))
+        layer = GatFusionLayer(128, 1024, 512, partial(_param, Rng(0)))
         rng = np.random.default_rng(0)
         video = Tensor(rng.normal(0, 1, (batch, n_video, 1024)).astype(np.float32))
         audio = Tensor(rng.normal(0, 1, (batch, n_audio, 128)).astype(np.float32))
@@ -299,7 +299,7 @@ class TestGatFusion:
 class TestGcnFusion:
     def test_mean_aggregation_with_isolated_row(self):
         # a hand-built mask: every row of a built graph holds its anchor
-        layer = float64_shadow(partial(GcnLayer, 2, 2))
+        layer = float64_layer(partial(GcnLayer, 2, 2))
         layer.weight.data = np.eye(2)
         video = Tensor(np.array([[2.0, -2.0], [4.0, 6.0]]))
         mask = np.array([[1.0, 1.0], [0.0, 0.0]])
@@ -567,8 +567,8 @@ class TestModelForward:
 
 class TestCountParams:
     def test_single_gcn_layer(self):
-        layer = GcnLayer(2, 3, Rng(0))
-        assert sum(p.data.size for p in layer.params()) == 6
+        layer = GcnLayer(2, 3, partial(_param, Rng(0)))
+        assert layer.weight.data.size == 6
 
     def test_full_scale_config_arithmetic(self):
         config = ModelConfig(d_audio=128, d_video=1024, n_audio=40, n_video=100,
@@ -598,12 +598,9 @@ class TestParameterDtype:
     """A model's dtype is its parameters': float32 from an Rng, and from an init
     function whatever arrays it returns."""
 
-    @pytest.mark.parametrize("build", [
-        partial(HgnnModel, tiny_config()), partial(GcnLayer, 5, 4),
-        partial(GatFusionLayer, 5, 7, 4)], ids=["model", "gcn", "gat"])
-    def test_a_fresh_draw_holds_float32_parameters(self, build):
-        fresh = build(Rng(0))
-        params = fresh.params()
+    def test_a_fresh_draw_holds_float32_parameters(self):
+        """Every layer's parameters: the tiny model has GCNs and a GAT fusion."""
+        params = HgnnModel(tiny_config(), Rng(0)).params()
         assert params and all(p.dtype == np.float32 for p in params)
 
     def test_float64_arrays_are_held_as_given_and_run_in_float64(self):
@@ -770,7 +767,7 @@ class TestDeskTape:
             for x in [out.data] + held:
                 if isinstance(x, np.ndarray) and not any(x is a for a in shared):
                     kept[id(x)] = x.nbytes
-        assert sum(kept.values()) == 130416
+        assert sum(kept.values()) == 128176
 
     def test_no_two_parameter_gradients_share_memory(self):
         model, g, loss = self._step()

@@ -4,6 +4,8 @@ an unparsable mutant would fail every test, and so be counted as killed."""
 
 import ast
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -45,3 +47,21 @@ def test_the_sample_is_reproducible_and_each_mutant_parses(mutate, module, capsy
     assert printed[0].splitlines() == [
         f"{module.name}: {len(every)} sites, {len(chosen)} sampled with seed 1",
         *("  " + site.describe(module, source) for site in chosen)]
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["flushed-on-return", "written-in-print"])
+def test_a_listing_into_a_closed_stdout_exits_141_silently(buffered):
+    """As the cli does: a reader that stops reading ends the listing with a SIGPIPE
+    death's 128 + 13 and nothing on stderr, whether the first write is the flush on
+    return (a buffered stdout) or the first print (an unbuffered one)."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "tools" / "mutate.py"), str(MODULES[0].parent / "cli.py"),
+             "--list"], stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+            env=env if buffered else {**env, "PYTHONUNBUFFERED": "1"})
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")

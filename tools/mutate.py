@@ -132,7 +132,17 @@ def main(argv=None) -> int:
     parser.add_argument("--timeout", type=float, default=300.0, help="seconds per mutant")
     parser.add_argument("--list", action="store_true", help="print the sample, run nothing")
     args = parser.parse_args(argv)
+    try:
+        code = run(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # the reader went away: exit as SIGPIPE would, silently
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
+
+def run(args) -> int:
+    """Print the sample, and unless --list, each mutant's outcome and the tally."""
     module = args.module.resolve()
     source = module.read_text()
     every = sites(source)
