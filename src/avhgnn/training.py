@@ -273,7 +273,6 @@ class Checkpoint(Record):
     model_config: ModelConfig
     iteration: int
     adam_step: int
-    rng_state: dict
     params: list          # the header's (name, rows, cols), in declared order
     param_block: np.ndarray  # flat f32 parameters
     path: str             # absolute, for build_optimizer's read of the moments
@@ -330,7 +329,9 @@ def save_checkpoint(path, model: HgnnModel, optimizer: Adam, iteration: int,
 
     The payload is the optimizer's `blocks`, one write each: parameters, first
     and second moments, in the model's declared parameter order. The optimizer
-    must hold the model's parameters, as `Adam(model.named_params())` does."""
+    must hold the model's parameters, as `Adam(model.named_params())` does.
+    `rng` is accepted and not read, since a resume draws nothing (the batch order is
+    `batch_indices`, a pure function of (seed, t)); callers still pass it by position."""
     named = model.named_params()
     blocks = optimizer.blocks
     if [n for n, _ in named] != [n for n, _ in optimizer._params] or any(
@@ -341,7 +342,6 @@ def save_checkpoint(path, model: HgnnModel, optimizer: Adam, iteration: int,
         "model_config": model.config.to_dict(),
         "iteration": int(iteration),
         "adam_step": int(optimizer.step_count),
-        "rng_state": rng.bit_generator.state,
         "params": [{"name": name, "rows": p.rows, "cols": p.cols} for name, p in named],
     }).encode("utf-8")
     with atomic_open(path, "wb") as f:
@@ -390,8 +390,6 @@ def load_checkpoint(path) -> Checkpoint:
             train_config = TrainConfig.from_dict(header["train_config"])
             model_config = ModelConfig.from_dict(header["model_config"])
             iteration, adam_step = header["iteration"], header["adam_step"]
-            rng_state = header["rng_state"]
-            Rng(0).bit_generator.state = rng_state
         except (KeyError, TypeError, ValueError, OverflowError,  # bad or out-of-range values
                 RecursionError) as exc:  # too-deep JSON
             detail = exc if isinstance(exc, ConfigError) else repr(exc)
@@ -409,7 +407,7 @@ def load_checkpoint(path) -> Checkpoint:
             raise ConfigError("checkpoint changed while it was read")
     return Checkpoint(
         train_config=train_config, model_config=model_config, iteration=iteration,
-        adam_step=adam_step, rng_state=rng_state, params=specs, param_block=param_block,
+        adam_step=adam_step, params=specs, param_block=param_block,
         path=os.path.abspath(path), identity=identity)
 
 
@@ -422,7 +420,7 @@ class TrainResult:
 
     model: HgnnModel
     optimizer: Adam
-    rng: np.random.Generator
+    rng: np.random.Generator  # read by no load; save_checkpoint's callers still pass it
     config: TrainConfig
     history: list          # rows: {iteration, loss, lr, map, roc_auc}
     final_iteration: int
@@ -458,7 +456,6 @@ def train(items, cfg: TrainConfig, val_items=None, resume: Checkpoint | None = N
         resume.check_resume(cfg)
         model = resume.build_model()
         optimizer = resume.build_optimizer(model)
-        rng.bit_generator.state = resume.rng_state
         start = resume.iteration
     else:
         first = items[0].graph

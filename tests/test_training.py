@@ -982,6 +982,14 @@ class TestCheckpoint:
         with pytest.raises(ConfigError, match=f"parameter '{name}' has rows "):
             load_checkpoint(path)
 
+    def test_a_saved_header_holds_only_what_a_load_reads(self, tmp_path):
+        """So a field that no load reads, as `rng_state` was, cannot come back unnoticed."""
+        path, _, _ = self._saved_model(tmp_path, hidden=8, dim=5)
+        blob = path.read_bytes()
+        header = json.loads(blob[12:12 + struct.unpack("<I", blob[8:12])[0]])
+        assert list(header) == ["train_config", "model_config", "iteration", "adam_step",
+                                "params"]
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.hgck"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
