@@ -171,7 +171,7 @@ def _cmd_train(args) -> int:
             print(f"seed {c.seed}: map {ev.map:.4f} roc_auc {ev.roc_auc:.4f} -> {ckpt_path}")
             return ev
 
-        aggregate = run_seeds(items, cfg, seeds, run=run_seed).to_dict()
+        aggregate = run_seeds(items, cfg, seeds, run=run_seed)
         with atomic_open(out_dir / "aggregate.json", "w") as f:
             json.dump(aggregate, f, indent=2, allow_nan=False)
         _echo("aggregate", aggregate)

@@ -506,33 +506,6 @@ def write_history_csv(path, history):
 # -- multi-seed protocol ------------------------------------------------------------
 
 
-@dataclass
-class SeedSummary:
-    seeds: list
-    per_seed_map: list
-    per_seed_auc: list
-    map_mean: float
-    map_std: float
-    auc_mean: float
-    auc_std: float
-
-    @classmethod
-    def from_evals(cls, seeds, evals) -> "SeedSummary":
-        """Mean and sample std (0 for one seed) of per-seed held-out results."""
-        maps = [ev.map for ev in evals]
-        aucs = [ev.roc_auc for ev in evals]
-        return cls(list(seeds), maps, aucs, *_mean_std(maps), *_mean_std(aucs))
-
-    def to_dict(self) -> dict:
-        return nan_to_null(vars(self))
-
-
-def _mean_std(values) -> tuple[float, float]:
-    arr = np.asarray(values, dtype=np.float64)
-    std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-    return float(arr.mean()), std
-
-
 def seed_configs(cfg: TrainConfig, seeds) -> list[TrainConfig]:
     """`cfg` once per seed of a multi-seed run."""
     if not seeds or len(set(seeds)) != len(seeds):
@@ -540,8 +513,10 @@ def seed_configs(cfg: TrainConfig, seeds) -> list[TrainConfig]:
     return [replace(cfg, seed=int(s)) for s in seeds]
 
 
-def run_seeds(items, cfg: TrainConfig, seeds, run=None) -> SeedSummary:
-    """Train once per seed on a shared split; report mean and sample std.
+def run_seeds(items, cfg: TrainConfig, seeds, run=None) -> dict:
+    """Train once per seed on a shared split; return what `aggregate.json` holds:
+    the seeds, then the per-seed held-out mAP and ROC-AUC, then the float64 mean and
+    sample std (0 for one seed) of each, every NaN as None (`nan_to_null`).
     `run(train_items, val_items, seed_cfg)` trains one seed and returns its
     held-out EvalResult; the default is `train(...).final_eval`."""
     configs = seed_configs(cfg, seeds)
@@ -549,4 +524,11 @@ def run_seeds(items, cfg: TrainConfig, seeds, run=None) -> SeedSummary:
     if not val_items:
         raise ConfigError("multi-seed run needs a non-empty validation split")
     run = run or (lambda tr, val, c: train(tr, c, val_items=val).final_eval)
-    return SeedSummary.from_evals(seeds, [run(train_items, val_items, c) for c in configs])
+    evals = [run(train_items, val_items, c) for c in configs]
+    summary = {"seeds": list(seeds), "per_seed_map": [ev.map for ev in evals],
+               "per_seed_auc": [ev.roc_auc for ev in evals]}
+    for key in ("map", "auc"):
+        values = np.asarray(summary[f"per_seed_{key}"], dtype=np.float64)
+        summary[f"{key}_mean"] = float(values.mean())
+        summary[f"{key}_std"] = float(values.std(ddof=1)) if values.size > 1 else 0.0
+    return nan_to_null(summary)

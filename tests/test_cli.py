@@ -158,7 +158,7 @@ class TestTrain:
         cfg = TrainConfig.from_dict(json.loads(cfg_path.read_text()))
         summary = run_seeds(load_dataset(manifest, cfg.rules), cfg, [1, 2])
         assert aggregate["auc_mean"] is None  # the tiny split leaves ROC-AUC undefined
-        assert aggregate == summary.to_dict()
+        assert aggregate == summary
 
     def test_failed_aggregate_write_keeps_the_old_file(self, capsys, tmp_path, monkeypatch):
         manifest = gen_dataset(capsys, tmp_path, n_items=16, n_audio=4, n_video=6,

@@ -85,6 +85,13 @@ class TestContainerFormat:
         with pytest.raises(DataFormatError, match="version 99"):
             read_container(path)
 
+    @pytest.mark.parametrize("audio, video", [(np.ones((1, 1, 1)), np.ones((1, 1))),
+                                              (np.ones((1, 1)), np.ones(1))],
+                             ids=["3-D-audio", "1-D-video"])
+    def test_a_block_that_is_not_2d_is_rejected(self, audio, video):
+        with pytest.raises(DataFormatError, match="feature blocks must be 2-D"):
+            FeatureContainer(audio=audio, video=video)
+
     def test_non_finite_rejected_at_construction(self):
         with pytest.raises(DataFormatError, match="finite"):
             FeatureContainer(audio=np.array([[np.nan]]), video=np.ones((1, 1)))

@@ -48,6 +48,12 @@ class TestAveragePrecision:
         with pytest.raises(ValueError):
             average_precision([0.5, 0.4], [0, 0])
 
+    @pytest.mark.parametrize("scores, labels", [([], []), ([0.5, 0.4], [1])],
+                             ids=["empty", "unequal"])
+    def test_empty_or_unequal_inputs_rejected(self, scores, labels):
+        with pytest.raises(ValueError, match="must be equal-length and non-empty"):
+            average_precision(scores, labels)
+
     def test_ties_keep_original_order(self):
         # With equal scores the first item stays ranked first.
         assert average_precision([0.5, 0.5], [1, 0]) == 1.0
@@ -80,6 +86,10 @@ class TestRocAuc:
     def test_single_class_undefined(self):
         with pytest.raises(ValueError):
             roc_auc([0.2, 0.7], [1, 1])
+
+    def test_unequal_inputs_rejected(self):
+        with pytest.raises(ValueError, match=r"scores \(3\) and labels \(2\) must be equal-length"):
+            roc_auc([0.2, 0.7, 0.1], [1, 0])
 
     @pytest.mark.parametrize("seed", range(100))
     def test_exhaustive_pair_oracle_n_up_to_12(self, seed):
@@ -159,6 +169,17 @@ class TestEvaluate:
         assert result.per_class_ap[0] is None
         assert result.positives == [0, 1]
         assert any("no positives" in w for w in result.warnings)
+
+    @pytest.mark.parametrize("scores, labels", [(np.zeros((2, 2)), np.zeros((2, 3))),
+                                                (np.zeros(3), np.zeros(3))],
+                             ids=["mismatched", "1-D"])
+    def test_scores_and_labels_must_be_matching_2d_arrays(self, scores, labels):
+        with pytest.raises(ValueError, match="must be matching 2-D arrays"):
+            evaluate_scores(scores, labels)
+
+    def test_an_empty_dataset_is_not_evaluated(self):
+        with pytest.raises(ValueError, match="cannot evaluate an empty dataset"):
+            evaluate(None, [])
 
     def test_tie_flags_surface(self):
         scores = np.array([[0.5, 0.1], [0.5, 0.2]])

@@ -26,6 +26,19 @@ class TestForward:
         m = Tensor([[1.0, 2.0], [3.0, 4.0]])
         np.testing.assert_array_equal(g.matmul(eye, m).data, m.data)
 
+    def test_integer_data_becomes_float32(self):
+        t = Tensor(np.array([[1, 2]], dtype=np.int64))
+        assert t.dtype == np.float32
+        np.testing.assert_array_equal(t.data, [[1.0, 2.0]])
+
+    def test_repr_names_shape_dtype_and_name(self):
+        assert repr(Tensor(np.zeros((2, 3)), name="w")) == "Tensor(2x3, dtype=float64 'w')"
+        assert repr(Tensor(np.zeros((4, 1, 5), np.float32))) == "Tensor(4x1x5, dtype=float32)"
+
+    def test_item_needs_a_1x1_tensor(self):
+        with pytest.raises(ShapeError, match=r"item\(\) needs a 1x1 tensor, got \(1, 2\)"):
+            Tensor([[1.0, 2.0]]).item()
+
     def test_matmul_hand(self):
         g = ComputeGraph()
         out = g.matmul(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]))
@@ -314,6 +327,12 @@ class TestBackward:
         g.check_finite(g._records[0][1])
         with pytest.raises(NumericError, match=r"^op 1 \(second\) produced a non-finite"):
             g.check_finite(bad)
+
+    def test_check_finite_on_a_leaf_off_the_tape(self):
+        g = ComputeGraph()
+        g._emit("first", np.ones((1, 1)), lambda g: None)
+        with pytest.raises(NumericError, match="^non-finite value outside the tape$"):
+            g.check_finite(Tensor([[np.nan]]))
 
     def test_leaf_without_requires_grad_gets_none(self):
         g = ReferenceGraph()

@@ -10,6 +10,7 @@ import sys
 import tracemalloc
 import weakref
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from avhgnn.data import LabeledGraph
 from avhgnn.graph import EdgeRule, EdgeRules, build_hetero_graph, stack_graphs
 from avhgnn.tensor import ComputeGraph, NumericError, Tensor
 from avhgnn.metrics import EvalResult
-from avhgnn.training import (Adam, ConfigError, SeedSummary, TrainConfig, batch_indices,
+from avhgnn.training import (Adam, ConfigError, TrainConfig, batch_indices,
                              focal_loss, load_checkpoint, lr_at, run_seeds,
                              save_checkpoint, split_dataset, train, write_history_csv)
 from reference_ops import ReferenceGraph
@@ -89,6 +90,11 @@ def small_config(**overrides):
 def test_a_zero_rate_or_an_empty_side_of_the_split_is_rejected(field, value):
     with pytest.raises(ConfigError, match=field):
         small_config(**{field: value})
+
+
+def test_a_negative_gamma_is_rejected():
+    with pytest.raises(ConfigError, match=r"gamma must be >= 0, got -0\.5"):
+        small_config(gamma=-0.5)
 
 
 def test_gamma_0_is_accepted_and_trains():
@@ -172,6 +178,10 @@ class TestSchedule:
     def test_zero_warmup(self):
         cfg = TrainConfig(warmup_iters=0)
         assert lr_at(1, cfg) == cfg.lr
+
+    def test_a_negative_iteration_is_rejected(self):
+        with pytest.raises(ValueError, match="iteration must be >= 0, got -1"):
+            lr_at(-1, TrainConfig())
 
 
 class TestAdam:
@@ -477,6 +487,18 @@ class TestSplitAndBatches:
         assert len(val_a) == 4 and len(train_a) == 16
         assert [it.item_id for it in train_a] == [it.item_id for it in train_b]
         assert [it.item_id for it in val_a] == [it.item_id for it in val_b]
+
+    def test_a_split_with_no_item_to_spare_holds_out_the_last_of_two(self):
+        """0.2 of a one-item label group rounds to 0; the last item is held out,
+        unless it is the only one."""
+        items = make_items(2)
+        train_items, val_items = split_dataset(items, 0.2, seed=0)
+        assert (train_items, val_items) == (items[:1], items[1:])
+        assert split_dataset(items[:1], 0.2, seed=0) == (items[:1], [])
+
+    def test_an_empty_dataset_has_no_split(self):
+        with pytest.raises(ValueError, match="cannot split an empty dataset"):
+            split_dataset([], 0.2, 0)
 
     def test_split_stratified(self):
         items = make_items(40, num_classes=4)
@@ -974,6 +996,23 @@ class TestCheckpoint:
         with pytest.raises(ConfigError, match="changed since it was loaded"):
             ckpt.build_optimizer(model)
 
+    def test_a_file_cut_short_while_it_is_read_is_rejected(self, tmp_path, monkeypatch):
+        """fstat still reports the size the load checks, as if the file were cut after
+        it; the short read of the parameter block is then the error."""
+        path, _, _ = self._saved_model(tmp_path, hidden=8, dim=5)
+        size = path.stat().st_size
+        os.truncate(path, 12 + struct.unpack("<I", path.read_bytes()[8:12])[0] + 4)
+        real_fstat = os.fstat
+
+        def fstat(fd):  # the file's identity, with the size it had before the cut
+            st = real_fstat(fd)
+            return SimpleNamespace(st_dev=st.st_dev, st_ino=st.st_ino, st_size=size,
+                                   st_mtime_ns=st.st_mtime_ns)
+
+        monkeypatch.setattr(training.os, "fstat", fstat)
+        with pytest.raises(ConfigError, match="checkpoint changed while it was read"):
+            load_checkpoint(path)
+
     @bad_rows
     def test_header_shapes_must_be_positive_integers(self, tmp_path, rows):
         path, model, _ = self._saved_model(tmp_path, hidden=8, dim=5)
@@ -993,7 +1032,7 @@ class TestCheckpoint:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.hgck"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
-        with pytest.raises(ConfigError, match="magic"):
+        with pytest.raises(ConfigError, match=r"^not a checkpoint file: bad magic b'NOPE'$"):
             load_checkpoint(path)
 
     def test_truncated_payload_rejected(self, tmp_path):
@@ -1053,23 +1092,27 @@ class TestAtomicWrites:
 
 class TestRunSeeds:
     def test_two_seeds_report_the_sample_std(self):
-        evals = [EvalResult([], m, [], auc, [], [], []) for m, auc in ((0.25, 0.5), (0.75, 1.0))]
-        summary = SeedSummary.from_evals([1, 2], evals)
-        assert (summary.map_mean, summary.auc_mean) == (0.5, 0.75)
-        assert summary.map_std == np.std([0.25, 0.75], ddof=1) == 0.5 ** 0.5 / 2
-        assert summary.auc_std == np.std([0.5, 1.0], ddof=1) == 0.5 ** 0.5 / 2
+        evals = {seed: EvalResult([], m, [], auc, [], [], [])
+                 for seed, m, auc in ((1, 0.25, 0.5), (2, 0.75, 1.0))}
+        summary = run_seeds(make_items(10), small_config(), [1, 2],
+                            run=lambda tr, val, c: evals[c.seed])
+        assert list(summary) == ["seeds", "per_seed_map", "per_seed_auc",
+                                 "map_mean", "map_std", "auc_mean", "auc_std"]
+        assert (summary["map_mean"], summary["auc_mean"]) == (0.5, 0.75)
+        assert summary["map_std"] == np.std([0.25, 0.75], ddof=1) == 0.5 ** 0.5 / 2
+        assert summary["auc_std"] == np.std([0.5, 1.0], ddof=1) == 0.5 ** 0.5 / 2
 
     def test_single_seed_zero_std(self):
         items = make_items(10)
         summary = run_seeds(items, small_config(max_iters=5), seeds=[3])
-        assert summary.map_std == 0.0
-        assert summary.auc_std == 0.0
+        assert summary["map_std"] == 0.0
+        assert summary["auc_std"] == 0.0
 
     def test_identical_seeds_identical_metrics(self):
         items = make_items(10)
         first, second = (run_seeds(items, small_config(max_iters=5), seeds=[4])
                          for _ in range(2))
-        assert first.per_seed_map == second.per_seed_map
+        assert first["per_seed_map"] == second["per_seed_map"]
 
     def test_rejects_a_repeated_seed(self):
         with pytest.raises(ConfigError, match=r"distinct integers, got \[4, 4\]"):
@@ -1093,5 +1136,5 @@ class TestRunSeeds:
                            rules=EdgeRules.default())
         items = load_dataset(manifest, cfg.rules)
         summary = run_seeds(items, cfg, seeds=[1, 2, 3])
-        assert summary.map_std < 0.05
-        assert summary.map_mean > 0.8
+        assert summary["map_std"] < 0.05
+        assert summary["map_mean"] > 0.8
