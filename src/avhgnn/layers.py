@@ -35,8 +35,6 @@ MODALITIES = (MODALITY_BOTH, MODALITY_AUDIO, MODALITY_VIDEO)
 
 POOLING_MODES = ("learned", "mean", "max", "sum")
 
-GAT_LEAKY_SLOPE = 0.2
-
 
 @dataclass
 class ModelConfig(Record):
@@ -131,7 +129,7 @@ class GatFusionLayer:
         n_video]) over the nonzeros of mask_va [n_audio x n_video], as one
         `gat_fusion` op, which keeps neither the message's aggregate nor projection."""
         return g.gat_fusion(residual, audio_feats, video_feats, self.w_msg, self.att_audio,
-                            self.att_video, mask_va, GAT_LEAKY_SLOPE)
+                            self.att_video, mask_va)
 
 
 class HeteroLayer:

@@ -21,6 +21,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
+GAT_LEAKY_SLOPE = 0.2  # gat_fusion's LeakyReLU slope, as in Velickovic et al. 2018
+PROB_CLAMP = 1e-7  # focal_loss clips probabilities into [PROB_CLAMP, 1 - PROB_CLAMP]
+
 
 class ShapeError(ValueError):
     """Operand shapes are incompatible with the requested op."""
@@ -80,8 +83,8 @@ class Tensor:
 
 
 def Rng(seed) -> np.random.Generator:
-    """numpy's PCG64 generator for an int or SeedSequence seed: the same seed yields
-    the same draws on a given build; `bit_generator.state` captures and restores it."""
+    """numpy's PCG64 generator for an int, a sequence of ints or a SeedSequence: one
+    seed, one stream of draws on a given build; `bit_generator.state` restores it."""
     return np.random.Generator(np.random.PCG64(seed))
 
 
@@ -143,10 +146,10 @@ def _mm_backward(g: np.ndarray, a: Tensor, b: Tensor):
         _accum(b, _product(a_rows.swapaxes(-1, -2), g_rows), own=True)
 
 
-def _leaky_scale(x: np.ndarray, slope: float) -> np.ndarray:
-    """LeakyReLU's slope per entry: 1 where x > 0, else `slope`, in x's dtype (a
-    two-entry table lookup, which is faster than np.where of two scalars)."""
-    return np.array([slope, 1.0], x.dtype).take((x > 0).view(np.int8))
+def _leaky_scale(x: np.ndarray) -> np.ndarray:
+    """LeakyReLU's slope per entry: 1 where x > 0, else GAT_LEAKY_SLOPE, in x's dtype
+    (a two-entry table lookup, which is faster than np.where of two scalars)."""
+    return np.array([GAT_LEAKY_SLOPE, 1.0], x.dtype).take((x > 0).view(np.int8))
 
 
 def _softmax_masked(x: np.ndarray, mask) -> np.ndarray:
@@ -241,18 +244,18 @@ class ComputeGraph:
         return self._emit("gcn", out_data, backward)
 
     def gat_fusion(self, base: Tensor, audio: Tensor, video: Tensor, w_msg: Tensor,
-                   att_audio: Tensor, att_video: Tensor, mask, slope: float):
+                   att_audio: Tensor, att_video: Tensor, mask):
         """base + (alpha @ video) @ w_msg, and alpha as a constant array: the masked
         softmax (`_softmax_masked`) of leaky_relu(audio @ att_audio + transpose(video @
-        (w_msg @ att_video)), slope). The record keeps no aggregate or projection:
-        backward recomputes the aggregate, which only w_msg's gradient reads."""
+        (w_msg @ att_video))) of slope GAT_LEAKY_SLOPE. The record keeps no aggregate or
+        projection: backward recomputes the aggregate, which only w_msg's gradient reads."""
         ins = (base, audio, video, w_msg, att_audio, att_video)
         if (video.cols, w_msg.cols, audio.cols, att_audio.cols, att_video.cols) != (
                 w_msg.rows, att_video.rows, att_audio.rows, 1, 1):
             raise ShapeError(f"gat_fusion dims differ: {[t.shape for t in ins]}")
         att_v = _product(w_msg.data, att_video.data)
         scores = _mm(audio.data, att_audio.data) + _mm(video.data, att_v).swapaxes(-1, -2)
-        scale = _leaky_scale(scores, slope)
+        scale = _leaky_scale(scores)
         scores *= scale
         alpha = _softmax_masked(scores, mask)
         if base.shape != alpha.shape[:-1] + (w_msg.cols,):
@@ -318,19 +321,18 @@ class ComputeGraph:
 
     # -- loss -----------------------------------------------------------------
 
-    def focal_loss(self, probs: Tensor, targets: np.ndarray, gamma: float,
-                   eps: float) -> Tensor:
+    def focal_loss(self, probs: Tensor, targets: np.ndarray, gamma: float) -> Tensor:
         """Binary focal loss summed over all entries, as one 1x1 op.
 
-        With p = probs clipped into [eps, 1-eps], each entry contributes
-        -(1-p)^gamma log p where its target is 1 and -p^gamma log(1-p)
-        where it is 0; targets must have probs' shape and dtype. The
-        gradient passes only where probs was inside [eps, 1-eps].
+        With p = probs clipped into [PROB_CLAMP, 1-PROB_CLAMP], each entry
+        contributes -(1-p)^gamma log p where its target is 1 and -p^gamma
+        log(1-p) where it is 0; targets must have probs' shape and dtype. The
+        gradient passes only where probs was inside the clip's bounds.
         """
         e = float(gamma)
-        hi = 1.0 - eps
-        inside = (probs.data >= eps) & (probs.data <= hi)
-        p = np.clip(probs.data, eps, hi)
+        hi = 1.0 - PROB_CLAMP
+        inside = (probs.data >= PROB_CLAMP) & (probs.data <= hi)
+        p = np.clip(probs.data, PROB_CLAMP, hi)
         omp = 1.0 - p
         pow_omp, log_p = np.power(omp, e), np.log(p)
         pow_p, log_omp = np.power(p, e), np.log(omp)

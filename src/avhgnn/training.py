@@ -44,7 +44,6 @@ CHECKPOINT_MAGIC = b"HGCK"
 CHECKPOINT_VERSION = 1
 _IDENTITY = operator.attrgetter("st_dev", "st_ino", "st_size", "st_mtime_ns")
 
-PROB_CLAMP = 1e-7
 CHUNK = 1 << 16  # values per Adam pass: 64K ran a paper-scale step fastest
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's constants, Kingma & Ba 2015's defaults
 
@@ -116,8 +115,8 @@ def focal_loss(g: ComputeGraph, probs: Tensor, targets: np.ndarray,
 
     `targets` has one row of C labels per graph. Positive classes contribute
     -(1-p)^gamma log p, negatives -p^gamma log(1-p); gamma = 0 reduces
-    exactly to binary cross-entropy. Probabilities are clamped away from
-    {0, 1} before the logs.
+    exactly to binary cross-entropy. Probabilities are clipped into
+    [PROB_CLAMP, 1 - PROB_CLAMP] (`tensor.PROB_CLAMP`) before the logs.
     """
     if gamma < 0:
         raise ConfigError(f"gamma must be >= 0, got {gamma}")
@@ -128,7 +127,7 @@ def focal_loss(g: ComputeGraph, probs: Tensor, targets: np.ndarray,
     y = y.reshape(y.shape[:probs.data.ndim - 2] + (1, -1))
     if y.shape != probs.shape:
         raise ShapeError(f"targets shape {y.shape} != probs shape {probs.shape}")
-    return g.focal_loss(probs, y, gamma, PROB_CLAMP)
+    return g.focal_loss(probs, y, gamma)
 
 
 # -- schedule ------------------------------------------------------------------
@@ -246,7 +245,7 @@ def split_dataset(items, fraction: float, seed: int):
 
 @functools.lru_cache(maxsize=2)  # a batch no larger than an epoch spans at most two
 def _epoch_permutation(seed: int, epoch: int, n: int) -> np.ndarray:
-    return Rng(np.random.SeedSequence([seed, epoch])).permutation(n)
+    return Rng([seed, epoch]).permutation(n)
 
 
 def batch_indices(seed: int, n_items: int, batch_size: int, t: int) -> list[int]:

@@ -2,9 +2,11 @@
 
 `ReferenceGraph` is a `ComputeGraph` with a Hadamard product, a transpose,
 ReLU, LeakyReLU, the masked row softmax and a sum of all entries. The tests
-use them as the chains that the fused ops (`gcn`, `gat_fusion`, `pool`) must
-equal bitwise, and to build scalar losses for gradient checks. They are built on
-the module helpers that the fused ops use, so both round alike.
+use them to build scalar losses for gradient checks and the chains that the
+fused ops must equal bitwise. They are built on the module helpers that the
+fused ops use, so both round alike. `ChainGraph` holds the chains of `gcn` and
+`gat_fusion`: a `ReferenceGraph` whose two ops of those names, with the fused
+ops' signatures, record the elementary ops instead.
 """
 
 import numpy as np
@@ -39,8 +41,8 @@ class ReferenceGraph(ComputeGraph):
 
         return self._emit("relu", a.data * mask, backward)
 
-    def leaky_relu(self, a: Tensor, slope: float = 0.2) -> Tensor:
-        scale = _leaky_scale(a.data, slope)
+    def leaky_relu(self, a: Tensor) -> Tensor:
+        scale = _leaky_scale(a.data)
 
         def backward(g):
             _accum(a, g * scale)
@@ -62,3 +64,14 @@ class ReferenceGraph(ComputeGraph):
 
         total = np.asarray(a.data.sum(dtype=a.data.dtype)).reshape(1, 1)
         return self._emit("sum_all", total, backward)
+
+
+class ChainGraph(ReferenceGraph):
+    def gcn(self, adj, feats, weight):
+        return self.relu(self.matmul(Tensor(adj), self.matmul(feats, weight)))
+
+    def gat_fusion(self, base, audio, video, w_msg, att_audio, att_video, mask):
+        score_v = self.matmul(video, self.matmul(w_msg, att_video))
+        scores = self.add(self.matmul(audio, att_audio), self.transpose(score_v))
+        alpha = self.row_softmax_masked(self.leaky_relu(scores), mask)
+        return self.add(base, self.matmul(self.matmul(alpha, video), w_msg)), alpha.data

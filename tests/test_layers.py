@@ -8,8 +8,8 @@ import pytest
 from avhgnn import tensor
 from avhgnn.graph import (EdgeRule, EdgeRules, _shared_adjacencies, build_hetero_graph,
                           stack_graphs)
-from avhgnn.layers import (FUSION_MODES, GAT_LEAKY_SLOPE, MODALITIES, POOLING_MODES,
-                           GatFusionLayer, GcnLayer, HgnnModel, ModelConfig, _param)
+from avhgnn.layers import (FUSION_MODES, MODALITIES, POOLING_MODES, GatFusionLayer,
+                           GcnLayer, HgnnModel, ModelConfig, _param)
 from avhgnn.tensor import ComputeGraph, NumericError, Rng, ShapeError, Tensor
 from avhgnn.training import focal_loss
 from conftest import assert_grad_close, float64_layer, float64_shadow, numeric_gradient
@@ -28,8 +28,8 @@ def gcn_oracle(adj, feats, weight):
     return np.maximum(out, 0.0)
 
 
-def gat_oracle(video, mask, audio, w_msg, att_audio, att_video, slope=GAT_LEAKY_SLOPE):
-    """Per-edge loop of the fusion attention, one audio row at a time."""
+def gat_oracle(video, mask, audio, w_msg, att_audio, att_video):
+    """Per-edge loop of the fusion attention (LeakyReLU slope 0.2), one audio row at a time."""
     n_audio, n_video = mask.shape
     msgs = video @ w_msg
     out = np.zeros((n_audio, w_msg.shape[1]))
@@ -41,7 +41,7 @@ def gat_oracle(video, mask, audio, w_msg, att_audio, att_video, slope=GAT_LEAKY_
         scores = []
         for j in neigh:
             e = float(audio[i] @ att_audio[:, 0] + msgs[j] @ att_video[:, 0])
-            scores.append(e if e > 0 else slope * e)
+            scores.append(e if e > 0 else 0.2 * e)
         scores = np.asarray(scores)
         ex = np.exp(scores - scores.max())
         alpha = ex / ex.sum()
@@ -63,7 +63,7 @@ def project_then_aggregate(layer, g, video, mask, audio):
     wh_v = g.matmul(video, layer.w_msg)
     score_v = g.matmul(wh_v, layer.att_video)
     score_a = g.matmul(audio, layer.att_audio)
-    scores = g.leaky_relu(g.add(score_a, g.transpose(score_v)), GAT_LEAKY_SLOPE)
+    scores = g.leaky_relu(g.add(score_a, g.transpose(score_v)))
     alpha = g.row_softmax_masked(scores, mask > 0)
     return g.matmul(alpha, wh_v), alpha.data
 
@@ -217,8 +217,7 @@ class TestGatFusion:
                            g.matmul(ones_col, g.transpose(score_v)))
         new_scores = g.add(score_a, g.transpose(score_v))
         assert new_scores.data.tobytes() == old_scores.data.tobytes()
-        old_alpha = g.row_softmax_masked(g.leaky_relu(old_scores, GAT_LEAKY_SLOPE),
-                                         mask > 0)
+        old_alpha = g.row_softmax_masked(g.leaky_relu(old_scores), mask > 0)
         assert alpha.tobytes() == old_alpha.data.tobytes()
         message = g.matmul(g.matmul(old_alpha, video), layer.w_msg)
         assert out.data.tobytes() == g.add(residual, message).data.tobytes()

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avhgnn.tensor import (ComputeGraph, NumericError, Rng, ShapeError, Tensor,
+from avhgnn.tensor import (ComputeGraph, NumericError, Rng, ShapeError, Tensor, _accum,
                            xavier_init)
 from conftest import assert_grad_close, numeric_gradient
-from reference_ops import ReferenceGraph
+from reference_ops import ChainGraph, ReferenceGraph
 
 
 def _leaf(rng, *shape, lo=-2.0, hi=2.0):
@@ -190,13 +190,13 @@ class TestBatchAxis:
                                            err_msg=name)
 
     def test_mask_must_match_the_last_two_axes(self):
-        with pytest.raises(ShapeError, match="mask shape"):
+        with pytest.raises(ShapeError, match=r"^mask shape \(2, 3, 4\) != tensor shape \(3, 4\)$"):
             ReferenceGraph().row_softmax_masked(Tensor(np.zeros((2, 3, 4))),
                                               np.ones((2, 3, 4), dtype=bool))
 
     def test_focal_loss_over_a_batch_is_one_scalar(self):
         probs = Tensor(np.full((3, 1, 2), 0.5))
-        loss = ComputeGraph().focal_loss(probs, np.ones((3, 1, 2)), 0.0, 1e-7)
+        loss = ComputeGraph().focal_loss(probs, np.ones((3, 1, 2)), 0.0)
         assert loss.shape == (1, 1)
         assert abs(loss.item() - 6.0 * np.log(2.0)) < 1e-12
 
@@ -222,6 +222,16 @@ class TestBackward:
         g.backward(loss)
         np.testing.assert_allclose(w.grad, [[8.0]])  # 2 passes x 2w
 
+    def test_a_first_touch_adopts_an_owned_gradient_and_copies_another(self):
+        """An owned g is adopted, saving a copy; a g that others hold is copied, so
+        a later in-place add into the gradient cannot write into it."""
+        owned, shared = np.ones((2, 3)), np.ones((2, 3))
+        a, b = (Tensor(np.zeros((2, 3)), requires_grad=True) for _ in range(2))
+        _accum(a, owned, own=True)
+        _accum(b, shared)
+        assert a.grad is owned
+        assert not np.shares_memory(b.grad, shared) and np.array_equal(b.grad, shared)
+
     def test_non_scalar_loss_rejected(self):
         g = ReferenceGraph()
         w = Tensor(np.ones((2, 2)), requires_grad=True)
@@ -236,13 +246,13 @@ class TestBackward:
         gc.disable()
         try:
             g = ReferenceGraph()
-            h = g.leaky_relu(g.matmul(x, w), 0.2)
+            h = g.leaky_relu(g.matmul(x, w))
             alpha = g.row_softmax_masked(g.matmul(h, g.transpose(h)),
                                          np.ones((5, 5), dtype=bool))
             pooled = g.pool([(g.relu(g.matmul(alpha, h)), None),
                              (g.mul(h, h), _leaf(rng64, 5, 1))])
             pooled = g.add(pooled, Tensor(np.zeros((1, 6))))
-            g.backward(g.focal_loss(g.sigmoid(pooled), np.ones((1, 6)), 2.0, 1e-7))
+            g.backward(g.focal_loss(g.sigmoid(pooled), np.ones((1, 6)), 2.0))
             tape = weakref.ref(g)
             del g
             assert tape() is None
@@ -385,7 +395,7 @@ class TestGradientOracle:
     def test_activations(self, rng64):
         a = _leaf(rng64, 4, 4)
         self._check(lambda g: g.sum_all(g.relu(a)), [a])
-        self._check(lambda g: g.sum_all(g.leaky_relu(a, 0.2)), [a])
+        self._check(lambda g: g.sum_all(g.leaky_relu(a)), [a])
         self._check(lambda g: g.sum_all(g.sigmoid(a)), [a])
 
     def test_concat_transpose(self, rng64):
@@ -472,7 +482,7 @@ class TestGradientOracle:
         mask[1, :] = True
         up = Tensor(rng64.normal(0, 1, batch + (4, 2)))
         leaves = [base, audio, video, w_msg, att_audio, att_video]
-        self._check(lambda g: g.sum_all(g.mul(g.gat_fusion(*leaves, mask, 0.2)[0], up)),
+        self._check(lambda g: g.sum_all(g.mul(g.gat_fusion(*leaves, mask)[0], up)),
                     leaves)
 
 
@@ -554,60 +564,42 @@ class TestRewrittenOpsBitwise:
                     lambda g, out, x: g * out * (1.0 - out))
 
     def test_leaky_relu(self):
-        self._check(lambda g, a, mask: g.leaky_relu(a, 0.2),
+        self._check(lambda g, a, mask: g.leaky_relu(a),
                     lambda x, mask: x * _leaky_scale_reference(x, 0.2),
                     lambda g, out, x: g * _leaky_scale_reference(x, 0.2))
 
 
-def _gcn_fused(g, adj, feats, weight):
-    return g.gcn(adj.data, feats, weight)  # the fused op takes its adjacency as an array
-
-
-def _gcn_chain(g, adj, feats, weight):
-    return g.relu(g.matmul(adj, g.matmul(feats, weight)))
-
-
-def _attend_chain(g, base, alpha, video, w_msg):
-    return g.add(base, g.matmul(g.matmul(alpha, video), w_msg))
-
-
-def _gat_chain(g, audio, video, w_msg, att_audio, att_video, mask, slope):
-    score_v = g.matmul(video, g.matmul(w_msg, att_video))
-    score_a = g.matmul(audio, att_audio)
-    scores = g.leaky_relu(g.add(score_a, g.transpose(score_v)), slope)
-    return g.row_softmax_masked(scores, mask)
-
-
-def _gat_fusion_chain(g, base, audio, video, w_msg, att_audio, att_video, mask, slope):
-    alpha = _gat_chain(g, audio, video, w_msg, att_audio, att_video, mask, slope)
-    return _attend_chain(g, base, alpha, video, w_msg), alpha.data
-
-
 class TestFusedOpsBitwise:
-    """gcn and gat_fusion give the bytes of the op chains they replace: the
-    outputs and every input gradient, in f32 and f64, for one matrix and for a
+    """gcn and gat_fusion give the bytes of the op chains they replace (`ChainGraph`):
+    the outputs and every input gradient, in f32 and f64, for one matrix and for a
     batch of 3, with trainable and with frozen features."""
 
     @staticmethod
-    def _run(op, arrays, trainable, upstream, extra=()):
-        """The op's outputs as arrays (the first, a tensor, differentiated against
+    def _run(graph, op, args, upstream):
+        """Op `op` of a new `graph` on `args`, a tensor among them as a fresh leaf of
+        its data: its outputs as arrays (the first, a tensor, differentiated against
         `upstream`), the leaves' gradients, and the tape's length."""
-        leaves = [Tensor(a.copy(), requires_grad=t) for a, t in zip(arrays, trainable)]
-        g = ReferenceGraph()
-        outs = op(g, *leaves, *extra)
+        args = [Tensor(a.data.copy(), requires_grad=a.requires_grad)
+                if isinstance(a, Tensor) else a for a in args]
+        g = graph()
+        outs = getattr(g, op)(*args)
         outs = outs if isinstance(outs, tuple) else (outs,)
         g.backward(g.sum_all(g.mul(outs[0], Tensor(upstream))))
+        leaves = [a for a in args if isinstance(a, Tensor)]
         return [outs[0].data, *outs[1:]] + [leaf.grad for leaf in leaves], len(g)
 
-    def _assert_same(self, fused, chain, n_chain_ops):
-        (fused_arrays, fused_len), (chain_arrays, chain_len) = fused, chain
+    def _assert_same(self, op, args, upstream, n_chain_ops):
+        """The fused op's `_run` equals its chain's; returns the fused op's arrays."""
+        (fused, fused_len), (chain, chain_len) = (self._run(graph, op, args, upstream)
+                                                  for graph in (ReferenceGraph, ChainGraph))
         assert chain_len - fused_len == n_chain_ops - 1
-        for new, old in zip(fused_arrays, chain_arrays):
+        for new, old in zip(fused, chain):
             if old is None:
                 assert new is None
             else:
                 assert new.dtype == old.dtype and new.shape == old.shape
                 assert new.tobytes() == old.tobytes()
+        return fused
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("batch", [(), (3,)])
@@ -618,12 +610,11 @@ class TestFusedOpsBitwise:
         adj = rng.uniform(0.0, 1.0, (n_out, 6)) * (rng.random((n_out, 6)) > 0.4)
         feats = rng.normal(0, 1, batch + (6, 5))
         weight = rng.normal(0, 1, (5, 7))
-        arrays = [a.astype(dtype) for a in (adj, feats, weight)]
+        args = [adj.astype(dtype), Tensor(feats.astype(dtype), requires_grad=not frozen),
+                Tensor(weight.astype(dtype), requires_grad=True)]
         upstream = rng.normal(0, 1, batch + (n_out, 7)).astype(dtype)
-        trainable = [False, not frozen, True]
-        fused = self._run(_gcn_fused, arrays, trainable, upstream)
-        self._assert_same(fused, self._run(_gcn_chain, arrays, trainable, upstream), 3)
-        assert (fused[0][2] is None) == frozen
+        fused = self._assert_same("gcn", args, upstream, 3)
+        assert (fused[1] is None) == frozen
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("batch", [(), (3,)])
@@ -634,15 +625,15 @@ class TestFusedOpsBitwise:
         # zero or a NaN entry would change it.
         adj = np.array([[2.0], [-1.0], [0.5], [-3.0]])
         weight = np.array([[1.5, -0.0, 0.0, np.nan, -2.0]])
-        arrays = [a.astype(dtype) for a in (adj, np.ones(batch + (1, 1)), weight)]
-        pre = arrays[0] * arrays[2]
+        adj, weight = adj.astype(dtype), weight.astype(dtype)
+        pre = adj * weight
         assert (pre < 0).any() and np.isnan(pre).any()
         assert (np.signbit(pre) & (pre == 0)).any() and (~np.signbit(pre) & (pre == 0)).any()
         upstream = np.random.default_rng(7).normal(0, 1, batch + (4, 5)).astype(dtype)
-        trainable = [False, True, True]
-        fused = self._run(_gcn_fused, arrays, trainable, upstream)
-        self._assert_same(fused, self._run(_gcn_chain, arrays, trainable, upstream), 3)
-        assert np.isfinite(fused[0][3]).all()  # the weight gradient
+        args = [adj, Tensor(np.ones(batch + (1, 1), dtype), requires_grad=True),
+                Tensor(weight, requires_grad=True)]
+        fused = self._assert_same("gcn", args, upstream, 3)
+        assert np.isfinite(fused[2]).all()  # the weight gradient
 
     def test_gcn_record_holds_no_mask(self):
         rng = np.random.default_rng(0)
@@ -665,10 +656,9 @@ class TestFusedOpsBitwise:
             mask[0] = False  # an all-masked row attends to nothing
         upstream = rng.normal(0, 1, batch + (n_audio, 4)).astype(dtype)
         trainable = [True, not frozen, not frozen, True, True, True]
-        fused = self._run(ComputeGraph.gat_fusion, arrays, trainable, upstream, (mask, 0.2))
-        chain = self._run(_gat_fusion_chain, arrays, trainable, upstream, (mask, 0.2))
-        self._assert_same(fused, chain, 10)
-        _, alpha, _, audio_grad, video_grad = fused[0][:5]
+        leaves = [Tensor(a, requires_grad=t) for a, t in zip(arrays, trainable)]
+        fused = self._assert_same("gat_fusion", leaves + [mask], upstream, 10)
+        _, alpha, _, audio_grad, video_grad = fused[:5]
         assert (audio_grad is None) == (video_grad is None) == frozen
         if n_audio > 1:
             assert not alpha[..., 0, :].any()
@@ -724,7 +714,7 @@ class TestFusedOpsBitwise:
         inputs = [Tensor(rng.normal(0, 1, shape), requires_grad=True)
                   for shape in ((4, 5), (4, 2), (3, 6), (6, 5), (2, 1), (5, 1))]
         g = ComputeGraph()
-        g.gat_fusion(*inputs, np.ones((4, 3), bool), 0.2)
+        g.gat_fusion(*inputs, np.ones((4, 3), bool))
         held = [cell.cell_contents for cell in g._records[-1][2].__closure__]
         arrays = [x for x in held if not any(x is t for t in inputs)]
         assert all(isinstance(x, np.ndarray) and x.shape[-1] in (1, 3) for x in arrays)
@@ -735,10 +725,10 @@ class TestFusedOpsBitwise:
         for i, bad in enumerate(((4, 4), (4, 3), (3, 7), (6, 4), (3, 1), (5, 2))):
             tensors = [Tensor(np.ones(bad if j == i else s)) for j, s in enumerate(shapes)]
             with pytest.raises(ShapeError, match="gat_fusion dims differ"):
-                ComputeGraph().gat_fusion(*tensors, mask, 0.2)
+                ComputeGraph().gat_fusion(*tensors, mask)
         with pytest.raises(ShapeError, match="gat_fusion dims differ"):  # a batched base
             ComputeGraph().gat_fusion(Tensor(np.ones((3, 4, 5))),
-                                      *[Tensor(np.ones(s)) for s in shapes[1:]], mask, 0.2)
+                                      *[Tensor(np.ones(s)) for s in shapes[1:]], mask)
 
     @pytest.mark.parametrize("adj", [Tensor(np.ones((2, 2)), requires_grad=True),
                                      np.ones((3, 2, 2))])
@@ -754,7 +744,7 @@ class TestFusedOpsBitwise:
     def test_gat_fusion_mask_of_another_shape_is_shape_error(self):
         ones = [np.ones(s) for s in ((2, 6), (2, 3), (4, 5), (5, 6), (3, 1), (6, 1))]
         with pytest.raises(ShapeError, match="mask shape"):
-            ComputeGraph().gat_fusion(*map(Tensor, ones), np.ones((4, 2), bool), 0.2)
+            ComputeGraph().gat_fusion(*map(Tensor, ones), np.ones((4, 2), bool))
 
 
 def _focal_chain_reference(probs, y, gamma, eps):
@@ -837,7 +827,7 @@ class TestFocalLossOp:
     def _run(self, probs, y, gamma):
         g = ComputeGraph()
         x = Tensor(probs.copy(), requires_grad=True)
-        loss = g.focal_loss(x, y, gamma, self.EPS)
+        loss = g.focal_loss(x, y, gamma)
         assert len(g) == 1
         g.backward(loss)
         return loss.data, x.grad
@@ -868,16 +858,15 @@ class TestFocalLossOp:
             probs.grad = None
 
             def scalar():
-                return ComputeGraph().focal_loss(probs, y, gamma, self.EPS).item()
+                return ComputeGraph().focal_loss(probs, y, gamma).item()
 
             g = ComputeGraph()
-            g.backward(g.focal_loss(probs, y, gamma, self.EPS))
+            g.backward(g.focal_loss(probs, y, gamma))
             assert_grad_close(probs.grad, numeric_gradient(scalar, [probs.data])[0])
 
     def test_non_finite_loss_names_the_op(self):
         g = ComputeGraph()
-        loss = g.focal_loss(Tensor([[np.nan, 0.5]]), np.ones((1, 2), np.float32),
-                            2.0, self.EPS)
+        loss = g.focal_loss(Tensor([[np.nan, 0.5]]), np.ones((1, 2), np.float32), 2.0)
         with pytest.raises(NumericError, match=r"op 0 \(focal_loss\)"):
             g.check_finite(loss)
 

@@ -24,7 +24,7 @@ from avhgnn.metrics import EvalResult
 from avhgnn.training import (Adam, ConfigError, TrainConfig, batch_indices,
                              focal_loss, load_checkpoint, lr_at, run_seeds,
                              save_checkpoint, split_dataset, train, write_history_csv)
-from reference_ops import ReferenceGraph
+from reference_ops import ChainGraph, ReferenceGraph
 
 RULES = EdgeRules(audio=EdgeRule(1, 1), video=EdgeRule(1, 1), cross=EdgeRule(1, 1))
 
@@ -773,21 +773,8 @@ class TestCheckpoint:
 
         fused = checkpoint_bytes("fused.hgck")
         accum = tensor._accum
-
-        def chain_gcn(self, g, feats, adj_norm):
-            return g.relu(g.matmul(Tensor(adj_norm), g.matmul(feats, self.weight)))
-
-        def chain_fusion(self, g, video, mask_va, audio, residual):
-            score_v = g.matmul(video, g.matmul(self.w_msg, self.att_video))
-            scores = g.add(g.matmul(audio, self.att_audio), g.transpose(score_v))
-            alpha = g.row_softmax_masked(g.leaky_relu(scores, layers.GAT_LEAKY_SLOPE),
-                                         mask_va > 0)
-            return g.add(residual, g.matmul(g.matmul(alpha, video), self.w_msg)), alpha.data
-
         monkeypatch.setattr(tensor, "_accum", lambda t, g, own=False: accum(t, g))
-        monkeypatch.setattr(training, "ComputeGraph", ReferenceGraph)
-        monkeypatch.setattr(layers.GcnLayer, "forward", chain_gcn)
-        monkeypatch.setattr(layers.GatFusionLayer, "forward", chain_fusion)
+        monkeypatch.setattr(training, "ComputeGraph", ChainGraph)
         assert checkpoint_bytes("chain.hgck") == fused
 
     def test_resume_at_max_iters_returns_the_final_scores(self, tmp_path):
